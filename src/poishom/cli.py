@@ -107,6 +107,15 @@ def _grid(table: "dict[tuple[int, int], int]", degrees: "list[int]",
     )
 
 
+def _below(flag: str, value: int, least: int, why: str = "") -> bool:
+    """Report an option below the least value that gives a non-empty window."""
+    if value >= least:
+        return False
+    print(f"error: {flag} must be at least {least}{why}, got {value}",
+          file=sys.stderr)
+    return True
+
+
 def _cmd_check(doc: SpecDocument, args, out) -> int:
     S = doc.to_structure()
     if doc.label:
@@ -135,6 +144,8 @@ def _cmd_trace(doc: SpecDocument, args, out) -> int:
 
 
 def _cmd_homology(doc: SpecDocument, args, out) -> int:
+    if _below("--max-weight", args.max_weight, 0):
+        return EXIT_USAGE
     S = doc.to_structure()
     table = homology_dims(S, coeff=args.coeff, max_weight=args.max_weight)
     if args.tsv:
@@ -150,6 +161,9 @@ def _cmd_homology(doc: SpecDocument, args, out) -> int:
 def _cmd_cohomology(doc: SpecDocument, args, out) -> int:
     S = doc.to_structure()
     low = -sum(S.vars.weights)
+    if _below("--max-weight", args.max_weight, low,
+              " (the lowest cochain weight)"):
+        return EXIT_USAGE
     table = cohomology_dims(S, max_weight=args.max_weight, min_weight=low)
     if args.tsv:
         print(dim_table_tsv(table), file=out)
@@ -161,6 +175,8 @@ def _cmd_cohomology(doc: SpecDocument, args, out) -> int:
 
 
 def _cmd_duality(doc: SpecDocument, args, out) -> int:
+    if _below("--max-weight", args.max_weight, 0):
+        return EXIT_USAGE
     S = doc.to_structure()
     try:
         report = duality_report(S, max_weight=args.max_weight)
@@ -174,6 +190,9 @@ def _cmd_duality(doc: SpecDocument, args, out) -> int:
 
 
 def _cmd_pbw(doc: SpecDocument, args, out) -> int:
+    if (_below("--samples", args.samples, 1)
+            or _below("--max-weight", args.max_weight, 0)):
+        return EXIT_USAGE
     S = doc.to_structure()
     if args.nu and log_canonical_matrix(S) is None:
         print("error: --nu needs a log-canonical structure", file=sys.stderr)

@@ -11,16 +11,23 @@ one-form algebroid.
 Both differentials shift weight by the same amount d - 2, where d is the
 structure's homogeneity degree, so every computation here is cut out cell
 by cell at fixed (n, w) and ranks are taken exactly over the rationals.
+
+``apply_boundary`` and ``apply_coboundary`` are the readable definitions,
+on polynomials.  ``boundary_matrix`` and ``coboundary_matrix`` do not call
+them: they turn the structure's exponent tables
+(``PoissonStructure.term_tables``) into a plan per multi-index and run one
+small kernel, ``_assemble``, over the exponent tuples of each column.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
+from operator import add
 from typing import Mapping
 
-from .linalg import SparseMatrix, exact_rank
+from .linalg import SparseMatrix
 from .polycore import Polynomial, monomials_of_weight, partial_derivative
 from .structure import PoissonStructure
 
@@ -35,7 +42,6 @@ __all__ = [
     "apply_coboundary",
     "boundary_matrix",
     "coboundary_matrix",
-    "exact_rank",
     "homology_dims",
     "cohomology_dims",
     "dim_table_tsv",
@@ -269,6 +275,102 @@ class GradedComplexCell:
     matrix: SparseMatrix
 
 
+# -- matrix assembly ---------------------------------------------------------
+#
+# A differential sends a basis element m (.) dx_I, m = x^e, to a sum of terms
+# scale * c * x^(e + t) (.) dx_J, where the multi-index J, the table terms
+# (t, c) and whether scale is 1 or the exponent e_a all depend only on I.
+# A plan maps (J, a) to those terms {t: c}, with a None when scale is 1; it
+# is built per multi-index from the structure's term tables, and
+# ``_assemble`` runs it on every column of a cell.
+
+Plan = "dict[tuple[MultiIndex, int | None], dict[tuple[int, ...], int | Fraction]]"
+
+
+def _plan_step(plan: Plan, index: "tuple[int, ...]", a: "int | None",
+               terms, sign: int) -> None:
+    acc = plan.setdefault((index, a), {})
+    for t, c in terms:
+        acc[t] = acc.get(t, 0) + sign * c
+
+
+def _boundary_plan(S: PoissonStructure, index: "tuple[int, ...]",
+                   omega: bool) -> Plan:
+    """Plan of apply_boundary on m (.) dx_index."""
+    tables = S.term_tables()
+    plan: Plan = {}
+    for r, i in enumerate(index):
+        rest = index[:r] + index[r + 1 :]
+        sign = 1 if r % 2 == 0 else -1
+        for a, terms in tables.anchor[i]:
+            _plan_step(plan, rest, a, terms, sign)
+        if omega:
+            _plan_step(plan, rest, None, tables.traces[i], sign)
+    for p in range(len(index)):
+        for q in range(p + 1, len(index)):
+            rest = index[:p] + index[p + 1 : q] + index[q + 1 :]
+            base_sign = 1 if (p + q) % 2 == 0 else -1
+            for k, terms in tables.partials.get((index[p], index[q]), ()):
+                if k in rest:
+                    continue
+                pos = bisect_left(rest, k)
+                merged = rest[:pos] + (k,) + rest[pos:]
+                _plan_step(plan, merged, None, terms,
+                           base_sign if pos % 2 == 0 else -base_sign)
+    return plan
+
+
+def _coboundary_plan(S: PoissonStructure, index: "tuple[int, ...]") -> Plan:
+    """Plan of apply_coboundary on the cochain with value m on dx_index only.
+
+    Its value on dx_K is nonzero only where K is index plus one slot i (the
+    anchor term {x_i, m} = -{m, x_i}), or index minus a slot k plus a pair
+    i < j whose bracket has a nonzero d/dx_k.
+    """
+    tables = S.term_tables()
+    plan: Plan = {}
+    for i in range(len(S.vars)):
+        if i in index:
+            continue
+        pos = bisect_left(index, i)
+        target = index[:pos] + (i,) + index[pos:]
+        sign = -1 if pos % 2 == 0 else 1
+        for a, terms in tables.anchor[i]:
+            _plan_step(plan, target, a, terms, sign)
+    for pos, k in enumerate(index):
+        rest = index[:pos] + index[pos + 1 :]
+        for (i, j), partials in tables.partials.items():
+            if i in rest or j in rest:
+                continue
+            target = tuple(sorted(rest + (i, j)))
+            p, q = target.index(i), target.index(j)
+            sign = 1 if (p + q + pos) % 2 == 0 else -1
+            for k2, terms in partials:
+                if k2 == k:
+                    _plan_step(plan, target, None, terms, sign)
+    return plan
+
+
+def _assemble(src: ChainBasis, tgt: ChainBasis, plan_of) -> GradedComplexCell:
+    """Run each column's plan on its monomial and collect the matrix."""
+    indices = {index for _, index in src.elements}
+    plans = {index: plan_of(index) for index in indices}
+    entries = {}
+    for col, (exps, index) in enumerate(src.elements):
+        image: dict = {}
+        for (index2, a), terms in plans[index].items():
+            scale = 1 if a is None else exps[a]
+            if not scale:
+                continue
+            for t, c in terms.items():
+                key = (tuple(map(add, exps, t)), index2)
+                image[key] = image.get(key, 0) + scale * c
+        for (exps2, index2), v in image.items():
+            if v:
+                entries[(tgt.position(exps2, index2), col)] = v
+    return GradedComplexCell(src, tgt, SparseMatrix(len(tgt), len(src), entries))
+
+
 def boundary_matrix(S: PoissonStructure, n: int, w: int,
                     coeff: str = "canonical") -> GradedComplexCell:
     """Matrix of the boundary on the chain cell (n, w).
@@ -279,14 +381,8 @@ def boundary_matrix(S: PoissonStructure, n: int, w: int,
     shift = S.weight_shift()
     src = chain_basis(S, n, w)
     tgt = chain_basis(S, n - 1, w + shift)
-    matrix = SparseMatrix(len(tgt), len(src))
-    vt = S.vars
-    for col, (exps, index) in enumerate(src.elements):
-        image = apply_boundary(S, {index: vt.monomial(exps)}, coeff)
-        for index2, poly in image.items():
-            for exps2, c in poly.terms.items():
-                matrix.add_to(tgt.position(exps2, index2), col, c)
-    return GradedComplexCell(src, tgt, matrix)
+    omega = coeff == "omega"
+    return _assemble(src, tgt, lambda index: _boundary_plan(S, index, omega))
 
 
 def coboundary_matrix(S: PoissonStructure, n: int, w: int) -> GradedComplexCell:
@@ -297,14 +393,7 @@ def coboundary_matrix(S: PoissonStructure, n: int, w: int) -> GradedComplexCell:
     shift = S.weight_shift()
     src = cochain_basis(S, n, w)
     tgt = cochain_basis(S, n + 1, w + shift)
-    matrix = SparseMatrix(len(tgt), len(src))
-    vt = S.vars
-    for col, (exps, index) in enumerate(src.elements):
-        image = apply_coboundary(S, Cochain(n, {index: vt.monomial(exps)}))
-        for index2, poly in image.values.items():
-            for exps2, c in poly.terms.items():
-                matrix.add_to(tgt.position(exps2, index2), col, c)
-    return GradedComplexCell(src, tgt, matrix)
+    return _assemble(src, tgt, lambda index: _coboundary_plan(S, index))
 
 
 def homology_dims(S: PoissonStructure, coeff: str = "canonical",

@@ -1,16 +1,15 @@
 """Exact linear algebra over the rationals for graded complex cells.
 
 Matrices are stored sparsely as (row, col) -> Fraction.  Rank is computed by
-clearing denominators row by row and running fraction-free (Bareiss) row
-reduction over the integers, which keeps intermediate entries as minors of
-the input instead of letting fractions pile up.
+Gaussian elimination on the sparse rows themselves: each row is kept as a
+column -> Fraction dict and only its nonzero entries are ever touched, so
+the cost follows the fill-in of the matrix rather than its dense area.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = ["SparseMatrix", "exact_rank"]
 
@@ -31,7 +30,10 @@ class SparseMatrix:
         self.entries: dict[tuple[int, int], Fraction] = {}
         if entries:
             for (r, c), v in entries.items():
-                self.add_to(r, c, v)
+                self._check_index(r, c)
+                v = Fraction(v)
+                if v:
+                    self.entries[(r, c)] = v
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "SparseMatrix":
@@ -90,59 +92,36 @@ class SparseMatrix:
         return (self.nrows, self.ncols, self.entries) == (
             other.nrows, other.ncols, other.entries)
 
-    def to_rows(self) -> "list[list[Fraction]]":
-        rows = [[_ZERO] * self.ncols for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
-
     def rank(self) -> int:
-        return _bareiss_rank(self._integer_rows())
+        """Rank over Q by sparse row elimination.
 
-    def _integer_rows(self) -> "list[list[int]]":
-        rows: list[list[int]] = []
-        dense = self.to_rows()
-        for row in dense:
-            if all(v == 0 for v in row):
-                continue
-            scale = lcm(*(v.denominator for v in row if v))
-            rows.append([int(v * scale) for v in row])
-        return rows
+        Rows are reduced one at a time against the pivot rows found so far,
+        always on their lowest column; a row that survives becomes the pivot
+        row of that column, scaled to a leading 1.
+        """
+        rows: dict[int, dict[int, Fraction]] = {}
+        for (r, c), v in self.entries.items():
+            rows.setdefault(r, {})[c] = v
+        pivots: dict[int, dict[int, Fraction]] = {}
+        for row in rows.values():
+            while row:
+                col = min(row)
+                pivot = pivots.get(col)
+                if pivot is None:
+                    lead = row[col]
+                    pivots[col] = {c: v / lead for c, v in row.items()}
+                    break
+                factor = row[col]
+                for c, v in pivot.items():
+                    left = row.get(c, _ZERO) - factor * v
+                    if left:
+                        row[c] = left
+                    else:
+                        del row[c]
+        return len(pivots)
 
     def __repr__(self) -> str:
         return f"<SparseMatrix {self.nrows}x{self.ncols}, {self.nnz()} nonzero>"
-
-
-def _bareiss_rank(rows: "list[list[int]]") -> int:
-    """Rank by one-step fraction-free elimination; mutates ``rows``."""
-    if not rows:
-        return 0
-    nrows, ncols = len(rows), len(rows[0])
-    pivot_row = 0
-    prev = 1
-    for col in range(ncols):
-        if pivot_row == nrows:
-            break
-        found = None
-        for r in range(pivot_row, nrows):
-            if rows[r][col]:
-                found = r
-                break
-        if found is None:
-            continue
-        rows[pivot_row], rows[found] = rows[found], rows[pivot_row]
-        pivot = rows[pivot_row][col]
-        top = rows[pivot_row]
-        for r in range(pivot_row + 1, nrows):
-            row = rows[r]
-            factor = row[col]
-            for c in range(col + 1, ncols):
-                # exact by Sylvester's identity: the result is a minor
-                row[c] = (pivot * row[c] - factor * top[c]) // prev
-            row[col] = 0
-        prev = pivot
-        pivot_row += 1
-    return pivot_row
 
 
 def exact_rank(matrix) -> "tuple[int, int]":

@@ -120,6 +120,41 @@ class ModularData:
     unimodular: bool
 
 
+Terms = "tuple[tuple[tuple[int, ...], int | Fraction], ...]"
+
+
+def _terms(f: Polynomial, lowered: "int | None" = None) -> Terms:
+    """Terms of f as (exponents, coefficient) pairs.
+
+    Integral coefficients become ints, so sums of them stay in integer
+    arithmetic.  With ``lowered`` set, that variable's exponent is reduced
+    by one (it may become -1).
+    """
+    out = []
+    for exps, c in f.terms.items():
+        if lowered is not None:
+            exps = exps[:lowered] + (exps[lowered] - 1,) + exps[lowered + 1:]
+        out.append((exps, c.numerator if c.denominator == 1 else c))
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class TermTables:
+    """The bracket data that matrix assembly reads, as exponent-tuple terms.
+
+    * ``anchor[i]`` lists (a, terms of {x_a, x_i} / x_a), so that for a
+      monomial m = x^e, {m, x_i} = sum_a e_a * x^e * (those terms);
+    * ``partials[(i, j)]`` (i < j) lists (k, terms of d{x_i, x_j}/dx_k);
+    * ``traces[i]`` holds the terms of trace(x_i).
+
+    Only nonzero polynomials are listed.
+    """
+
+    anchor: "tuple[tuple[tuple[int, Terms], ...], ...]"
+    partials: "dict[tuple[int, int], tuple[tuple[int, Terms], ...]]"
+    traces: "tuple[Terms, ...]"
+
+
 class PoissonStructure:
     """A validated Poisson bracket on a weighted polynomial algebra.
 
@@ -156,6 +191,7 @@ class PoissonStructure:
         self.entries = normalized
         self._gens = vars.gens()
         self._traces: "tuple[Polynomial, ...] | None" = None
+        self._tables: "TermTables | None" = None
         self.homogeneity_degree = self._detect_degree()
         self._check_jacobi()
 
@@ -283,6 +319,26 @@ class PoissonStructure:
         if self._traces is None:
             self._traces = tuple(self.trace(x) for x in self._gens)
         return self._traces
+
+    def term_tables(self) -> TermTables:
+        """Exponent-tuple tables of the brackets, their partials and traces.
+
+        Built on first use and kept, like the generator traces.
+        """
+        if self._tables is None:
+            ell = len(self.vars)
+            anchor = tuple(
+                tuple((a, _terms(self.entry(a, i), lowered=a))
+                      for a in range(ell) if self.entry(a, i))
+                for i in range(ell)
+            )
+            partials = {}
+            for key, p in self.entries.items():
+                derivs = ((k, partial_derivative(p, k)) for k in range(ell))
+                partials[key] = tuple((k, _terms(d)) for k, d in derivs if d)
+            traces = tuple(_terms(t) for t in self._generator_traces())
+            self._tables = TermTables(anchor, partials, traces)
+        return self._tables
 
     def omega_h_action(self, m: Polynomial, i: int) -> Polynomial:
         """Right action of the i-th derivation generator on the twisted module.

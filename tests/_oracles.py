@@ -5,7 +5,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from poishom.complexes import chain_basis, cochain_basis
+from poishom.complexes import (
+    Cochain,
+    GradedComplexCell,
+    apply_boundary,
+    apply_coboundary,
+    chain_basis,
+    cochain_basis,
+)
+from poishom.linalg import SparseMatrix
 from poishom.polycore import Polynomial, VarTable, monomials_of_weight
 from poishom.structure import PoissonStructure
 
@@ -30,6 +38,43 @@ def naive_rank(rows: "list[list[Fraction]]") -> int:
         rank += 1
         col += 1
     return rank
+
+
+def boundary_matrix_by_columns(S: PoissonStructure, n: int, w: int,
+                               coeff: str = "canonical") -> GradedComplexCell:
+    """Boundary matrix of the cell (n, w), one apply_boundary per column."""
+    src = chain_basis(S, n, w)
+    tgt = chain_basis(S, n - 1, w + S.weight_shift())
+    matrix = SparseMatrix(len(tgt), len(src))
+    vt = S.vars
+    for col, (exps, index) in enumerate(src.elements):
+        image = apply_boundary(S, {index: vt.monomial(exps)}, coeff)
+        for index2, poly in image.items():
+            for exps2, c in poly.terms.items():
+                matrix.add_to(tgt.position(exps2, index2), col, c)
+    return GradedComplexCell(src, tgt, matrix)
+
+
+def coboundary_matrix_by_columns(S: PoissonStructure, n: int,
+                                 w: int) -> GradedComplexCell:
+    """Coboundary matrix of the cell (n, w), one apply_coboundary per column."""
+    src = cochain_basis(S, n, w)
+    tgt = cochain_basis(S, n + 1, w + S.weight_shift())
+    matrix = SparseMatrix(len(tgt), len(src))
+    vt = S.vars
+    for col, (exps, index) in enumerate(src.elements):
+        image = apply_coboundary(S, Cochain(n, {index: vt.monomial(exps)}))
+        for index2, poly in image.values.items():
+            for exps2, c in poly.terms.items():
+                matrix.add_to(tgt.position(exps2, index2), col, c)
+    return GradedComplexCell(src, tgt, matrix)
+
+
+def dense_rows(matrix: SparseMatrix) -> "list[list[Fraction]]":
+    rows = [[Fraction(0)] * matrix.ncols for _ in range(matrix.nrows)]
+    for (r, c), v in matrix.entries.items():
+        rows[r][c] = v
+    return rows
 
 
 def casimir_dimension(S: PoissonStructure, w: int) -> int:

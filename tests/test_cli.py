@@ -73,6 +73,33 @@ def test_duality_trivial_window_zero(capsys):
     assert "result: PASS" in out
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("homology", "--max-weight", "-1"), "--max-weight"),
+    (("duality", "--max-weight", "-1"), "--max-weight"),
+    (("pbw", "--max-weight", "-1"), "--max-weight"),
+    (("pbw", "--samples", "0"), "--samples"),
+    (("pbw", "--samples", "-5"), "--samples"),
+])
+def test_empty_windows_refused(capsys, argv, flag):
+    code, out, err = run(capsys, "catalog", "run", "so3", *argv)
+    assert code == 2
+    assert out == ""
+    assert f"error: {flag} must be at least" in err
+
+
+def test_cohomology_window_below_lowest_weight_refused(capsys):
+    # so3 has three weight-1 variables, so cochains start at weight -3
+    code, out, err = run(capsys, "catalog", "run", "so3",
+                         "cohomology", "--max-weight", "-4")
+    assert code == 2
+    assert out == ""
+    assert "--max-weight must be at least -3" in err
+    code, out, _ = run(capsys, "catalog", "run", "so3",
+                       "cohomology", "--max-weight", "-3", "--tsv")
+    assert code == 0
+    assert out.splitlines()[1:] == [f"{n}\t-3\t{int(n == 3)}" for n in range(4)]
+
+
 def test_pbw_command(capsys):
     code, out, _ = run(capsys, "pbw", str(DOCS / "log-canonical-3.json"),
                        "--samples", "30", "--nu")

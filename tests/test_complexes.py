@@ -24,7 +24,9 @@ from poishom.polycore import VarTable, homogeneous_weight, parse_poly
 from poishom.structure import NonHomogeneousError, PoissonStructure
 
 from _oracles import (
+    boundary_matrix_by_columns,
     casimir_dimension,
+    coboundary_matrix_by_columns,
     coinvariant_dimension,
     euler_characteristic_matches,
     random_polynomial,
@@ -129,6 +131,29 @@ def test_coboundary_matrices_compose_to_zero():
                 inner = coboundary_matrix(S, n, w)
                 outer = coboundary_matrix(S, n + 1, w + shift)
                 assert (outer.matrix @ inner.matrix).is_zero()
+
+
+def _weighted_rational():
+    vt = VarTable(("x", "y"), (1, 2))
+    return PoissonStructure(vt, {(0, 1): vt.monomial((2, 0), Fraction(2, 3))})
+
+
+@pytest.mark.parametrize("S", ALL + [_weighted_rational()],
+                         ids=[entry.id for entry in CATALOG] + ["weighted-rational"])
+def test_matrices_match_column_by_column_oracle(S):
+    lo = -sum(S.vars.weights)
+    for n in range(len(S.vars) + 1):
+        for w in range(lo, 5):
+            if w >= 0:
+                for coeff in ("canonical", "omega"):
+                    fast = boundary_matrix(S, n, w, coeff=coeff)
+                    slow = boundary_matrix_by_columns(S, n, w, coeff=coeff)
+                    assert (fast.source, fast.target) == (slow.source, slow.target)
+                    assert fast.matrix == slow.matrix, (n, w, coeff)
+            fast = coboundary_matrix(S, n, w)
+            slow = coboundary_matrix_by_columns(S, n, w)
+            assert (fast.source, fast.target) == (slow.source, slow.target)
+            assert fast.matrix == slow.matrix, (n, w)
 
 
 def test_boundary_preserves_weight_bookkeeping(so3):

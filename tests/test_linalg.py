@@ -4,9 +4,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poishom.catalog import CATALOG
+from poishom.complexes import boundary_matrix, coboundary_matrix
 from poishom.linalg import SparseMatrix, exact_rank
 
-from _oracles import naive_rank
+from _oracles import dense_rows, naive_rank
 
 
 def dense(rows):
@@ -52,6 +54,54 @@ def test_rank_matches_naive_elimination(rows):
     rank, nullity = exact_rank(rows)
     assert rank == naive_rank(rows)
     assert rank + nullity == 3
+
+
+values = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Any shape up to 8x8 (empty ones too), few nonzeros, and some rows
+    repeated as rational multiples of others."""
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    rows = [[Fraction(0)] * ncols for _ in range(nrows)]
+    if nrows and ncols:
+        cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+        for (r, c), v in draw(st.dictionaries(cells, values, max_size=12)).items():
+            rows[r][c] = v
+        for _ in range(draw(st.integers(0, 3))):
+            source = draw(st.integers(0, nrows - 1))
+            target = draw(st.integers(0, nrows - 1))
+            scale = draw(values)
+            rows[target] = [scale * v for v in rows[source]]
+    entries = {(r, c): v for r, row in enumerate(rows)
+               for c, v in enumerate(row) if v}
+    return SparseMatrix(nrows, ncols, entries), rows
+
+
+@given(sparse_matrices())
+@settings(max_examples=150)
+def test_sparse_rank_matches_naive_elimination(case):
+    matrix, rows = case
+    rank = matrix.rank()
+    assert rank == naive_rank(rows)
+    assert rank <= min(matrix.nrows, matrix.ncols)
+    transpose = SparseMatrix(matrix.ncols, matrix.nrows,
+                             {(c, r): v for (r, c), v in matrix.entries.items()})
+    assert transpose.rank() == rank
+
+
+def test_rank_of_catalog_cells_matches_naive_elimination():
+    for entry in CATALOG:
+        S = entry.document.to_structure()
+        lo = -sum(S.vars.weights)
+        for n in range(len(S.vars) + 1):
+            cells = [coboundary_matrix(S, n, w) for w in range(lo, 5)]
+            cells += [boundary_matrix(S, n, w, coeff)
+                      for w in range(5) for coeff in ("canonical", "omega")]
+            for cell in cells:
+                assert cell.matrix.rank() == naive_rank(dense_rows(cell.matrix)), (
+                    entry.id, cell.source)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31), st.integers(1, 3))
