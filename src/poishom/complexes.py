@@ -410,21 +410,24 @@ def homology_dims(S: PoissonStructure, coeff: str = "canonical",
     ell = len(S.vars)
     if max_degree is None:
         max_degree = ell
-    ranks: dict[tuple[int, int], int] = {}
+    cells: dict[tuple[int, int], tuple[int, int]] = {}
 
-    def rank_at(n: int, w: int) -> int:
+    def leaving(n: int, w: int) -> "tuple[int, int] | None":
+        """(dim of the cell, rank) of the boundary leaving (n, w), if any."""
         if n < 1 or n > ell or w < 0:
-            return 0
+            return None
         key = (n, w)
-        if key not in ranks:
-            ranks[key] = boundary_matrix(S, n, w, coeff).matrix.rank()
-        return ranks[key]
+        if key not in cells:
+            matrix = boundary_matrix(S, n, w, coeff).matrix
+            cells[key] = (matrix.ncols, matrix.rank())
+        return cells[key]
 
     table: dict[tuple[int, int], int] = {}
     for n in range(max_degree + 1):
         for w in range(max_weight + 1):
-            kernel = len(chain_basis(S, n, w)) - rank_at(n, w)
-            table[(n, w)] = kernel - rank_at(n + 1, w - shift)
+            dim, rank = leaving(n, w) or (len(chain_basis(S, n, w)), 0)
+            arriving = leaving(n + 1, w - shift)
+            table[(n, w)] = dim - rank - (arriving[1] if arriving else 0)
     return table
 
 
@@ -442,21 +445,24 @@ def cohomology_dims(S: PoissonStructure, max_weight: int = 8,
         max_degree = ell
     if min_weight is None:
         min_weight = -sum(S.vars.weights)
-    ranks: dict[tuple[int, int], int] = {}
+    cells: dict[tuple[int, int], tuple[int, int]] = {}
 
-    def rank_at(n: int, w: int) -> int:
+    def leaving(n: int, w: int) -> "tuple[int, int] | None":
+        """(dim of the cell, rank) of the coboundary leaving (n, w), if any."""
         if n < 0 or n >= ell or w < -sum(S.vars.weights):
-            return 0
+            return None
         key = (n, w)
-        if key not in ranks:
-            ranks[key] = coboundary_matrix(S, n, w).matrix.rank()
-        return ranks[key]
+        if key not in cells:
+            matrix = coboundary_matrix(S, n, w).matrix
+            cells[key] = (matrix.ncols, matrix.rank())
+        return cells[key]
 
     table: dict[tuple[int, int], int] = {}
     for n in range(max_degree + 1):
         for w in range(min_weight, max_weight + 1):
-            kernel = len(cochain_basis(S, n, w)) - rank_at(n, w)
-            table[(n, w)] = kernel - rank_at(n - 1, w - shift)
+            dim, rank = leaving(n, w) or (len(cochain_basis(S, n, w)), 0)
+            arriving = leaving(n - 1, w - shift)
+            table[(n, w)] = dim - rank - (arriving[1] if arriving else 0)
     return table
 
 

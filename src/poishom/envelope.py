@@ -7,10 +7,18 @@ derivation symbol h(i) per variable, subject to
     h(j) * h(i) ->  h(i) * h(j) + sum_k  d{x_j, x_i}/dx_k * h(k)   (j > i)
 
 so every element has a normal form: polynomial coefficients on the left,
-derivation symbols sorted ascending on the right.  Rewriting terminates
-because each step lowers (number of derivation symbols, number of
-out-of-order adjacent pairs) lexicographically; confluence is checked
-empirically by reducing random words under two different strategies.
+derivation symbols sorted ascending on the right.  A word with no redex
+therefore holds at most one polynomial atom, and that atom comes first.
+Rewriting terminates because each step lowers (number of derivation
+symbols, number of out-of-order adjacent pairs) lexicographically;
+confluence is checked empirically by reducing random words under two
+different strategies.
+
+The rules read the structure's stored bracket data rather than
+differentiating on each rewrite: h(i) * f takes {x_i, f} from
+``PoissonStructure.bracket`` (which reads the anchor table) with the
+structure's cached generators, and h(j) * h(i) takes the Polynomials
+d{x_j, x_i}/dx_k from ``PoissonStructure.term_tables().derivatives``.
 
 The module also reduces elements against right ideals generated by
 h(i) - t_i for prescribed polynomials t_i, which realizes both the plain
@@ -199,32 +207,30 @@ def _rewrite_at(S: PoissonStructure, word: Word, k: int) -> "list[Word]":
     if a[0] == "h" and b[0] == "p":
         i, f = a[1], b[1]
         out = [head + (b, a) + tail]
-        moved = S.bracket(S.vars.gen(i), f)
+        moved = S.bracket(S.gens[i], f)
         if moved:
             out.append(head + (poly_atom(moved),) + tail)
         return out
     # two derivation symbols out of order
     j, i = a[1], b[1]
     out = [head + (b, a) + tail]
-    pair = S.entry(j, i)
-    for k2 in range(len(S.vars)):
-        c = partial_derivative(pair, k2)
-        if c:
-            out.append(head + (poly_atom(c), ham(k2)) + tail)
+    for k2, c in S.term_tables().derivatives.get((j, i), ()):
+        out.append(head + (poly_atom(c), ham(k2)) + tail)
     return out
 
 
 def _fold_normal(vt: VarTable, coeff: Fraction, word: Word,
                  terms: "dict[tuple, Fraction]") -> None:
-    poly = vt.one()
+    """Add coeff * word, a word with no redex, to the normal-form terms."""
+    if word and word[0][0] == "p":
+        poly_terms, symbols = word[0][1].terms, word[1:]
+    else:
+        poly_terms, symbols = {(0,) * len(vt): _ONE}, word
     hexp = [0] * len(vt)
-    for atom in word:
-        if atom[0] == "p":
-            poly = poly * atom[1]
-        else:
-            hexp[atom[1]] += 1
+    for atom in symbols:
+        hexp[atom[1]] += 1
     key_h = tuple(hexp)
-    for exps, c in poly.terms.items():
+    for exps, c in poly_terms.items():
         key = (exps, key_h)
         s = terms.get(key, Fraction(0)) + coeff * c
         if s:
@@ -415,7 +421,7 @@ def right_module_residue(S: PoissonStructure, element: EnvelopeElement,
                 continue
             j = next(k for k, e in enumerate(hexp) if e)
             f = vt.monomial(xexp, c)
-            reduced = f * traces[j] - S.bracket(vt.gen(j), f)
+            reduced = f * traces[j] - S.bracket(S.gens[j], f)
             lowered = hexp[:j] + (hexp[j] - 1,) + hexp[j + 1 :]
             for exps, c2 in reduced.terms.items():
                 key = (exps, lowered)

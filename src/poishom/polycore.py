@@ -17,6 +17,7 @@ __all__ = [
     "Scalar",
     "Monomial",
     "PolyParseError",
+    "MAX_PARSE_DEGREE",
     "VarTableMismatch",
     "VarTable",
     "Polynomial",
@@ -261,8 +262,9 @@ class Polynomial:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -387,6 +389,11 @@ def format_poly(f: Polynomial) -> str:
 
 _OPERATOR_CHARS = set("+-*^/()")
 
+# Largest total degree a parsed expression may reach.  Products and powers
+# that would exceed it are refused before they are expanded, since the
+# number of terms, and the time to expand them, grows fast with the degree.
+MAX_PARSE_DEGREE = 16
+
 
 def _tokenize(src: str) -> "list[tuple[str, str, int]]":
     tokens: list[tuple[str, str, int]] = []
@@ -457,8 +464,10 @@ class _Parser:
     def term(self) -> Polynomial:
         node = self.factor()
         while self.peek()[0] == "*":
-            self.advance()
-            node = node * self.factor()
+            at = self.advance()[2]
+            rhs = self.factor()
+            _check_degree(_total_degree(node) + _total_degree(rhs), at)
+            node = node * rhs
         return node
 
     def factor(self) -> Polynomial:
@@ -480,6 +489,7 @@ class _Parser:
         self.advance()
         if self.peek()[0] == "/":
             raise PolyParseError("exponent must be an integer", self.peek()[2])
+        _check_degree(_total_degree(base) * int(text), at)
         return base ** int(text)
 
     def atom(self) -> Polynomial:
@@ -516,6 +526,21 @@ class _Parser:
         raise PolyParseError(f"unexpected {text!r}", at)
 
 
+def _total_degree(f: Polynomial) -> int:
+    return max((sum(exps) for exps in f.terms), default=0)
+
+
+def _check_degree(degree: int, at: int) -> None:
+    if degree > MAX_PARSE_DEGREE:
+        raise PolyParseError(
+            f"expression of total degree {degree} exceeds the bound "
+            f"{MAX_PARSE_DEGREE}", at)
+
+
 def parse_poly(src: str, vars: VarTable) -> Polynomial:
-    """Parse an expression over the given variables into a Polynomial."""
+    """Parse an expression over the given variables into a Polynomial.
+
+    Expressions whose total degree would exceed ``MAX_PARSE_DEGREE`` are
+    refused with a ``PolyParseError``.
+    """
     return _Parser(_tokenize(src), vars).parse()

@@ -9,6 +9,16 @@ On top of that this module builds the Lie bracket and anchor on Kaehler
 one-forms, the divergence-style trace of a generator, the modular traces
 that detect unimodularity, and the trace-twisted right action on the
 algebra that the dualizing module carries.
+
+Everything that reads the generator brackets reads them through one store,
+``PoissonStructure.term_tables()``, built on first use and kept on the
+structure.  It holds the anchor table {x_a, x_i} / x_a as exponent terms,
+the partials d{x_i, x_j}/dx_k as Polynomials and as terms, and the
+generator traces read off those partials.  ``bracket`` evaluates the
+biderivation formula from the anchor table, so the Jacobi check, the
+traces of arbitrary polynomials, ``omega_h_action``, ``lr_bracket`` and
+``anchor_apply`` all go through it; ``complexes`` builds its assembly plans
+from the terms, and the PBW rules in ``envelope`` read the partials.
 """
 
 from __future__ import annotations
@@ -16,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 from typing import Mapping, Sequence
 
 from .polycore import (
@@ -140,18 +151,24 @@ def _terms(f: Polynomial, lowered: "int | None" = None) -> Terms:
 
 @dataclass(frozen=True)
 class TermTables:
-    """The bracket data that matrix assembly reads, as exponent-tuple terms.
+    """The bracket data of a structure, built from the generator brackets.
 
     * ``anchor[i]`` lists (a, terms of {x_a, x_i} / x_a), so that for a
       monomial m = x^e, {m, x_i} = sum_a e_a * x^e * (those terms);
+    * ``derivatives[(i, j)]`` (i != j) lists (k, d{x_i, x_j}/dx_k) as
+      Polynomials;
     * ``partials[(i, j)]`` (i < j) lists (k, terms of d{x_i, x_j}/dx_k);
-    * ``traces[i]`` holds the terms of trace(x_i).
+    * ``generator_traces[i]`` is trace(x_i) = sum_k d{x_i, x_k}/dx_k, and
+      ``traces[i]`` holds its terms.
 
-    Only nonzero polynomials are listed.
+    Only nonzero polynomials are listed, and pairs with a zero bracket have
+    no ``derivatives`` or ``partials`` key.
     """
 
     anchor: "tuple[tuple[tuple[int, Terms], ...], ...]"
+    derivatives: "dict[tuple[int, int], tuple[tuple[int, Polynomial], ...]]"
     partials: "dict[tuple[int, int], tuple[tuple[int, Terms], ...]]"
+    generator_traces: "tuple[Polynomial, ...]"
     traces: "tuple[Terms, ...]"
 
 
@@ -189,8 +206,7 @@ class PoissonStructure:
                 )
             normalized[key] = value
         self.entries = normalized
-        self._gens = vars.gens()
-        self._traces: "tuple[Polynomial, ...] | None" = None
+        self.gens = vars.gens()
         self._tables: "TermTables | None" = None
         self.homogeneity_degree = self._detect_degree()
         self._check_jacobi()
@@ -228,21 +244,37 @@ class PoissonStructure:
         return -self.entries.get((j, i), self.vars.zero())
 
     def bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        """{f, g} via the biderivation extension."""
+        """{f, g} via the biderivation extension, read off the anchor table.
+
+        On monomials, {x^e, x^e'} = sum_j e'_j x^(e' - u_j) *
+        sum_a e_a x^e {x_a, x_j} / x_a, with u_j the j-th unit vector.
+        """
         if f.vars != self.vars or g.vars != self.vars:
             raise ValueError("operands over a different variable table")
-        out = self.vars.zero()
-        for (i, j), p in self.entries.items():
-            fi, gj = partial_derivative(f, i), partial_derivative(g, j)
-            fj, gi = partial_derivative(f, j), partial_derivative(g, i)
-            term = fi * gj - fj * gi
-            if term:
-                out = out + term * p
-        return out
+        anchor = self.term_tables().anchor
+        f_terms = _terms(f)
+        out: dict = {}
+        for e2, c2 in _terms(g):
+            for j, ej in enumerate(e2):
+                if not ej or not anchor[j]:
+                    continue
+                lowered = e2[:j] + (ej - 1,) + e2[j + 1:]
+                for e1, c1 in f_terms:
+                    base = tuple(map(add, e1, lowered))
+                    c = c1 * c2 * ej
+                    for a, terms in anchor[j]:
+                        ea = e1[a]
+                        if not ea:
+                            continue
+                        scale = c * ea
+                        for t, tc in terms:
+                            key = tuple(map(add, base, t))
+                            out[key] = out.get(key, 0) + scale * tc
+        return Polynomial(self.vars, out)
 
     def jacobiator(self, i: int, j: int, k: int) -> Polynomial:
         """{x_i,{x_j,x_k}} + {x_j,{x_k,x_i}} + {x_k,{x_i,x_j}}."""
-        xs = self._gens
+        xs = self.gens
         return (
             self.bracket(xs[i], self.entry(j, k))
             + self.bracket(xs[j], self.entry(k, i))
@@ -260,7 +292,8 @@ class PoissonStructure:
         if a.vars != self.vars or b.vars != self.vars:
             raise ValueError("forms over a different variable table")
         n = len(self.vars)
-        xs = self._gens
+        xs = self.gens
+        derivatives = self.term_tables().derivatives
         out = [self.vars.zero() for _ in range(n)]
         for i in range(n):
             ai = a.coeffs[i]
@@ -270,13 +303,11 @@ class PoissonStructure:
                 bj = b.coeffs[j]
                 if bj.is_zero():
                     continue
-                p = self.entry(i, j)
-                if p:
+                derivs = derivatives.get((i, j))
+                if derivs:
                     ab = ai * bj
-                    for k in range(n):
-                        dk = partial_derivative(p, k)
-                        if dk:
-                            out[k] = out[k] + ab * dk
+                    for k, dk in derivs:
+                        out[k] = out[k] + ab * dk
                 adv = self.bracket(xs[i], bj)
                 if adv:
                     out[j] = out[j] + ai * adv
@@ -293,7 +324,7 @@ class PoissonStructure:
         for i, ai in enumerate(a.coeffs):
             if ai.is_zero():
                 continue
-            adv = self.bracket(self._gens[i], f)
+            adv = self.bracket(self.gens[i], f)
             if adv:
                 out = out + ai * adv
         return out
@@ -306,24 +337,21 @@ class PoissonStructure:
             raise ValueError("operand over a different variable table")
         out = self.vars.zero()
         for i in range(len(self.vars)):
-            t = partial_derivative(self.bracket(y, self._gens[i]), i)
+            t = partial_derivative(self.bracket(y, self.gens[i]), i)
             if t:
                 out = out + t
         return out
 
     def modular_data(self) -> ModularData:
-        traces = self._generator_traces()
+        traces = self.term_tables().generator_traces
         return ModularData(traces, all(t.is_zero() for t in traces))
-
-    def _generator_traces(self) -> "tuple[Polynomial, ...]":
-        if self._traces is None:
-            self._traces = tuple(self.trace(x) for x in self._gens)
-        return self._traces
 
     def term_tables(self) -> TermTables:
         """Exponent-tuple tables of the brackets, their partials and traces.
 
-        Built on first use and kept, like the generator traces.
+        Built on first use and kept.  The build calls no bracket, since the
+        bracket reads the anchor table; the generator traces are read off
+        the partials.
         """
         if self._tables is None:
             ell = len(self.vars)
@@ -332,12 +360,24 @@ class PoissonStructure:
                       for a in range(ell) if self.entry(a, i))
                 for i in range(ell)
             )
-            partials = {}
-            for key, p in self.entries.items():
+            derivatives = {}
+            for (i, j), p in self.entries.items():
                 derivs = ((k, partial_derivative(p, k)) for k in range(ell))
-                partials[key] = tuple((k, _terms(d)) for k, d in derivs if d)
-            traces = tuple(_terms(t) for t in self._generator_traces())
-            self._tables = TermTables(anchor, partials, traces)
+                derivatives[(i, j)] = tuple((k, d) for k, d in derivs if d)
+                derivatives[(j, i)] = tuple((k, -d) for k, d in derivatives[(i, j)])
+            partials = {
+                key: tuple((k, _terms(d)) for k, d in derivatives[key])
+                for key in self.entries
+            }
+            generator_traces = tuple(
+                sum((d for k in range(ell)
+                     for k2, d in derivatives.get((i, k), ()) if k2 == k),
+                    self.vars.zero())
+                for i in range(ell)
+            )
+            self._tables = TermTables(
+                anchor, derivatives, partials, generator_traces,
+                tuple(_terms(t) for t in generator_traces))
         return self._tables
 
     def omega_h_action(self, m: Polynomial, i: int) -> Polynomial:
@@ -349,7 +389,8 @@ class PoissonStructure:
         """
         if not 0 <= i < len(self.vars):
             raise IndexError(f"variable index {i} out of range")
-        return self.bracket(m, self._gens[i]) + m * self._generator_traces()[i]
+        trace = self.term_tables().generator_traces[i]
+        return self.bracket(m, self.gens[i]) + m * trace
 
     # -- grading -----------------------------------------------------------
 

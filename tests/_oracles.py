@@ -14,8 +14,13 @@ from poishom.complexes import (
     cochain_basis,
 )
 from poishom.linalg import SparseMatrix
-from poishom.polycore import Polynomial, VarTable, monomials_of_weight
-from poishom.structure import PoissonStructure
+from poishom.polycore import (
+    Polynomial,
+    VarTable,
+    monomials_of_weight,
+    partial_derivative,
+)
+from poishom.structure import OneForm, PoissonStructure
 
 
 def naive_rank(rows: "list[list[Fraction]]") -> int:
@@ -38,6 +43,50 @@ def naive_rank(rows: "list[list[Fraction]]") -> int:
         rank += 1
         col += 1
     return rank
+
+
+def biderivation_bracket(S: PoissonStructure, f: Polynomial,
+                         g: Polynomial) -> Polynomial:
+    """{f, g} = sum over i < j of (f_i g_j - f_j g_i) {x_i, x_j}, on Polynomials."""
+    out = S.vars.zero()
+    for (i, j), p in S.entries.items():
+        fi, gj = partial_derivative(f, i), partial_derivative(g, j)
+        fj, gi = partial_derivative(f, j), partial_derivative(g, i)
+        term = fi * gj - fj * gi
+        if term:
+            out = out + term * p
+    return out
+
+
+def biderivation_trace(S: PoissonStructure, y: Polynomial) -> Polynomial:
+    """sum_i d{y, x_i}/dx_i, with the biderivation bracket."""
+    out = S.vars.zero()
+    for i, x in enumerate(S.vars.gens()):
+        out = out + partial_derivative(biderivation_bracket(S, y, x), i)
+    return out
+
+
+def biderivation_omega_action(S: PoissonStructure, m: Polynomial,
+                              i: int) -> Polynomial:
+    """{m, x_i} + m * trace(x_i), with the biderivation bracket."""
+    x = S.vars.gen(i)
+    return biderivation_bracket(S, m, x) + m * biderivation_trace(S, x)
+
+
+def biderivation_lr_bracket(S: PoissonStructure, a: OneForm,
+                            b: OneForm) -> OneForm:
+    """Lie bracket of one-forms, differentiating the generator brackets."""
+    n = len(S.vars)
+    xs = S.vars.gens()
+    out = [S.vars.zero() for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            ai, bj = a.coeffs[i], b.coeffs[j]
+            for k in range(n):
+                out[k] = out[k] + ai * bj * partial_derivative(S.entry(i, j), k)
+            out[j] = out[j] + ai * biderivation_bracket(S, xs[i], bj)
+            out[i] = out[i] - bj * biderivation_bracket(S, xs[j], ai)
+    return OneForm(S.vars, tuple(out))
 
 
 def boundary_matrix_by_columns(S: PoissonStructure, n: int, w: int,

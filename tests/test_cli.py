@@ -152,6 +152,17 @@ def test_malformed_document(tmp_path, capsys):
     assert "unknown variable" in err
 
 
+def test_parse_blowup_refused(tmp_path, capsys):
+    doc = {"vars": ["x", "y", "z", "t"], "bracket": {"x,y": "(x+y+z+t)^40"}}
+    path = tmp_path / "blowup.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "total degree 40 exceeds the bound 16" in err
+
+
 def test_jacobi_failure_exits_one(tmp_path, capsys):
     doc = {"vars": ["x", "y", "z"],
            "bracket": {"x,y": "y", "y,z": "z", "z,x": "x"}}

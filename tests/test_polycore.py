@@ -90,6 +90,14 @@ def test_power_rejects_negative():
         XY.gen(0) ** -1
 
 
+def test_power_is_repeated_product():
+    f = poly("x - 2/3*y + 1")
+    product = XY.one()
+    for k in range(10):
+        assert f ** k == product, k
+        product = product * f
+
+
 # -- derivatives and grading --------------------------------------------------
 
 
@@ -152,7 +160,8 @@ def test_parse_goldens():
 
 @pytest.mark.parametrize(
     "src",
-    ["x +", "z", "x^y", "x^-2", "1/0", "(x", "x & y", "x^1/2"],
+    ["x +", "z", "x^y", "x^-2", "1/0", "(x", "x & y", "x^1/2",
+     "x^17", "(x + y)^9*(x - y)^8", "x^9*y^8"],
 )
 def test_parse_errors(src):
     with pytest.raises(PolyParseError):

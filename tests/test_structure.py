@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poishom.catalog import CATALOG
 from poishom.polycore import (
     VarTable,
     homogeneous_weight,
@@ -23,7 +24,14 @@ from poishom.structure import (
     validate,
 )
 
-from _oracles import random_log_canonical, random_polynomial
+from _oracles import (
+    biderivation_bracket,
+    biderivation_lr_bracket,
+    biderivation_omega_action,
+    biderivation_trace,
+    random_log_canonical,
+    random_polynomial,
+)
 
 XYZ = VarTable(("x", "y", "z"))
 
@@ -303,3 +311,54 @@ def test_random_log_canonical_is_valid(seed, n):
     for i in range(n):
         for j in range(n):
             assert mat[i][j] == -mat[j][i]
+
+
+# -- the table-driven bracket against the biderivation formula ---------------
+
+
+def _weighted_jacobian():
+    # {x, y} = phi_z, {y, z} = phi_x, {z, x} = phi_y for a weighted phi with
+    # rational coefficients; Jacobian brackets always satisfy Jacobi
+    vt = VarTable(("x", "y", "z"), (1, 1, 2))
+    phi = parse_poly("2/3*x^2*z - 1/2*z^2 + x*y^3", vt)
+    return PoissonStructure(vt, {
+        (0, 1): partial_derivative(phi, 2),
+        (1, 2): partial_derivative(phi, 0),
+        (2, 0): partial_derivative(phi, 1),
+    })
+
+
+ORACLE_STRUCTURES = [entry.document.to_structure() for entry in CATALOG]
+ORACLE_STRUCTURES.append(_weighted_jacobian())
+ORACLE_IDS = [entry.id for entry in CATALOG] + ["weighted-jacobian"]
+
+
+@pytest.mark.parametrize("S", ORACLE_STRUCTURES, ids=ORACLE_IDS)
+def test_bracket_matches_biderivation_oracle(S):
+    vt = S.vars
+    rng = random.Random(11)
+    operands = [vt.zero(), vt.const(Fraction(-3, 2)), *vt.gens()]
+    operands += [random_polynomial(rng, vt) for _ in range(6)]
+    for f in operands:
+        for g in operands:
+            assert S.bracket(f, g) == biderivation_bracket(S, f, g), (f, g)
+    for y in operands:
+        assert S.trace(y) == biderivation_trace(S, y), y
+        for i in range(len(vt)):
+            assert S.omega_h_action(y, i) == biderivation_omega_action(S, y, i)
+    for _ in range(4):
+        a, b = random_one_form(rng, vt), random_one_form(rng, vt)
+        assert S.lr_bracket(a, b) == biderivation_lr_bracket(S, a, b)
+
+
+@pytest.mark.parametrize("S", ORACLE_STRUCTURES, ids=ORACLE_IDS)
+def test_tables_match_direct_derivatives(S):
+    tables = S.term_tables()
+    ell = len(S.vars)
+    for i in range(ell):
+        assert tables.generator_traces[i] == S.trace(S.gens[i])
+        assert S.modular_data().traces[i] == tables.generator_traces[i]
+        for j in range(ell):
+            derivs = [(k, partial_derivative(S.entry(i, j), k)) for k in range(ell)]
+            assert tables.derivatives.get((i, j), ()) == tuple(
+                (k, d) for k, d in derivs if d)
