@@ -23,7 +23,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from operator import add
 from typing import Mapping
 
@@ -95,21 +97,29 @@ class ChainBasis:
         return f"<ChainBasis n={self.n} w={self.w} dim={len(self.elements)}>"
 
 
+def _basis(S: PoissonStructure, n: int, w: int, sign: int) -> ChainBasis:
+    """Basis of the cell (n, w) whose elements m (.) dx_I have deg(m) =
+    w + sign * (the weights of I); sign is -1 for chains, +1 for cochains."""
+    vt = S.vars
+    elements = []
+    if 0 <= n <= len(vt):
+        monomials: dict[int, list] = {}
+        for index in combinations(range(len(vt)), n):
+            deg = w + sign * sum(vt.weights[i] for i in index)
+            if deg not in monomials:
+                monomials[deg] = monomials_of_weight(vt, deg)
+            elements.extend((exps, index) for exps in monomials[deg])
+    elements.sort()
+    return ChainBasis(n, w, tuple(elements))
+
+
 def chain_basis(S: PoissonStructure, n: int, w: int) -> ChainBasis:
     """Basis of the chain cell at homological degree n and weight w.
 
     The weight of m (.) dx_I is deg(m) plus the weights of the wedge
     variables.
     """
-    vt = S.vars
-    elements = []
-    if 0 <= n <= len(vt):
-        for index in combinations(range(len(vt)), n):
-            rem = w - sum(vt.weights[i] for i in index)
-            for exps in monomials_of_weight(vt, rem):
-                elements.append((exps, index))
-    elements.sort()
-    return ChainBasis(n, w, tuple(elements))
+    return _basis(S, n, w, -1)
 
 
 def cochain_basis(S: PoissonStructure, n: int, w: int) -> ChainBasis:
@@ -119,15 +129,7 @@ def cochain_basis(S: PoissonStructure, n: int, w: int) -> ChainBasis:
     argument variables, so w may be negative (no lower than minus the sum
     of all weights).
     """
-    vt = S.vars
-    elements = []
-    if 0 <= n <= len(vt):
-        for index in combinations(range(len(vt)), n):
-            deg = w + sum(vt.weights[i] for i in index)
-            for exps in monomials_of_weight(vt, deg):
-                elements.append((exps, index))
-    elements.sort()
-    return ChainBasis(n, w, tuple(elements))
+    return _basis(S, n, w, 1)
 
 
 @dataclass(frozen=True)
@@ -280,14 +282,17 @@ class GradedComplexCell:
 # A differential sends a basis element m (.) dx_I, m = x^e, to a sum of terms
 # scale * c * x^(e + t) (.) dx_J, where the multi-index J, the table terms
 # (t, c) and whether scale is 1 or the exponent e_a all depend only on I.
-# A plan maps (J, a) to those terms {t: c}, with a None when scale is 1; it
-# is built per multi-index from the structure's term tables, and
-# ``_assemble`` runs it on every column of a cell.
+# A plan lists, per (J, a), those terms (t, c), with a None when scale is 1.
+# Its coefficients are ints: the plan holds them times a common denominator,
+# by which ``_assemble`` divides each entry once at the end.  A plan is built
+# from the structure's term tables once per structure, kind of differential
+# and multi-index, kept in ``TermTables.plans``, and ``_assemble`` runs it on
+# every column of a cell.
 
-Plan = "dict[tuple[MultiIndex, int | None], dict[tuple[int, ...], int | Fraction]]"
+Plan = "tuple[int, tuple[tuple[MultiIndex, int | None, tuple[tuple[tuple[int, ...], int], ...]], ...]]"
 
 
-def _plan_step(plan: Plan, index: "tuple[int, ...]", a: "int | None",
+def _plan_step(plan: dict, index: "tuple[int, ...]", a: "int | None",
                terms, sign: int) -> None:
     acc = plan.setdefault((index, a), {})
     for t, c in terms:
@@ -295,10 +300,10 @@ def _plan_step(plan: Plan, index: "tuple[int, ...]", a: "int | None",
 
 
 def _boundary_plan(S: PoissonStructure, index: "tuple[int, ...]",
-                   omega: bool) -> Plan:
-    """Plan of apply_boundary on m (.) dx_index."""
+                   omega: bool) -> dict:
+    """Plan of apply_boundary on m (.) dx_index, keyed by (J, a)."""
     tables = S.term_tables()
-    plan: Plan = {}
+    plan: dict = {}
     for r, i in enumerate(index):
         rest = index[:r] + index[r + 1 :]
         sign = 1 if r % 2 == 0 else -1
@@ -320,7 +325,7 @@ def _boundary_plan(S: PoissonStructure, index: "tuple[int, ...]",
     return plan
 
 
-def _coboundary_plan(S: PoissonStructure, index: "tuple[int, ...]") -> Plan:
+def _coboundary_plan(S: PoissonStructure, index: "tuple[int, ...]") -> dict:
     """Plan of apply_coboundary on the cochain with value m on dx_index only.
 
     Its value on dx_K is nonzero only where K is index plus one slot i (the
@@ -328,7 +333,7 @@ def _coboundary_plan(S: PoissonStructure, index: "tuple[int, ...]") -> Plan:
     i < j whose bracket has a nonzero d/dx_k.
     """
     tables = S.term_tables()
-    plan: Plan = {}
+    plan: dict = {}
     for i in range(len(S.vars)):
         if i in index:
             continue
@@ -351,23 +356,46 @@ def _coboundary_plan(S: PoissonStructure, index: "tuple[int, ...]") -> Plan:
     return plan
 
 
-def _assemble(src: ChainBasis, tgt: ChainBasis, plan_of) -> GradedComplexCell:
+def _plan(S: PoissonStructure, coeff: "str | None",
+          index: "tuple[int, ...]") -> Plan:
+    """The plan of the boundary (coeff "canonical" or "omega") or of the
+    coboundary (coeff None) on m (.) dx_index, built once per structure."""
+    plans = S.term_tables().plans
+    key = (coeff, index)
+    plan = plans.get(key)
+    if plan is None:
+        built = (_coboundary_plan(S, index) if coeff is None
+                 else _boundary_plan(S, index, coeff == "omega"))
+        denominator = lcm(*(c.denominator
+                            for terms in built.values() for c in terms.values()))
+        plan = plans[key] = (denominator, tuple(
+            (index2, a, tuple((t, int(c * denominator))
+                              for t, c in terms.items() if c))
+            for (index2, a), terms in built.items()))
+    return plan
+
+
+def _assemble(S: PoissonStructure, src: ChainBasis, tgt: ChainBasis,
+              coeff: "str | None") -> GradedComplexCell:
     """Run each column's plan on its monomial and collect the matrix."""
-    indices = {index for _, index in src.elements}
-    plans = {index: plan_of(index) for index in indices}
+    plans = {index: _plan(S, coeff, index)
+             for index in {index for _, index in src.elements}}
+    position = tgt._position
     entries = {}
     for col, (exps, index) in enumerate(src.elements):
+        denominator, steps = plans[index]
         image: dict = {}
-        for (index2, a), terms in plans[index].items():
+        for index2, a, terms in steps:
             scale = 1 if a is None else exps[a]
             if not scale:
                 continue
-            for t, c in terms.items():
+            for t, c in terms:
                 key = (tuple(map(add, exps, t)), index2)
                 image[key] = image.get(key, 0) + scale * c
-        for (exps2, index2), v in image.items():
+        for key, v in image.items():
             if v:
-                entries[(tgt.position(exps2, index2), col)] = v
+                entries[(position[key], col)] = (v if denominator == 1
+                                                 else Fraction(v, denominator))
     return GradedComplexCell(src, tgt, SparseMatrix(len(tgt), len(src), entries))
 
 
@@ -381,8 +409,7 @@ def boundary_matrix(S: PoissonStructure, n: int, w: int,
     shift = S.weight_shift()
     src = chain_basis(S, n, w)
     tgt = chain_basis(S, n - 1, w + shift)
-    omega = coeff == "omega"
-    return _assemble(src, tgt, lambda index: _boundary_plan(S, index, omega))
+    return _assemble(S, src, tgt, coeff)
 
 
 def coboundary_matrix(S: PoissonStructure, n: int, w: int) -> GradedComplexCell:
@@ -393,7 +420,7 @@ def coboundary_matrix(S: PoissonStructure, n: int, w: int) -> GradedComplexCell:
     shift = S.weight_shift()
     src = cochain_basis(S, n, w)
     tgt = cochain_basis(S, n + 1, w + shift)
-    return _assemble(src, tgt, lambda index: _coboundary_plan(S, index))
+    return _assemble(S, src, tgt, None)
 
 
 def homology_dims(S: PoissonStructure, coeff: str = "canonical",
@@ -479,7 +506,9 @@ class DualityReport:
 
     ``cells`` holds rows (n, w, twisted dim, cohomology dim at
     (ell - n, w - expected_shift), match); ``fitting_shifts`` lists every
-    uniform shift that makes all cells agree.
+    uniform shift that makes all cells agree.  On unimodular structures
+    ``canonical`` is the canonical homology table, which is the twisted
+    one, and ``canonical_matches`` is True; otherwise both are None.
     """
 
     ell: int
@@ -536,8 +565,12 @@ def duality_report(S: PoissonStructure, max_weight: int = 8) -> DualityReport:
 
     The expected shift s is the sum of the variable weights.  All shifts in
     0..s are tried; the report fails (or raises ShiftNotFound when nothing
-    fits) rather than ever papering over a mismatch.  For unimodular
-    structures the canonical and twisted homology tables must also agree.
+    fits) rather than ever papering over a mismatch.
+
+    A structure is unimodular when every generator trace vanishes.  The
+    omega action differs from the canonical one only by the traces, so
+    then the two boundary maps are the same matrices, and the canonical
+    homology table is the twisted one rather than a second sweep.
     """
     ell = len(S.vars)
     expected = sum(S.vars.weights)
@@ -553,15 +586,15 @@ def duality_report(S: PoissonStructure, max_weight: int = 8) -> DualityReport:
 
     fitting = tuple(s for s in range(expected + 1) if fits(s))
     unimodular = S.modular_data().unimodular
-    canonical = homology_dims(S, "canonical", max_weight) if unimodular else None
-    canonical_matches = (canonical == twisted) if unimodular else None
+    canonical = dict(twisted) if unimodular else None
+    canonical_matches = True if unimodular else None
     cells = [
         (n, w, twisted[(n, w)], cohomology[(ell - n, w - expected)],
          twisted[(n, w)] == cohomology[(ell - n, w - expected)])
         for n in range(ell + 1)
         for w in range(max_weight + 1)
     ]
-    passed = expected in fitting and canonical_matches is not False
+    passed = expected in fitting
     report = DualityReport(
         ell=ell,
         max_weight=max_weight,

@@ -11,6 +11,7 @@ are inverse to each other on canonical output.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
@@ -18,6 +19,7 @@ __all__ = [
     "Monomial",
     "PolyParseError",
     "MAX_PARSE_DEGREE",
+    "MAX_PARSE_TERMS",
     "VarTableMismatch",
     "VarTable",
     "Polynomial",
@@ -389,10 +391,13 @@ def format_poly(f: Polynomial) -> str:
 
 _OPERATOR_CHARS = set("+-*^/()")
 
-# Largest total degree a parsed expression may reach.  Products and powers
-# that would exceed it are refused before they are expanded, since the
-# number of terms, and the time to expand them, grows fast with the degree.
+# Largest total degree a parsed expression may reach, and largest number of
+# terms a product or power may expand to.  Both are checked before the
+# product or power is expanded, since the time to expand it grows with the
+# square of its number of terms, and that number grows fast with the degree
+# and with the number of variables.
 MAX_PARSE_DEGREE = 16
+MAX_PARSE_TERMS = 2000
 
 
 def _tokenize(src: str) -> "list[tuple[str, str, int]]":
@@ -466,7 +471,12 @@ class _Parser:
         while self.peek()[0] == "*":
             at = self.advance()[2]
             rhs = self.factor()
-            _check_degree(_total_degree(node) + _total_degree(rhs), at)
+            degree = _total_degree(node) + _total_degree(rhs)
+            _check_degree(degree, at)
+            count = len(node.terms) * len(rhs.terms)
+            if count > MAX_PARSE_TERMS:
+                lowest = _lowest_degree(node) + _lowest_degree(rhs)
+                _check_terms(min(count, _monomial_bound(lowest, degree, node, rhs)), at)
             node = node * rhs
         return node
 
@@ -489,8 +499,14 @@ class _Parser:
         self.advance()
         if self.peek()[0] == "/":
             raise PolyParseError("exponent must be an integer", self.peek()[2])
-        _check_degree(_total_degree(base) * int(text), at)
-        return base ** int(text)
+        k = int(text)
+        degree = _total_degree(base) * k
+        _check_degree(degree, at)
+        count = comb(len(base.terms) + k - 1, k) if base.terms else 0
+        if count > MAX_PARSE_TERMS:
+            lowest = _lowest_degree(base) * k
+            _check_terms(min(count, _monomial_bound(lowest, degree, base)), at)
+        return base ** k
 
     def atom(self) -> Polynomial:
         kind, text, at = self.peek()
@@ -537,10 +553,35 @@ def _check_degree(degree: int, at: int) -> None:
             f"{MAX_PARSE_DEGREE}", at)
 
 
+def _lowest_degree(f: Polynomial) -> int:
+    return min(sum(exps) for exps in f.terms)
+
+
+def _monomial_bound(lowest: int, degree: int, *factors: Polynomial) -> int:
+    """Number of monomials of total degree from ``lowest`` to ``degree`` in
+    the variables that occur in the factors: a bound on the terms of their
+    product."""
+    v = len({i for f in factors for exps in f.terms
+             for i, e in enumerate(exps) if e})
+    return comb(v + degree, v) - (comb(v + lowest - 1, v) if lowest else 0)
+
+
+def _check_terms(bound: int, at: int) -> None:
+    if bound > MAX_PARSE_TERMS:
+        raise PolyParseError(
+            f"expression of up to {bound} terms exceeds the bound "
+            f"{MAX_PARSE_TERMS}", at)
+
+
 def parse_poly(src: str, vars: VarTable) -> Polynomial:
     """Parse an expression over the given variables into a Polynomial.
 
-    Expressions whose total degree would exceed ``MAX_PARSE_DEGREE`` are
-    refused with a ``PolyParseError``.
+    Expressions whose total degree would exceed ``MAX_PARSE_DEGREE``, and
+    products or powers that could expand to more than ``MAX_PARSE_TERMS``
+    terms, are refused with a ``PolyParseError`` before they are expanded.
+    A product of factors with t1 and t2 terms has at most t1 * t2 terms, a
+    power f^k at most C(t + k - 1, k) for f with t terms, and either at
+    most as many as there are monomials in the variables that occur whose
+    degrees lie between its lowest and highest possible degree.
     """
     return _Parser(_tokenize(src), vars).parse()

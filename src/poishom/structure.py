@@ -18,12 +18,13 @@ generator traces read off those partials.  ``bracket`` evaluates the
 biderivation formula from the anchor table, so the Jacobi check, the
 traces of arbitrary polynomials, ``omega_h_action``, ``lr_bracket`` and
 ``anchor_apply`` all go through it; ``complexes`` builds its assembly plans
-from the terms, and the PBW rules in ``envelope`` read the partials.
+from the terms and keeps them in the same store, and the PBW rules in
+``envelope`` read the partials.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from operator import add
@@ -159,7 +160,12 @@ class TermTables:
       Polynomials;
     * ``partials[(i, j)]`` (i < j) lists (k, terms of d{x_i, x_j}/dx_k);
     * ``generator_traces[i]`` is trace(x_i) = sum_k d{x_i, x_k}/dx_k, and
-      ``traces[i]`` holds its terms.
+      ``traces[i]`` holds its terms;
+    * ``plans`` starts empty; ``complexes`` keeps there the assembly plan
+      of each differential and multi-index it has built from the tables
+      above, so each is built once per structure.  The key is (coefficient
+      module "canonical" or "omega" of the boundary, or None for the
+      coboundary; multi-index).
 
     Only nonzero polynomials are listed, and pairs with a zero bracket have
     no ``derivatives`` or ``partials`` key.
@@ -170,6 +176,7 @@ class TermTables:
     partials: "dict[tuple[int, int], tuple[tuple[int, Terms], ...]]"
     generator_traces: "tuple[Polynomial, ...]"
     traces: "tuple[Terms, ...]"
+    plans: dict = field(default_factory=dict, compare=False)
 
 
 class PoissonStructure:

@@ -45,6 +45,33 @@ def naive_rank(rows: "list[list[Fraction]]") -> int:
     return rank
 
 
+def fraction_rank(matrix: SparseMatrix) -> int:
+    """Rank over Q by sparse row elimination in Fraction arithmetic.
+
+    Lowest-column pivots, each pivot row scaled to a leading 1.
+    """
+    rows: dict[int, dict[int, Fraction]] = {}
+    for (r, c), v in matrix.entries.items():
+        rows.setdefault(r, {})[c] = Fraction(v)
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for row in rows.values():
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                lead = row[col]
+                pivots[col] = {c: v / lead for c, v in row.items()}
+                break
+            factor = row[col]
+            for c, v in pivot.items():
+                left = row.get(c, 0) - factor * v
+                if left:
+                    row[c] = left
+                else:
+                    del row[c]
+    return len(pivots)
+
+
 def biderivation_bracket(S: PoissonStructure, f: Polynomial,
                          g: Polynomial) -> Polynomial:
     """{f, g} = sum over i < j of (f_i g_j - f_j g_i) {x_i, x_j}, on Polynomials."""

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -161,6 +162,21 @@ def test_parse_blowup_refused(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert "total degree 40 exceeds the bound 16" in err
+
+
+def test_parse_term_blowup_refused(tmp_path, capsys):
+    # within the degree bound, but the power has 20349 terms
+    doc = {"vars": ["a", "b", "c", "d", "e", "f"],
+           "bracket": {"a,b": "(a+b+c+d+e+f)^16"}}
+    path = tmp_path / "blowup.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", str(path))
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "up to 20349 terms exceeds the bound 2000" in err
 
 
 def test_jacobi_failure_exits_one(tmp_path, capsys):

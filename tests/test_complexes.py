@@ -156,6 +156,55 @@ def test_matrices_match_column_by_column_oracle(S):
             assert fast.matrix == slow.matrix, (n, w)
 
 
+def _fresh(entry_id):
+    # a new structure object, so no assembly plan is kept on it yet
+    return next(e for e in CATALOG if e.id == entry_id).document.to_structure()
+
+
+@pytest.mark.parametrize("order", [("omega", "canonical"), ("canonical", "omega")])
+@pytest.mark.parametrize("make", [lambda: _fresh("log-canonical-3"), _weighted_rational],
+                         ids=["log-canonical-3", "weighted-rational"])
+def test_memoised_plans_keep_differentials_apart(make, order):
+    S = make()
+    assert not S.modular_data().unimodular
+    assert not S.term_tables().plans
+    cells = [(n, w) for n in range(len(S.vars) + 1) for w in range(5)]
+    built = {}
+    for coeff in order:
+        for n, w in cells:
+            built[(coeff, n, w)] = boundary_matrix(S, n, w, coeff).matrix
+    for n, w in cells:
+        built[(None, n, w)] = coboundary_matrix(S, n, w).matrix
+    assert S.term_tables().plans
+    for (coeff, n, w), matrix in built.items():
+        if coeff is None:
+            assert matrix == coboundary_matrix_by_columns(S, n, w).matrix, (n, w)
+        else:
+            slow = boundary_matrix_by_columns(S, n, w, coeff=coeff)
+            assert matrix == slow.matrix, (coeff, n, w)
+    assert any(built[("omega", n, w)] != built[("canonical", n, w)]
+               for n, w in cells)
+
+
+UNIMODULAR = [entry for entry in CATALOG if entry.unimodular]
+
+
+@pytest.mark.parametrize("entry", UNIMODULAR, ids=[e.id for e in UNIMODULAR])
+def test_unimodular_boundary_matrices_coincide(entry):
+    # zero traces: the omega action is the canonical one, so duality_report
+    # may take the canonical table to be the twisted one
+    S = entry.document.to_structure()
+    assert S.modular_data().unimodular
+    for n in range(len(S.vars) + 1):
+        for w in range(7):
+            canonical = boundary_matrix(S, n, w, "canonical")
+            omega = boundary_matrix(S, n, w, "omega")
+            assert (canonical.source, canonical.target) == (omega.source, omega.target)
+            assert canonical.matrix.entries == omega.matrix.entries, (n, w)
+    report = duality_report(S, max_weight=4)
+    assert report.canonical == report.twisted == homology_dims(S, max_weight=4)
+
+
 def test_boundary_preserves_weight_bookkeeping(so3):
     shift = so3.weight_shift()
     for n in (1, 2, 3):

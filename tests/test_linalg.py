@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,7 +9,7 @@ from poishom.catalog import CATALOG
 from poishom.complexes import boundary_matrix, coboundary_matrix
 from poishom.linalg import SparseMatrix, exact_rank
 
-from _oracles import dense_rows, naive_rank
+from _oracles import dense_rows, fraction_rank, naive_rank
 
 
 def dense(rows):
@@ -35,6 +36,39 @@ def test_entry_accumulation():
     assert m[0, 1] == 0
 
 
+def test_int_entries_stay_ints():
+    m = SparseMatrix(2, 3, {(0, 0): 3, (0, 1): Fraction(1, 2), (1, 2): 0,
+                            (1, 0): Fraction(4, 1), (1, 1): 2 ** 70})
+    assert type(m.entries[(0, 0)]) is int
+    assert type(m.entries[(1, 1)]) is int
+    assert type(m.entries[(0, 1)]) is Fraction
+    assert type(m.entries[(1, 0)]) is Fraction and m[1, 0] == 4
+    assert (1, 2) not in m.entries
+    m.add_to(0, 0, 2)
+    assert type(m.entries[(0, 0)]) is int and m[0, 0] == 5
+    # equal to, and hashed like, the same matrix held in Fractions
+    same = SparseMatrix(2, 3, {k: Fraction(v) for k, v in m.entries.items()})
+    assert m == same
+    assert (frozenset(m.entries.items()) == frozenset(same.entries.items()))
+    assert hash(frozenset(m.entries.items())) == hash(frozenset(same.entries.items()))
+
+
+def test_catalog_matrices_of_integral_structures_hold_ints():
+    for entry_id in ("so3", "potential-x2z", "log-canonical-3"):
+        S = next(e for e in CATALOG if e.id == entry_id).document.to_structure()
+        cells = [boundary_matrix(S, 2, 3, "omega"), coboundary_matrix(S, 1, 2)]
+        for cell in cells:
+            assert cell.matrix.entries
+            assert all(type(v) is int for v in cell.matrix.entries.values())
+
+
+def test_entries_outside_the_shape_are_refused():
+    with pytest.raises(IndexError):
+        SparseMatrix(2, 2, {(2, 0): 1})
+    with pytest.raises(IndexError):
+        SparseMatrix(2, 2, {(0, -1): Fraction(1, 2)})
+
+
 def test_matmul():
     a = dense([[1, 2], [0, 1]])
     b = dense([[1, 0], [3, 1]])
@@ -57,25 +91,32 @@ def test_rank_matches_naive_elimination(rows):
 
 
 values = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+huge = st.integers(2 ** 64, 2 ** 80).flatmap(lambda v: st.sampled_from((v, -v)))
 
 
 @st.composite
 def sparse_matrices(draw):
-    """Any shape up to 8x8 (empty ones too), few nonzeros, and some rows
-    repeated as rational multiples of others."""
+    """Any shape up to 8x8 (empty ones too), few nonzeros, int entries of
+    2^64 and more, rows divided by different denominators, and some rows
+    repeated as rational multiples of others.  Integral values are given as
+    ints, the rest as Fractions."""
     nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
     rows = [[Fraction(0)] * ncols for _ in range(nrows)]
     if nrows and ncols:
         cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
-        for (r, c), v in draw(st.dictionaries(cells, values, max_size=12)).items():
+        entry = st.one_of(values, huge.map(Fraction))
+        for (r, c), v in draw(st.dictionaries(cells, entry, max_size=12)).items():
             rows[r][c] = v
+        for r in range(nrows):
+            denominator = draw(st.integers(1, 12))
+            rows[r] = [v / denominator for v in rows[r]]
         for _ in range(draw(st.integers(0, 3))):
             source = draw(st.integers(0, nrows - 1))
             target = draw(st.integers(0, nrows - 1))
-            scale = draw(values)
+            scale = draw(st.one_of(values, huge.map(lambda v: Fraction(v, 7))))
             rows[target] = [scale * v for v in rows[source]]
-    entries = {(r, c): v for r, row in enumerate(rows)
-               for c, v in enumerate(row) if v}
+    entries = {(r, c): v.numerator if v.denominator == 1 else v
+               for r, row in enumerate(rows) for c, v in enumerate(row) if v}
     return SparseMatrix(nrows, ncols, entries), rows
 
 
@@ -85,6 +126,7 @@ def test_sparse_rank_matches_naive_elimination(case):
     matrix, rows = case
     rank = matrix.rank()
     assert rank == naive_rank(rows)
+    assert rank == fraction_rank(matrix)
     assert rank <= min(matrix.nrows, matrix.ncols)
     transpose = SparseMatrix(matrix.ncols, matrix.nrows,
                              {(c, r): v for (r, c), v in matrix.entries.items()})
@@ -100,8 +142,10 @@ def test_rank_of_catalog_cells_matches_naive_elimination():
             cells += [boundary_matrix(S, n, w, coeff)
                       for w in range(5) for coeff in ("canonical", "omega")]
             for cell in cells:
-                assert cell.matrix.rank() == naive_rank(dense_rows(cell.matrix)), (
+                rank = cell.matrix.rank()
+                assert rank == naive_rank(dense_rows(cell.matrix)), (
                     entry.id, cell.source)
+                assert rank == fraction_rank(cell.matrix), (entry.id, cell.source)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31), st.integers(1, 3))
@@ -118,3 +162,21 @@ def test_rank_of_low_rank_products(seed, r):
     rank, _ = exact_rank(prod)
     assert rank <= r
     assert rank == naive_rank(prod)
+
+
+@pytest.mark.parametrize("r", [0, 1, 7, 19, 30])
+def test_rank_of_dense_products_of_known_rank(r):
+    # u is 30 x r and v is r x 30, both with unit diagonals and zeros on one
+    # side of it, so each has rank r and so has the mostly dense u @ v
+    rng = random.Random(r)
+    u = [[(1 if i == k else rng.randint(-9, 9) if i > k else 0) for k in range(r)]
+         for i in range(30)]
+    v = [[(1 if j == k else Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+           if j > k else 0) for j in range(30)] for k in range(r)]
+    product = SparseMatrix(30, 30)
+    if r:
+        product = SparseMatrix.from_rows(u) @ SparseMatrix.from_rows(v)
+        assert product.nnz() > 450
+    assert product.rank() == r
+    assert naive_rank(dense_rows(product)) == r
+    assert fraction_rank(product) == r

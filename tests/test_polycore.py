@@ -158,14 +158,28 @@ def test_parse_goldens():
     assert poly("0") == XY.zero()
 
 
+# x and y, plus six more variables for expressions with many terms
+WIDE = VarTable(("x", "y", "a", "b", "c", "d", "e", "f"))
+
+
 @pytest.mark.parametrize(
     "src",
     ["x +", "z", "x^y", "x^-2", "1/0", "(x", "x & y", "x^1/2",
-     "x^17", "(x + y)^9*(x - y)^8", "x^9*y^8"],
+     "x^17", "(x + y)^9*(x - y)^8", "x^9*y^8",
+     # within the degree bound, above the term bound
+     "(a+b+c+d+e+f)^16", "(a+b+c+d+e)^16", "(x+y+a+b+c+d+e+f)^7",
+     "(a+b+c+d+e+f)^6*(a+b+c+d+e+f)^6", "x*(a+b+c+d+e+f)^5*(x+y+a+b)^5"],
 )
 def test_parse_errors(src):
     with pytest.raises(PolyParseError):
-        poly(src)
+        poly(src, WIDE)
+
+
+def test_term_bound_admits_what_it_bounds():
+    # C(19, 3) = 969 and C(13, 5) = 1287 terms, both under MAX_PARSE_TERMS
+    assert len(poly("(a+b+c+d)^16", WIDE).terms) == 969
+    assert len(poly("(a+b+c+d+e+f)^4*(a+b+c+d+e+f)^4", WIDE).terms) == 1287
+    assert poly("(a*b*c*d)^2*x^8", WIDE) == poly("a^2*b^2*c^2*d^2*x^8", WIDE)
 
 
 def test_parse_error_position():
