@@ -69,7 +69,6 @@ from .structure import (
     basis_form,
     differential,
     log_canonical_matrix,
-    validate,
 )
 
 __version__ = "0.1.0"
@@ -129,7 +128,6 @@ __all__ = [
     "reduce_combination",
     "reduce_word",
     "right_module_residue",
-    "validate",
     "weight_component",
     "weighted_degree",
 ]

@@ -13,10 +13,12 @@ structure's homogeneity degree, so every computation here is cut out cell
 by cell at fixed (n, w) and ranks are taken exactly over the rationals.
 
 ``apply_boundary`` and ``apply_coboundary`` are the readable definitions,
-on polynomials.  ``boundary_matrix`` and ``coboundary_matrix`` do not call
-them: they turn the structure's exponent tables
-(``PoissonStructure.term_tables``) into a plan per multi-index and run one
-small kernel, ``_assemble``, over the exponent tuples of each column.
+on polynomials, kept independent of the assembly as its test oracles.
+``boundary_matrix`` and ``coboundary_matrix`` do not call them: they turn
+the structure's exponent tables (``PoissonStructure.term_tables``) into a
+plan per multi-index, the coboundary's read off the boundary's, and run one
+small kernel, ``_assemble``, over the exponent tuples of each column.  One
+sweep, ``_dims``, takes homology and cohomology tables alike.
 """
 
 from __future__ import annotations
@@ -99,18 +101,23 @@ class ChainBasis:
 
 def _basis(S: PoissonStructure, n: int, w: int, sign: int) -> ChainBasis:
     """Basis of the cell (n, w) whose elements m (.) dx_I have deg(m) =
-    w + sign * (the weights of I); sign is -1 for chains, +1 for cochains."""
-    vt = S.vars
-    elements = []
-    if 0 <= n <= len(vt):
-        monomials: dict[int, list] = {}
-        for index in combinations(range(len(vt)), n):
-            deg = w + sign * sum(vt.weights[i] for i in index)
-            if deg not in monomials:
-                monomials[deg] = monomials_of_weight(vt, deg)
-            elements.extend((exps, index) for exps in monomials[deg])
-    elements.sort()
-    return ChainBasis(n, w, tuple(elements))
+    w + sign * (the weights of I); sign is -1 for chains, +1 for cochains.
+    Built once per structure and kept in ``TermTables.bases``."""
+    bases = S.term_tables().bases
+    key = (sign, n, w)
+    if key not in bases:
+        vt = S.vars
+        elements = []
+        if 0 <= n <= len(vt):
+            monomials: dict[int, list] = {}
+            for index in combinations(range(len(vt)), n):
+                deg = w + sign * sum(vt.weights[i] for i in index)
+                if deg not in monomials:
+                    monomials[deg] = monomials_of_weight(vt, deg)
+                elements.extend((exps, index) for exps in monomials[deg])
+        elements.sort()
+        bases[key] = ChainBasis(n, w, tuple(elements))
+    return bases[key]
 
 
 def chain_basis(S: PoissonStructure, n: int, w: int) -> ChainBasis:
@@ -285,9 +292,11 @@ class GradedComplexCell:
 # A plan lists, per (J, a), those terms (t, c), with a None when scale is 1.
 # Its coefficients are ints: the plan holds them times a common denominator,
 # by which ``_assemble`` divides each entry once at the end.  A plan is built
-# from the structure's term tables once per structure, kind of differential
-# and multi-index, kept in ``TermTables.plans``, and ``_assemble`` runs it on
-# every column of a cell.
+# once per structure, kind of differential and multi-index, kept in
+# ``TermTables.plans``, and ``_assemble`` runs it on every column of a cell.
+# Only the boundary plans are built from the term tables.  Both complexes
+# come from one resolution of the algebra, so the coboundary's plans are the
+# canonical boundary's read backwards (``_coboundary_plans``).
 
 Plan = "tuple[int, tuple[tuple[MultiIndex, int | None, tuple[tuple[tuple[int, ...], int], ...]], ...]]"
 
@@ -325,54 +334,45 @@ def _boundary_plan(S: PoissonStructure, index: "tuple[int, ...]",
     return plan
 
 
-def _coboundary_plan(S: PoissonStructure, index: "tuple[int, ...]") -> dict:
-    """Plan of apply_coboundary on the cochain with value m on dx_index only.
+def _coboundary_plans(S: PoissonStructure) -> dict:
+    """Plan of apply_coboundary on m (.) dx_J, keyed by (K, a), for every J.
 
-    Its value on dx_K is nonzero only where K is index plus one slot i (the
-    anchor term {x_i, m} = -{m, x_i}), or index minus a slot k plus a pair
-    i < j whose bracket has a nonzero d/dx_k.
+    The coboundary is the canonical boundary read backwards: its step from
+    dx_J to dx_K is the boundary's step from dx_K to dx_J, negated when it
+    goes through the anchor, since {x_i, m} = -{m, x_i}.
     """
-    tables = S.term_tables()
-    plan: dict = {}
-    for i in range(len(S.vars)):
-        if i in index:
-            continue
-        pos = bisect_left(index, i)
-        target = index[:pos] + (i,) + index[pos:]
-        sign = -1 if pos % 2 == 0 else 1
-        for a, terms in tables.anchor[i]:
-            _plan_step(plan, target, a, terms, sign)
-    for pos, k in enumerate(index):
-        rest = index[:pos] + index[pos + 1 :]
-        for (i, j), partials in tables.partials.items():
-            if i in rest or j in rest:
-                continue
-            target = tuple(sorted(rest + (i, j)))
-            p, q = target.index(i), target.index(j)
-            sign = 1 if (p + q + pos) % 2 == 0 else -1
-            for k2, terms in partials:
-                if k2 == k:
-                    _plan_step(plan, target, None, terms, sign)
-    return plan
+    ell = len(S.vars)
+    plans: dict = {J: {} for n in range(ell + 1) for J in combinations(range(ell), n)}
+    for K in plans:
+        for (J, a), terms in _boundary_plan(S, K, False).items():
+            plans[J][(K, a)] = (terms if a is None
+                                else {t: -c for t, c in terms.items()})
+    return plans
+
+
+def _finalize(built: dict) -> Plan:
+    """Int numerators over the lcm of a raw plan's denominators."""
+    denominator = lcm(*(c.denominator
+                        for terms in built.values() for c in terms.values()))
+    return (denominator, tuple(
+        (index2, a, tuple((t, int(c * denominator)) for t, c in terms.items() if c))
+        for (index2, a), terms in built.items()))
 
 
 def _plan(S: PoissonStructure, coeff: "str | None",
           index: "tuple[int, ...]") -> Plan:
     """The plan of the boundary (coeff "canonical" or "omega") or of the
-    coboundary (coeff None) on m (.) dx_index, built once per structure."""
+    coboundary (coeff None) on m (.) dx_index, built once per structure;
+    the coboundary's are built all at once."""
     plans = S.term_tables().plans
     key = (coeff, index)
-    plan = plans.get(key)
-    if plan is None:
-        built = (_coboundary_plan(S, index) if coeff is None
-                 else _boundary_plan(S, index, coeff == "omega"))
-        denominator = lcm(*(c.denominator
-                            for terms in built.values() for c in terms.values()))
-        plan = plans[key] = (denominator, tuple(
-            (index2, a, tuple((t, int(c * denominator))
-                              for t, c in terms.items() if c))
-            for (index2, a), terms in built.items()))
-    return plan
+    if key not in plans:
+        if coeff is None:
+            plans.update(((None, J), _finalize(built))
+                         for J, built in _coboundary_plans(S).items())
+        else:
+            plans[key] = _finalize(_boundary_plan(S, index, coeff == "omega"))
+    return plans[key]
 
 
 def _assemble(S: PoissonStructure, src: ChainBasis, tgt: ChainBasis,
@@ -423,39 +423,48 @@ def coboundary_matrix(S: PoissonStructure, n: int, w: int) -> GradedComplexCell:
     return _assemble(S, src, tgt, None)
 
 
-def homology_dims(S: PoissonStructure, coeff: str = "canonical",
-                  max_weight: int = 8,
-                  max_degree: "int | None" = None) -> "dict[tuple[int, int], int]":
-    """Homology dimensions per (n, w) over the requested window.
-
-    dim H(n, w) = dim ker of the boundary leaving (n, w) minus the rank of
-    the boundary arriving from (n + 1, w - (d - 2)); incoming cells outside
-    the window are still computed when they land inside it.
+def _dims(S: PoissonStructure, coeff: "str | None", max_weight: int,
+          min_weight: "int | None" = None,
+          max_degree: "int | None" = None) -> "dict[tuple[int, int], int]":
+    """Homology (coeff "canonical" or "omega") or cohomology (coeff None)
+    dimensions per (n, w), w from min_weight (default: the lowest weight of
+    any cell): dim ker of the differential leaving (n, w) minus the rank of
+    the one arriving, computed also when it leaves a cell outside the window.
     """
-    _check_coeff(coeff)
     shift = S.weight_shift()
     ell = len(S.vars)
-    if max_degree is None:
-        max_degree = ell
+    if coeff is None:
+        step, floor, basis = 1, -sum(S.vars.weights), cochain_basis
+    else:
+        step, floor, basis = -1, 0, chain_basis
     cells: dict[tuple[int, int], tuple[int, int]] = {}
 
     def leaving(n: int, w: int) -> "tuple[int, int] | None":
-        """(dim of the cell, rank) of the boundary leaving (n, w), if any."""
-        if n < 1 or n > ell or w < 0:
+        """(dim of the cell, rank) of the differential leaving (n, w), if any."""
+        if not (0 <= n <= ell and 0 <= n + step <= ell and w >= floor):
             return None
         key = (n, w)
         if key not in cells:
-            matrix = boundary_matrix(S, n, w, coeff).matrix
+            matrix = (coboundary_matrix(S, n, w) if coeff is None
+                      else boundary_matrix(S, n, w, coeff)).matrix
             cells[key] = (matrix.ncols, matrix.rank())
         return cells[key]
 
     table: dict[tuple[int, int], int] = {}
-    for n in range(max_degree + 1):
-        for w in range(max_weight + 1):
-            dim, rank = leaving(n, w) or (len(chain_basis(S, n, w)), 0)
-            arriving = leaving(n + 1, w - shift)
+    for n in range((ell if max_degree is None else max_degree) + 1):
+        for w in range(floor if min_weight is None else min_weight, max_weight + 1):
+            dim, rank = leaving(n, w) or (len(basis(S, n, w)), 0)
+            arriving = leaving(n - step, w - shift)
             table[(n, w)] = dim - rank - (arriving[1] if arriving else 0)
     return table
+
+
+def homology_dims(S: PoissonStructure, coeff: str = "canonical",
+                  max_weight: int = 8,
+                  max_degree: "int | None" = None) -> "dict[tuple[int, int], int]":
+    """Homology dimensions per (n, w) over 0 <= w <= max_weight."""
+    _check_coeff(coeff)
+    return _dims(S, coeff, max_weight, max_degree=max_degree)
 
 
 def cohomology_dims(S: PoissonStructure, max_weight: int = 8,
@@ -466,31 +475,7 @@ def cohomology_dims(S: PoissonStructure, max_weight: int = 8,
     The default window starts at minus the sum of the variable weights, the
     lowest weight any cochain can carry.
     """
-    shift = S.weight_shift()
-    ell = len(S.vars)
-    if max_degree is None:
-        max_degree = ell
-    if min_weight is None:
-        min_weight = -sum(S.vars.weights)
-    cells: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def leaving(n: int, w: int) -> "tuple[int, int] | None":
-        """(dim of the cell, rank) of the coboundary leaving (n, w), if any."""
-        if n < 0 or n >= ell or w < -sum(S.vars.weights):
-            return None
-        key = (n, w)
-        if key not in cells:
-            matrix = coboundary_matrix(S, n, w).matrix
-            cells[key] = (matrix.ncols, matrix.rank())
-        return cells[key]
-
-    table: dict[tuple[int, int], int] = {}
-    for n in range(max_degree + 1):
-        for w in range(min_weight, max_weight + 1):
-            dim, rank = leaving(n, w) or (len(cochain_basis(S, n, w)), 0)
-            arriving = leaving(n - 1, w - shift)
-            table[(n, w)] = dim - rank - (arriving[1] if arriving else 0)
-    return table
+    return _dims(S, None, max_weight, min_weight, max_degree)
 
 
 def dim_table_tsv(table: "dict[tuple[int, int], int]") -> str:
@@ -507,8 +492,8 @@ class DualityReport:
     ``cells`` holds rows (n, w, twisted dim, cohomology dim at
     (ell - n, w - expected_shift), match); ``fitting_shifts`` lists every
     uniform shift that makes all cells agree.  On unimodular structures
-    ``canonical`` is the canonical homology table, which is the twisted
-    one, and ``canonical_matches`` is True; otherwise both are None.
+    the canonical homology table is the twisted one, since every trace
+    vanishes and the two boundary maps are the same matrices.
     """
 
     ell: int
@@ -518,8 +503,6 @@ class DualityReport:
     twisted: "dict[tuple[int, int], int]"
     cohomology: "dict[tuple[int, int], int]"
     unimodular: bool
-    canonical: "dict[tuple[int, int], int] | None"
-    canonical_matches: "bool | None"
     cells: "list[tuple[int, int, int, int, bool]]"
     passed: bool
 
@@ -529,11 +512,8 @@ class DualityReport:
             f"expected shift: {self.expected_shift}"
             + f"; fitting shifts: {', '.join(map(str, self.fitting_shifts)) or 'none'}",
         ]
-        if self.unimodular:
-            verdict = "yes" if self.canonical_matches else "NO"
-            lines.append(f"unimodular: yes (canonical homology equals twisted: {verdict})")
-        else:
-            lines.append("unimodular: no")
+        lines.append("unimodular: yes (canonical homology equals twisted: yes)"
+                     if self.unimodular else "unimodular: no")
         header = f"{'n':>3} {'w':>3} {'twisted':>8} {'cohom':>6}  ok"
         lines.append(header)
         for n, w, t, c, ok in self.cells:
@@ -570,7 +550,7 @@ def duality_report(S: PoissonStructure, max_weight: int = 8) -> DualityReport:
     A structure is unimodular when every generator trace vanishes.  The
     omega action differs from the canonical one only by the traces, so
     then the two boundary maps are the same matrices, and the canonical
-    homology table is the twisted one rather than a second sweep.
+    homology table is the twisted one; no second sweep is run.
     """
     ell = len(S.vars)
     expected = sum(S.vars.weights)
@@ -585,9 +565,6 @@ def duality_report(S: PoissonStructure, max_weight: int = 8) -> DualityReport:
         )
 
     fitting = tuple(s for s in range(expected + 1) if fits(s))
-    unimodular = S.modular_data().unimodular
-    canonical = dict(twisted) if unimodular else None
-    canonical_matches = True if unimodular else None
     cells = [
         (n, w, twisted[(n, w)], cohomology[(ell - n, w - expected)],
          twisted[(n, w)] == cohomology[(ell - n, w - expected)])
@@ -602,9 +579,7 @@ def duality_report(S: PoissonStructure, max_weight: int = 8) -> DualityReport:
         fitting_shifts=fitting,
         twisted=twisted,
         cohomology=cohomology,
-        unimodular=unimodular,
-        canonical=canonical,
-        canonical_matches=canonical_matches,
+        unimodular=S.modular_data().unimodular,
         cells=cells,
         passed=passed,
     )

@@ -45,7 +45,6 @@ __all__ = [
     "differential",
     "ModularData",
     "PoissonStructure",
-    "validate",
     "log_canonical_matrix",
 ]
 
@@ -165,7 +164,10 @@ class TermTables:
       of each differential and multi-index it has built from the tables
       above, so each is built once per structure.  The key is (coefficient
       module "canonical" or "omega" of the boundary, or None for the
-      coboundary; multi-index).
+      coboundary; multi-index).  The coboundary plans are all read off the
+      canonical boundary's at once;
+    * ``bases`` likewise keeps each cell basis ``complexes`` enumerates,
+      keyed by (sign -1 for chains or +1 for cochains, n, w).
 
     Only nonzero polynomials are listed, and pairs with a zero bracket have
     no ``derivatives`` or ``partials`` key.
@@ -177,6 +179,7 @@ class TermTables:
     generator_traces: "tuple[Polynomial, ...]"
     traces: "tuple[Terms, ...]"
     plans: dict = field(default_factory=dict, compare=False)
+    bases: dict = field(default_factory=dict, compare=False)
 
 
 class PoissonStructure:
@@ -426,12 +429,6 @@ class PoissonStructure:
             for (i, j), p in sorted(self.entries.items())
         )
         return f"<PoissonStructure {pairs or 'zero'}>"
-
-
-def validate(vars: VarTable,
-             entries: "Mapping[tuple[int, int], Polynomial]") -> PoissonStructure:
-    """Build a structure from raw generator brackets, checking everything."""
-    return PoissonStructure(vars, entries)
 
 
 def log_canonical_matrix(S: PoissonStructure) -> "list[list[Fraction]] | None":

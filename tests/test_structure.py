@@ -21,7 +21,6 @@ from poishom.structure import (
     basis_form,
     differential,
     log_canonical_matrix,
-    validate,
 )
 
 from _oracles import (
@@ -70,11 +69,6 @@ def test_duplicate_and_diagonal_pairs_rejected():
         PoissonStructure(
             XYZ, {(0, 1): XYZ.gen(2), (1, 0): XYZ.gen(2)}
         )
-
-
-def test_validate_wrapper(so3):
-    S = validate(so3.vars, so3.entries)
-    assert S == so3
 
 
 # -- bracket goldens ----------------------------------------------------------
