@@ -14,11 +14,22 @@ symbols, number of out-of-order adjacent pairs) lexicographically;
 confluence is checked empirically by reducing random words under two
 different strategies.
 
-The rules read the structure's stored bracket data rather than
-differentiating on each rewrite: h(i) * f takes {x_i, f} from
-``PoissonStructure.bracket`` (which reads the anchor table) with the
-structure's cached generators, and h(j) * h(i) takes the Polynomials
-d{x_j, x_i}/dx_k from ``PoissonStructure.term_tables().derivatives``.
+Public words spell polynomial atoms as ("p", Polynomial).  Reduction runs
+in integer arithmetic instead: on entry each atom becomes a tuple of
+(exponents, int) terms, scaled by the lcm of its denominators, and the
+part coefficients are brought over one common denominator E.  The rules
+read integer tables kept once per structure in
+``PoissonStructure.term_tables().rules``: the anchor terms, from which
+h(i) * x^e takes {x_i, x^e} = -sum_a e_a x^e {x_a, x_i} / x_a, and the
+partials d{x_j, x_i}/dx_k, all multiplied by one structure denominator D
+(D = 1 on an integral structure).  No rule calls ``S.bracket`` or builds
+a Polynomial.  Every term a rule takes from the bracket (in h(i) * f and
+in h(j) * h(i)) removes exactly one derivation symbol, and the swaps and
+the merge of two polynomial atoms remove none, so a normal-form term with
+q symbols reached from inputs with at most Q symbols carries exactly
+D^(Q - q).  Each input part with q0 symbols is therefore scaled by
+D^(Q - q0) on entry, the fold adds only ints, and each output term is one
+Fraction(v, E * D^(Q - q)).
 
 The module also reduces elements against right ideals generated by
 h(i) - t_i for prescribed polynomials t_i, which realizes both the plain
@@ -30,8 +41,11 @@ log-canonical structures carry.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 from typing import Iterable, Sequence
 
 from .polycore import Polynomial, VarTable, monomials_of_weight, partial_derivative
@@ -181,84 +195,150 @@ class EnvelopeElement:
 # -- word reduction -----------------------------------------------------------
 
 
-def _is_redex(a: tuple, b: tuple) -> bool:
-    if a[0] == "p":
-        return b[0] == "p"
-    return b[0] == "p" or (b[0] == "h" and a[1] > b[1])
+_STRATEGIES = ("leftmost", "rightmost")
 
 
-def _find_redex(word: Word, strategy: str) -> "int | None":
+def _rules(S: PoissonStructure) -> dict:
+    """The integer rule tables ``TermTables.rules`` of S, built on first use."""
+    tables = S.term_tables()
+    rules = tables.rules
+    if not rules:
+        d = lcm(*(c.denominator for f in S.entries.values()
+                  for c in f.terms.values()))
+        rules["denominator"] = d
+        rules["anchor"] = tuple(
+            tuple((a, _scaled(terms, d)) for a, terms in row)
+            for row in tables.anchor)
+        rules["swaps"] = {
+            (j, i): tuple((k, _scaled(terms, -d)) for k, terms in derivs)
+            for (i, j), derivs in tables.partials.items()
+        }
+    return rules
+
+
+def _scaled(terms, factor: int) -> "tuple[tuple[tuple[int, ...], int], ...]":
+    return tuple((exps, int(c * factor)) for exps, c in terms)
+
+
+def _enter(vt: VarTable, coeff, word: "Sequence[tuple]"):
+    """One input part as (numerator, denominator, symbol count, integer word).
+
+    In the integer word a derivation symbol h(i) is the int i and a
+    polynomial atom f is the tuple of terms of L * f, with L the lcm of the
+    denominators of f, so L joins the denominator of the coefficient.
+    Returns None for a part that is zero.
+    """
+    c = Fraction(coeff)
+    num, den = c.numerator, c.denominator
+    atoms: list = []
+    symbols = 0
+    for atom in word:
+        if atom[0] != "p":
+            atoms.append(atom[1])
+            symbols += 1
+            continue
+        f = atom[1]
+        if f.vars != vt:
+            raise ValueError("polynomial atom over a different variable table")
+        if f.is_zero():
+            num = 0
+        scale = lcm(*(v.denominator for v in f.terms.values()))
+        den *= scale
+        atoms.append(tuple((e, v.numerator * (scale // v.denominator))
+                           for e, v in f.terms.items()))
+    if not num:
+        return None
+    g = gcd(num, den)
+    return num // g, den // g, symbols, tuple(atoms)
+
+
+def _find_redex(word: tuple, rightmost: bool) -> "int | None":
+    """Position of the first redex from the chosen end of an integer word."""
     positions = range(len(word) - 1)
-    if strategy == "rightmost":
+    if rightmost:
         positions = reversed(positions)
-    elif strategy != "leftmost":
-        raise ValueError(f"unknown strategy {strategy!r}")
     for k in positions:
-        if _is_redex(word[k], word[k + 1]):
+        a, b = word[k], word[k + 1]
+        if type(b) is tuple or (type(a) is int and a > b):
             return k
     return None
 
 
-def _rewrite_at(S: PoissonStructure, word: Word, k: int) -> "list[Word]":
-    """Apply the one applicable rule at position k; returns replacement words."""
-    head, a, b, tail = word[:k], word[k], word[k + 1], word[k + 2 :]
-    if a[0] == "p" and b[0] == "p":
-        return [head + (poly_atom(a[1] * b[1]),) + tail]
-    if a[0] == "h" and b[0] == "p":
-        i, f = a[1], b[1]
-        out = [head + (b, a) + tail]
-        moved = S.bracket(S.gens[i], f)
-        if moved:
-            out.append(head + (poly_atom(moved),) + tail)
-        return out
-    # two derivation symbols out of order
-    j, i = a[1], b[1]
-    out = [head + (b, a) + tail]
-    for k2, c in S.term_tables().derivatives.get((j, i), ()):
-        out.append(head + (poly_atom(c), ham(k2)) + tail)
-    return out
+def _times(f: tuple, g: tuple) -> tuple:
+    """Product of two integer polynomial atoms."""
+    out: dict = {}
+    for e1, c1 in f:
+        for e2, c2 in g:
+            key = tuple(map(add, e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return tuple((e, c) for e, c in out.items() if c)
 
 
-def _fold_normal(vt: VarTable, coeff: Fraction, word: Word,
-                 terms: "dict[tuple, Fraction]") -> None:
-    """Add coeff * word, a word with no redex, to the normal-form terms."""
-    if word and word[0][0] == "p":
-        poly_terms, symbols = word[0][1].terms, word[1:]
-    else:
-        poly_terms, symbols = {(0,) * len(vt): _ONE}, word
-    hexp = [0] * len(vt)
-    for atom in symbols:
-        hexp[atom[1]] += 1
-    key_h = tuple(hexp)
-    for exps, c in poly_terms.items():
-        key = (exps, key_h)
-        s = terms.get(key, Fraction(0)) + coeff * c
-        if s:
-            terms[key] = s
-        else:
-            terms.pop(key, None)
+def _moved(anchor_i: tuple, f: tuple) -> tuple:
+    """D * {x_i, f} for an integer polynomial atom f, off the anchor row of i."""
+    out: dict = {}
+    for e, c in f:
+        for a, terms in anchor_i:
+            ea = e[a]
+            if not ea:
+                continue
+            scale = c * ea
+            for t, tc in terms:
+                key = tuple(map(add, e, t))
+                out[key] = out.get(key, 0) - scale * tc
+    return tuple((e, c) for e, c in out.items() if c)
 
 
 def reduce_combination(S: PoissonStructure,
                        parts: "Iterable[tuple[Fraction, Word]]",
                        strategy: str = "leftmost") -> EnvelopeElement:
     """Reduce a rational combination of words to its normal form."""
+    if strategy not in _STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
     vt = S.vars
-    agenda: list[tuple[Fraction, Word]] = []
-    for coeff, word in parts:
-        c = Fraction(coeff)
-        if c and not any(a[0] == "p" and a[1].is_zero() for a in word):
-            agenda.append((c, tuple(word)))
-    terms: dict[tuple, Fraction] = {}
+    rules = _rules(S)
+    d, anchor, swaps = rules["denominator"], rules["anchor"], rules["swaps"]
+    entered = [p for p in (_enter(vt, c, w) for c, w in parts) if p is not None]
+    common = lcm(*(den for _, den, _, _ in entered))
+    top = max((q for _, _, q, _ in entered), default=0)
+    agenda = [(num * (common // den) * d ** (top - q), w)
+              for num, den, q, w in entered]
+    rightmost = strategy == "rightmost"
+    n = len(vt)
+    unit = (((0,) * n, 1),)
+    terms: dict = {}
     while agenda:
         coeff, word = agenda.pop()
-        k = _find_redex(word, strategy)
+        k = _find_redex(word, rightmost)
         if k is None:
-            _fold_normal(vt, coeff, word, terms)
+            if word and type(word[0]) is tuple:
+                poly, symbols = word[0], word[1:]
+            else:
+                poly, symbols = unit, word
+            hexp = [0] * n
+            for i in symbols:
+                hexp[i] += 1
+            key_h = tuple(hexp)
+            for exps, c in poly:
+                key = (exps, key_h)
+                terms[key] = terms.get(key, 0) + coeff * c
             continue
-        for new_word in _rewrite_at(S, word, k):
-            agenda.append((coeff, new_word))
-    return EnvelopeElement(vt, terms)
+        head, a, b, tail = word[:k], word[k], word[k + 1], word[k + 2:]
+        if type(a) is tuple:  # two polynomial atoms merge
+            agenda.append((coeff, head + (_times(a, b),) + tail))
+            continue
+        agenda.append((coeff, head + (b, a) + tail))
+        if type(b) is tuple:  # h(a) * f
+            moved = _moved(anchor[a], b)
+            if moved:
+                agenda.append((coeff, head + (moved,) + tail))
+        else:  # h(a) * h(b) with a > b
+            for k2, partial in swaps.get((a, b), ()):
+                agenda.append((coeff, head + (partial, k2) + tail))
+    return EnvelopeElement(vt, {
+        key: Fraction(v, common * d ** (top - sum(key[1])))
+        for key, v in terms.items() if v
+    })
 
 
 def reduce_word(S: PoissonStructure, word: "Sequence[tuple]",
@@ -366,19 +446,19 @@ def gr_dimension_check(S: PoissonStructure, max_filtration: int = 3,
     vt = S.vars
     doubled = _fresh_symbol_table(vt)
     n = len(vt)
+    weights = range(max_weight + 1)
+    plain = [len(monomials_of_weight(vt, w)) for w in weights]
+    by_filtration = [
+        Counter(sum(exps[n:]) for exps in monomials_of_weight(doubled, w))
+        for w in weights
+    ]
     table: dict[tuple[int, int], int] = {}
     seen: dict[tuple[int, int], tuple[int, int]] = {}
     for p in range(max_filtration + 1):
-        for w in range(max_weight + 1):
-            normal = 0
-            for hexp in _compositions(p, n):
-                rem = w - vt.weighted_degree(hexp)
-                normal += len(monomials_of_weight(vt, rem))
-            symmetric = sum(
-                1
-                for exps in monomials_of_weight(doubled, w)
-                if sum(exps[n:]) == p
-            )
+        symbol_weights = [vt.weighted_degree(h) for h in _compositions(p, n)]
+        for w in weights:
+            normal = sum(plain[w - d] for d in symbol_weights if d <= w)
+            symmetric = by_filtration[w][p]
             seen[(p, w)] = (normal, symmetric)
             if normal != symmetric:
                 raise GrMismatch(p, w, normal, symmetric, seen)

@@ -19,7 +19,8 @@ biderivation formula from the anchor table, so the Jacobi check, the
 traces of arbitrary polynomials, ``omega_h_action``, ``lr_bracket`` and
 ``anchor_apply`` all go through it; ``complexes`` builds its assembly plans
 from the terms and keeps them in the same store, and the PBW rules in
-``envelope`` read the partials.
+``envelope`` read the anchor table and the partials, scaled to integers
+and kept in the same store.
 """
 
 from __future__ import annotations
@@ -167,7 +168,12 @@ class TermTables:
       coboundary; multi-index).  The coboundary plans are all read off the
       canonical boundary's at once;
     * ``bases`` likewise keeps each cell basis ``complexes`` enumerates,
-      keyed by (sign -1 for chains or +1 for cochains, n, w).
+      keyed by (sign -1 for chains or +1 for cochains, n, w);
+    * ``rules`` starts empty; ``envelope`` keeps there the integer tables
+      its PBW rules read: "denominator" is D, the lcm of the denominators
+      of the generator brackets (1 on an integral structure), "anchor" is
+      ``anchor`` with every coefficient multiplied by D, and "swaps" maps
+      (j, i) with j > i to (k, terms of D * d{x_j, x_i}/dx_k).
 
     Only nonzero polynomials are listed, and pairs with a zero bracket have
     no ``derivatives`` or ``partials`` key.
@@ -180,6 +186,7 @@ class TermTables:
     traces: "tuple[Terms, ...]"
     plans: dict = field(default_factory=dict, compare=False)
     bases: dict = field(default_factory=dict, compare=False)
+    rules: dict = field(default_factory=dict, compare=False)
 
 
 class PoissonStructure:

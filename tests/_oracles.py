@@ -13,6 +13,7 @@ from poishom.complexes import (
     chain_basis,
     cochain_basis,
 )
+from poishom.envelope import EnvelopeElement, ham, poly_atom
 from poishom.linalg import SparseMatrix
 from poishom.polycore import (
     Polynomial,
@@ -260,3 +261,79 @@ def random_log_canonical(rng: random.Random, n: int) -> PoissonStructure:
                 exps[j] += 1
                 entries[(i, j)] = vt.monomial(tuple(exps), c)
     return PoissonStructure(vt, entries)
+
+
+def polynomial_atom_reduce(S: PoissonStructure, parts, strategy: str = "leftmost"):
+    """Normal form of a rational combination of words, on Polynomial atoms.
+
+    Each rule builds its replacement words from Polynomials: the merge of
+    two atoms multiplies them, h(i) * f asks ``S.bracket`` for {x_i, f},
+    and h(j) * h(i) reads the Polynomial partials of the bracket.  Every
+    coefficient is a Fraction.
+    """
+    if strategy not in ("leftmost", "rightmost"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    agenda = []
+    for coeff, word in parts:
+        c = Fraction(coeff)
+        if c and not any(a[0] == "p" and a[1].is_zero() for a in word):
+            agenda.append((c, tuple(word)))
+    terms: dict = {}
+    while agenda:
+        coeff, word = agenda.pop()
+        k = _polynomial_redex(word, strategy)
+        if k is None:
+            _fold_normal(S.vars, coeff, word, terms)
+            continue
+        for new_word in _rewrite_at(S, word, k):
+            agenda.append((coeff, new_word))
+    return EnvelopeElement(S.vars, terms)
+
+
+def _polynomial_redex(word, strategy: str):
+    positions = range(len(word) - 1)
+    if strategy == "rightmost":
+        positions = reversed(positions)
+    for k in positions:
+        a, b = word[k], word[k + 1]
+        if b[0] == "p" or (a[0] == "h" and a[1] > b[1]):
+            return k
+    return None
+
+
+def _rewrite_at(S: PoissonStructure, word, k: int):
+    """Apply the one applicable rule at position k; returns replacement words."""
+    head, a, b, tail = word[:k], word[k], word[k + 1], word[k + 2:]
+    if a[0] == "p" and b[0] == "p":
+        return [head + (poly_atom(a[1] * b[1]),) + tail]
+    if a[0] == "h" and b[0] == "p":
+        i, f = a[1], b[1]
+        out = [head + (b, a) + tail]
+        moved = S.bracket(S.vars.gen(i), f)
+        if moved:
+            out.append(head + (poly_atom(moved),) + tail)
+        return out
+    j, i = a[1], b[1]
+    out = [head + (b, a) + tail]
+    for k2, c in S.term_tables().derivatives.get((j, i), ()):
+        out.append(head + (poly_atom(c), ham(k2)) + tail)
+    return out
+
+
+def _fold_normal(vt: VarTable, coeff: Fraction, word, terms: dict) -> None:
+    """Add coeff * word, a word with no redex, to the normal-form terms."""
+    if word and word[0][0] == "p":
+        poly_terms, symbols = word[0][1].terms, word[1:]
+    else:
+        poly_terms, symbols = {(0,) * len(vt): Fraction(1)}, word
+    hexp = [0] * len(vt)
+    for atom in symbols:
+        hexp[atom[1]] += 1
+    key_h = tuple(hexp)
+    for exps, c in poly_terms.items():
+        key = (exps, key_h)
+        s = terms.get(key, Fraction(0)) + coeff * c
+        if s:
+            terms[key] = s
+        else:
+            terms.pop(key, None)

@@ -1,9 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from poishom import envelope
+from poishom.catalog import catalog_ids, get_entry
 from poishom.envelope import (
+    ConfluenceFailure,
     EnvelopeElement,
     GrMismatch,
     NuReport,
@@ -18,10 +25,10 @@ from poishom.envelope import (
     reduce_word,
     right_module_residue,
 )
-from poishom.polycore import VarTable
+from poishom.polycore import VarTable, partial_derivative
 from poishom.structure import PoissonStructure
 
-from _oracles import random_log_canonical, random_polynomial
+from _oracles import polynomial_atom_reduce, random_log_canonical, random_polynomial
 
 
 def elem(S, *word):
@@ -112,13 +119,33 @@ def test_strategies_agree_on_goldens(so3, log3):
 
 
 def test_unknown_strategy_rejected(so3):
-    with pytest.raises(ValueError):
-        reduce_word(so3, (ham(0), ham(1)), strategy="sideways")
+    for parts in ([(Fraction(1), (ham(0), ham(1)))], [],
+                  [(Fraction(1), (poly_atom(so3.vars.zero()),))]):
+        with pytest.raises(ValueError, match="sideways"):
+            reduce_combination(so3, parts, strategy="sideways")
+
+
+def test_atom_over_another_table_rejected(so3):
+    foreign = VarTable(("a", "b")).gen(0)
+    with pytest.raises(ValueError, match="variable table"):
+        reduce_word(so3, (poly_atom(foreign),))
+    with pytest.raises(ValueError, match="variable table"):
+        reduce_word(so3, (ham(0), poly_atom(foreign)))
 
 
 def test_confluence_on_catalog(symplectic, so3, potential, log3):
     for S in (symplectic, so3, potential, log3):
         assert confluence_check(S, samples=60, seed=1) == 60
+
+
+def test_confluence_catches_a_corrupted_symbol_rule():
+    S = get_entry("so3").document.to_structure()
+    assert confluence_check(S, samples=60) == 60
+    swaps = S.term_tables().rules["swaps"]
+    (k, terms), = swaps[(1, 0)]  # h(y) h(x) -> h(x) h(y) - h(z)
+    swaps[(1, 0)] = ((k, tuple((e, 2 * c) for e, c in terms)),)
+    with pytest.raises(ConfluenceFailure):
+        confluence_check(S, samples=60)
 
 
 def test_multiply_is_associative(so3):
@@ -253,3 +280,80 @@ def test_nu_random_log_canonical():
         S = random_log_canonical(rng, rng.randint(2, 4))
         report = nu_check(S, samples=8, seed=rng.randint(0, 10 ** 6))
         assert report.module_samples == 8
+
+
+# -- the integer engine against the Polynomial-atom oracle -------------------------
+
+
+def _rational_log_canonical(rng, n):
+    vt = VarTable(tuple(f"x{i}" for i in range(n)))
+    entries = {}
+    for i, j in combinations(range(n), 2):
+        c = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 4)))
+        if c:
+            exps = tuple(int(k in (i, j)) for k in range(n))
+            entries[(i, j)] = vt.monomial(exps, c)
+    return PoissonStructure(vt, entries)
+
+
+def _rational_jacobian(rng):
+    vt = VarTable(("x", "y", "z"))
+    phi = random_polynomial(rng, vt, max_degree=3, max_terms=3) \
+        + vt.monomial((1, 1, 1), Fraction(1, rng.choice((2, 3, 5))))
+    dx, dy, dz = (partial_derivative(phi, k) for k in range(3))
+    return PoissonStructure(vt, {(0, 1): dz, (1, 2): dx, (0, 2): -dy})
+
+
+@st.composite
+def structures(draw):
+    kind = draw(st.sampled_from(("catalog", "log-canonical", "jacobian")))
+    if kind == "catalog":
+        return get_entry(draw(st.sampled_from(catalog_ids()))).document.to_structure()
+    rng = random.Random(draw(st.integers(0, 2 ** 31)))
+    if kind == "log-canonical":
+        return _rational_log_canonical(rng, rng.randint(2, 4))
+    return _rational_jacobian(rng)
+
+
+@given(structures(), st.integers(0, 2 ** 31),
+       st.sampled_from(("leftmost", "rightmost")))
+@settings(max_examples=60, deadline=None)
+def test_integer_engine_matches_polynomial_atoms(S, seed, strategy):
+    # mixed h-counts in one combination exercise the D^(Q - q) scaling
+    rng = random.Random(seed)
+    parts = [(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5))),
+              tuple(_random_atoms(rng, S, rng.randint(0, 4))))
+             for _ in range(rng.randint(1, 3))]
+    got = reduce_combination(S, parts, strategy)
+    want = polynomial_atom_reduce(S, parts, strategy)
+    assert got == want
+    assert str(got) == str(want)
+
+
+def test_rational_structures_have_a_denominator():
+    rng = random.Random(5)
+    for S in (_rational_log_canonical(rng, 3), _rational_jacobian(rng)):
+        reduce_word(S, ())
+        assert S.term_tables().rules["denominator"] > 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda: get_entry("log-canonical-3").document.to_structure(),
+    lambda: get_entry("log-canonical-3u").document.to_structure(),
+    lambda: _rational_log_canonical(random.Random(7), 3),
+    lambda: _rational_log_canonical(random.Random(8), 4),
+], ids=["log-canonical-3", "log-canonical-3u", "rational-3", "rational-4"])
+def test_nu_combinations_match_polynomial_atoms(build):
+    S = build()
+    seen = []
+
+    def checked(S_, parts, strategy="leftmost"):
+        parts = list(parts)
+        got = reduce_combination(S_, parts, strategy)
+        assert got == polynomial_atom_reduce(S_, parts, strategy)
+        seen.append(parts)
+        return got
+
+    with mock.patch.object(envelope, "reduce_combination", checked):
+        nu_check(S, samples=6, seed=2)
+    assert seen
