@@ -15,10 +15,12 @@ by cell at fixed (n, w) and ranks are taken exactly over the rationals.
 ``apply_boundary`` and ``apply_coboundary`` are the readable definitions,
 on polynomials, kept independent of the assembly as its test oracles.
 ``boundary_matrix`` and ``coboundary_matrix`` do not call them: they turn
-the structure's exponent tables (``PoissonStructure.term_tables``) into a
-plan per multi-index, the coboundary's read off the boundary's, and run one
-small kernel, ``_assemble``, over the exponent tuples of each column.  One
-sweep, ``_dims``, takes homology and cohomology tables alike.
+the structure's exponent tables (``PoissonStructure.term_tables``), which
+hold int coefficients times one structure denominator D, into a plan per
+multi-index, the coboundary's read off the boundary's, and run one small
+kernel, ``_assemble``, over the exponent tuples of each column; it divides
+each entry by D.  One sweep, ``_dims``, takes homology and cohomology
+tables alike.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from operator import add
 from typing import Mapping
 
@@ -290,15 +291,16 @@ class GradedComplexCell:
 # scale * c * x^(e + t) (.) dx_J, where the multi-index J, the table terms
 # (t, c) and whether scale is 1 or the exponent e_a all depend only on I.
 # A plan lists, per (J, a), those terms (t, c), with a None when scale is 1.
-# Its coefficients are ints: the plan holds them times a common denominator,
-# by which ``_assemble`` divides each entry once at the end.  A plan is built
-# once per structure, kind of differential and multi-index, kept in
-# ``TermTables.plans``, and ``_assemble`` runs it on every column of a cell.
+# A plan is a sum of +/- table terms, so its coefficients are ints times the
+# structure denominator D, by which ``_assemble`` divides each entry once at
+# the end (and not at all when D is 1).  A plan is built once per structure,
+# kind of differential and multi-index, kept in ``TermTables.plans``, and
+# ``_assemble`` runs it on every column of a cell.
 # Only the boundary plans are built from the term tables.  Both complexes
 # come from one resolution of the algebra, so the coboundary's plans are the
 # canonical boundary's read backwards (``_coboundary_plans``).
 
-Plan = "tuple[int, tuple[tuple[MultiIndex, int | None, tuple[tuple[tuple[int, ...], int], ...]], ...]]"
+Plan = "tuple[tuple[MultiIndex, int | None, tuple[tuple[tuple[int, ...], int], ...]], ...]"
 
 
 def _plan_step(plan: dict, index: "tuple[int, ...]", a: "int | None",
@@ -351,12 +353,9 @@ def _coboundary_plans(S: PoissonStructure) -> dict:
 
 
 def _finalize(built: dict) -> Plan:
-    """Int numerators over the lcm of a raw plan's denominators."""
-    denominator = lcm(*(c.denominator
-                        for terms in built.values() for c in terms.values()))
-    return (denominator, tuple(
-        (index2, a, tuple((t, int(c * denominator)) for t, c in terms.items() if c))
-        for (index2, a), terms in built.items()))
+    """A raw plan as a tuple of steps, with its cancelled terms dropped."""
+    return tuple((index2, a, tuple((t, c) for t, c in terms.items() if c))
+                 for (index2, a), terms in built.items())
 
 
 def _plan(S: PoissonStructure, coeff: "str | None",
@@ -380,12 +379,12 @@ def _assemble(S: PoissonStructure, src: ChainBasis, tgt: ChainBasis,
     """Run each column's plan on its monomial and collect the matrix."""
     plans = {index: _plan(S, coeff, index)
              for index in {index for _, index in src.elements}}
+    denominator = S.term_tables().denominator
     position = tgt._position
     entries = {}
     for col, (exps, index) in enumerate(src.elements):
-        denominator, steps = plans[index]
         image: dict = {}
-        for index2, a, terms in steps:
+        for index2, a, terms in plans[index]:
             scale = 1 if a is None else exps[a]
             if not scale:
                 continue

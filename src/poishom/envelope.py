@@ -18,18 +18,18 @@ Public words spell polynomial atoms as ("p", Polynomial).  Reduction runs
 in integer arithmetic instead: on entry each atom becomes a tuple of
 (exponents, int) terms, scaled by the lcm of its denominators, and the
 part coefficients are brought over one common denominator E.  The rules
-read integer tables kept once per structure in
-``PoissonStructure.term_tables().rules``: the anchor terms, from which
-h(i) * x^e takes {x_i, x^e} = -sum_a e_a x^e {x_a, x_i} / x_a, and the
-partials d{x_j, x_i}/dx_k, all multiplied by one structure denominator D
-(D = 1 on an integral structure).  No rule calls ``S.bracket`` or builds
-a Polynomial.  Every term a rule takes from the bracket (in h(i) * f and
-in h(j) * h(i)) removes exactly one derivation symbol, and the swaps and
-the merge of two polynomial atoms remove none, so a normal-form term with
-q symbols reached from inputs with at most Q symbols carries exactly
-D^(Q - q).  Each input part with q0 symbols is therefore scaled by
-D^(Q - q0) on entry, the fold adds only ints, and each output term is one
-Fraction(v, E * D^(Q - q)).
+read the integer tables of ``PoissonStructure.term_tables()`` as they are:
+the anchor terms, from which h(i) * x^e takes {x_i, x^e} =
+-sum_a e_a x^e {x_a, x_i} / x_a, and the partials d{x_i, x_j}/dx_k
+(i < j), from which h(j) * h(i) takes the negated terms, all multiplied by
+one structure denominator D (D = 1 on an integral structure).  No rule
+calls ``S.bracket`` or builds a Polynomial.  Every term a rule takes from
+the bracket (in h(i) * f and in h(j) * h(i)) removes exactly one
+derivation symbol, and the swaps and the merge of two polynomial atoms
+remove none, so a normal-form term with q symbols reached from inputs with
+at most Q symbols carries exactly D^(Q - q).  Each input part with q0
+symbols is therefore scaled by D^(Q - q0) on entry, the fold adds only
+ints, and each output term is one Fraction(v, E * D^(Q - q)).
 
 The module also reduces elements against right ideals generated by
 h(i) - t_i for prescribed polynomials t_i, which realizes both the plain
@@ -155,10 +155,6 @@ class EnvelopeElement:
             return NotImplemented
         return self + (-other)
 
-    def scale(self, c) -> "EnvelopeElement":
-        c = Fraction(c)
-        return EnvelopeElement(self.vars, {k: v * c for k, v in self.terms.items()})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, EnvelopeElement):
             return NotImplemented
@@ -196,28 +192,6 @@ class EnvelopeElement:
 
 
 _STRATEGIES = ("leftmost", "rightmost")
-
-
-def _rules(S: PoissonStructure) -> dict:
-    """The integer rule tables ``TermTables.rules`` of S, built on first use."""
-    tables = S.term_tables()
-    rules = tables.rules
-    if not rules:
-        d = lcm(*(c.denominator for f in S.entries.values()
-                  for c in f.terms.values()))
-        rules["denominator"] = d
-        rules["anchor"] = tuple(
-            tuple((a, _scaled(terms, d)) for a, terms in row)
-            for row in tables.anchor)
-        rules["swaps"] = {
-            (j, i): tuple((k, _scaled(terms, -d)) for k, terms in derivs)
-            for (i, j), derivs in tables.partials.items()
-        }
-    return rules
-
-
-def _scaled(terms, factor: int) -> "tuple[tuple[tuple[int, ...], int], ...]":
-    return tuple((exps, int(c * factor)) for exps, c in terms)
 
 
 def _enter(vt: VarTable, coeff, word: "Sequence[tuple]"):
@@ -296,8 +270,8 @@ def reduce_combination(S: PoissonStructure,
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     vt = S.vars
-    rules = _rules(S)
-    d, anchor, swaps = rules["denominator"], rules["anchor"], rules["swaps"]
+    tables = S.term_tables()
+    d, anchor, partials = tables.denominator, tables.anchor, tables.partials
     entered = [p for p in (_enter(vt, c, w) for c, w in parts) if p is not None]
     common = lcm(*(den for _, den, _, _ in entered))
     top = max((q for _, _, q, _ in entered), default=0)
@@ -332,9 +306,9 @@ def reduce_combination(S: PoissonStructure,
             moved = _moved(anchor[a], b)
             if moved:
                 agenda.append((coeff, head + (moved,) + tail))
-        else:  # h(a) * h(b) with a > b
-            for k2, partial in swaps.get((a, b), ()):
-                agenda.append((coeff, head + (partial, k2) + tail))
+        else:  # h(a) * h(b) with a > b: D * d{x_a, x_b}/dx_k = -partials
+            for k2, partial in partials.get((b, a), ()):
+                agenda.append((-coeff, head + (partial, k2) + tail))
     return EnvelopeElement(vt, {
         key: Fraction(v, common * d ** (top - sum(key[1])))
         for key, v in terms.items() if v
@@ -486,18 +460,22 @@ def right_module_residue(S: PoissonStructure, element: EnvelopeElement,
     Peeling the leading derivation symbol off a term f h(j) rest leaves
     (f t_j - {x_j, f}) rest modulo the ideal, so each pass strictly lowers
     the number of symbols and the loop terminates with the polynomial part.
+    ``traces`` needs one polynomial per variable.
     """
     if element.vars != S.vars:
         raise ValueError("element over a different variable table")
     vt = S.vars
+    if len(traces) != len(vt):
+        raise ValueError(f"need one trace per variable ({len(vt)}), "
+                         f"got {len(traces)}")
     zero_h = (0,) * len(vt)
-    result = vt.zero()
+    result: dict[tuple[int, ...], Fraction] = {}
     current = dict(element.terms)
     while current:
         pending: dict[tuple, Fraction] = {}
         for (xexp, hexp), c in current.items():
             if hexp == zero_h:
-                result = result + vt.monomial(xexp, c)
+                result[xexp] = result.get(xexp, 0) + c
                 continue
             j = next(k for k, e in enumerate(hexp) if e)
             f = vt.monomial(xexp, c)
@@ -511,7 +489,7 @@ def right_module_residue(S: PoissonStructure, element: EnvelopeElement,
                 else:
                     pending.pop(key, None)
         current = pending
-    return result
+    return Polynomial(vt, result)
 
 
 def j_quotient_action(S: PoissonStructure, a: Polynomial, i: int) -> Polynomial:

@@ -12,15 +12,16 @@ algebra that the dualizing module carries.
 
 Everything that reads the generator brackets reads them through one store,
 ``PoissonStructure.term_tables()``, built on first use and kept on the
-structure.  It holds the anchor table {x_a, x_i} / x_a as exponent terms,
-the partials d{x_i, x_j}/dx_k as Polynomials and as terms, and the
-generator traces read off those partials.  ``bracket`` evaluates the
-biderivation formula from the anchor table, so the Jacobi check, the
-traces of arbitrary polynomials, ``omega_h_action``, ``lr_bracket`` and
-``anchor_apply`` all go through it; ``complexes`` builds its assembly plans
-from the terms and keeps them in the same store, and the PBW rules in
-``envelope`` read the anchor table and the partials, scaled to integers
-and kept in the same store.
+structure.  It fixes one denominator D, the lcm of the denominators of the
+generator brackets (1 on an integral structure), and holds, as exponent
+terms with int coefficients times D, the anchor table {x_a, x_i} / x_a,
+the partials d{x_i, x_j}/dx_k and the generator traces read off those
+partials.  ``bracket`` evaluates the biderivation formula from the anchor
+table and divides by D, so the Jacobi check, the traces of arbitrary
+polynomials, ``omega_h_action``, ``lr_bracket`` and ``anchor_apply`` all
+go through it; ``complexes`` builds its assembly plans from the terms and
+keeps them in the same store, and the PBW rules in ``envelope`` read the
+anchor table and the partials as they are.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from operator import add
 from typing import Mapping, Sequence
 
@@ -135,8 +137,8 @@ class ModularData:
 Terms = "tuple[tuple[tuple[int, ...], int | Fraction], ...]"
 
 
-def _terms(f: Polynomial, lowered: "int | None" = None) -> Terms:
-    """Terms of f as (exponents, coefficient) pairs.
+def _terms(f: Polynomial, scale: int = 1, lowered: "int | None" = None) -> Terms:
+    """Terms of scale * f as (exponents, coefficient) pairs.
 
     Integral coefficients become ints, so sums of them stay in integer
     arithmetic.  With ``lowered`` set, that variable's exponent is reduced
@@ -146,6 +148,8 @@ def _terms(f: Polynomial, lowered: "int | None" = None) -> Terms:
     for exps, c in f.terms.items():
         if lowered is not None:
             exps = exps[:lowered] + (exps[lowered] - 1,) + exps[lowered + 1:]
+        if scale != 1:
+            c = c * scale
         out.append((exps, c.numerator if c.denominator == 1 else c))
     return tuple(out)
 
@@ -154,13 +158,13 @@ def _terms(f: Polynomial, lowered: "int | None" = None) -> Terms:
 class TermTables:
     """The bracket data of a structure, built from the generator brackets.
 
-    * ``anchor[i]`` lists (a, terms of {x_a, x_i} / x_a), so that for a
-      monomial m = x^e, {m, x_i} = sum_a e_a * x^e * (those terms);
-    * ``derivatives[(i, j)]`` (i != j) lists (k, d{x_i, x_j}/dx_k) as
-      Polynomials;
-    * ``partials[(i, j)]`` (i < j) lists (k, terms of d{x_i, x_j}/dx_k);
+    * ``denominator`` is D, the lcm of the denominators of the generator
+      brackets' coefficients (1 on an integral structure);
+    * ``anchor[i]`` lists (a, terms of D * {x_a, x_i} / x_a), so that for a
+      monomial m = x^e, D * {m, x_i} = sum_a e_a * x^e * (those terms);
+    * ``partials[(i, j)]`` (i < j) lists (k, terms of D * d{x_i, x_j}/dx_k);
     * ``generator_traces[i]`` is trace(x_i) = sum_k d{x_i, x_k}/dx_k, and
-      ``traces[i]`` holds its terms;
+      ``traces[i]`` holds the terms of D * trace(x_i);
     * ``plans`` starts empty; ``complexes`` keeps there the assembly plan
       of each differential and multi-index it has built from the tables
       above, so each is built once per structure.  The key is (coefficient
@@ -168,25 +172,20 @@ class TermTables:
       coboundary; multi-index).  The coboundary plans are all read off the
       canonical boundary's at once;
     * ``bases`` likewise keeps each cell basis ``complexes`` enumerates,
-      keyed by (sign -1 for chains or +1 for cochains, n, w);
-    * ``rules`` starts empty; ``envelope`` keeps there the integer tables
-      its PBW rules read: "denominator" is D, the lcm of the denominators
-      of the generator brackets (1 on an integral structure), "anchor" is
-      ``anchor`` with every coefficient multiplied by D, and "swaps" maps
-      (j, i) with j > i to (k, terms of D * d{x_j, x_i}/dx_k).
+      keyed by (sign -1 for chains or +1 for cochains, n, w).
 
+    Every coefficient in ``anchor``, ``partials`` and ``traces`` is an int.
     Only nonzero polynomials are listed, and pairs with a zero bracket have
-    no ``derivatives`` or ``partials`` key.
+    no ``partials`` key.
     """
 
+    denominator: int
     anchor: "tuple[tuple[tuple[int, Terms], ...], ...]"
-    derivatives: "dict[tuple[int, int], tuple[tuple[int, Polynomial], ...]]"
     partials: "dict[tuple[int, int], tuple[tuple[int, Terms], ...]]"
     generator_traces: "tuple[Polynomial, ...]"
     traces: "tuple[Terms, ...]"
     plans: dict = field(default_factory=dict, compare=False)
     bases: dict = field(default_factory=dict, compare=False)
-    rules: dict = field(default_factory=dict, compare=False)
 
 
 class PoissonStructure:
@@ -264,11 +263,13 @@ class PoissonStructure:
         """{f, g} via the biderivation extension, read off the anchor table.
 
         On monomials, {x^e, x^e'} = sum_j e'_j x^(e' - u_j) *
-        sum_a e_a x^e {x_a, x_j} / x_a, with u_j the j-th unit vector.
+        sum_a e_a x^e {x_a, x_j} / x_a, with u_j the j-th unit vector.  The
+        table holds D times the anchor terms, so the sum is divided by D.
         """
         if f.vars != self.vars or g.vars != self.vars:
             raise ValueError("operands over a different variable table")
-        anchor = self.term_tables().anchor
+        tables = self.term_tables()
+        anchor, d = tables.anchor, tables.denominator
         f_terms = _terms(f)
         out: dict = {}
         for e2, c2 in _terms(g):
@@ -287,6 +288,8 @@ class PoissonStructure:
                         for t, tc in terms:
                             key = tuple(map(add, base, t))
                             out[key] = out.get(key, 0) + scale * tc
+        if d != 1:
+            out = {key: Fraction(v, d) for key, v in out.items()}
         return Polynomial(self.vars, out)
 
     def jacobiator(self, i: int, j: int, k: int) -> Polynomial:
@@ -310,7 +313,6 @@ class PoissonStructure:
             raise ValueError("forms over a different variable table")
         n = len(self.vars)
         xs = self.gens
-        derivatives = self.term_tables().derivatives
         out = [self.vars.zero() for _ in range(n)]
         for i in range(n):
             ai = a.coeffs[i]
@@ -320,11 +322,12 @@ class PoissonStructure:
                 bj = b.coeffs[j]
                 if bj.is_zero():
                     continue
-                derivs = derivatives.get((i, j))
-                if derivs:
+                pair = self.entry(i, j)
+                if pair:
                     ab = ai * bj
-                    for k, dk in derivs:
-                        out[k] = out[k] + ab * dk
+                    for k, dk in enumerate(differential(pair).coeffs):
+                        if dk:
+                            out[k] = out[k] + ab * dk
                 adv = self.bracket(xs[i], bj)
                 if adv:
                     out[j] = out[j] + ai * adv
@@ -368,33 +371,29 @@ class PoissonStructure:
 
         Built on first use and kept.  The build calls no bracket, since the
         bracket reads the anchor table; the generator traces are read off
-        the partials.
+        the partials, one ``partial_derivative`` per entry and variable.
         """
         if self._tables is None:
             ell = len(self.vars)
+            d = lcm(*(c.denominator for p in self.entries.values()
+                      for c in p.terms.values()))
             anchor = tuple(
-                tuple((a, _terms(self.entry(a, i), lowered=a))
+                tuple((a, _terms(self.entry(a, i), d, lowered=a))
                       for a in range(ell) if self.entry(a, i))
                 for i in range(ell)
             )
-            derivatives = {}
+            partials = {}
+            generator_traces = [self.vars.zero()] * ell
             for (i, j), p in self.entries.items():
-                derivs = ((k, partial_derivative(p, k)) for k in range(ell))
-                derivatives[(i, j)] = tuple((k, d) for k, d in derivs if d)
-                derivatives[(j, i)] = tuple((k, -d) for k, d in derivatives[(i, j)])
-            partials = {
-                key: tuple((k, _terms(d)) for k, d in derivatives[key])
-                for key in self.entries
-            }
-            generator_traces = tuple(
-                sum((d for k in range(ell)
-                     for k2, d in derivatives.get((i, k), ()) if k2 == k),
-                    self.vars.zero())
-                for i in range(ell)
-            )
+                derivs = [partial_derivative(p, k) for k in range(ell)]
+                partials[(i, j)] = tuple(
+                    (k, _terms(dk, d)) for k, dk in enumerate(derivs) if dk)
+                # d{x_i, x_j}/dx_j joins trace(x_i), d{x_j, x_i}/dx_i trace(x_j)
+                generator_traces[i] = generator_traces[i] + derivs[j]
+                generator_traces[j] = generator_traces[j] - derivs[i]
             self._tables = TermTables(
-                anchor, derivatives, partials, generator_traces,
-                tuple(_terms(t) for t in generator_traces))
+                d, anchor, partials, tuple(generator_traces),
+                tuple(_terms(t, d) for t in generator_traces))
         return self._tables
 
     def omega_h_action(self, m: Polynomial, i: int) -> Polynomial:

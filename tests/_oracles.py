@@ -263,6 +263,15 @@ def random_log_canonical(rng: random.Random, n: int) -> PoissonStructure:
     return PoissonStructure(vt, entries)
 
 
+def mixed_denominator_log_canonical() -> PoissonStructure:
+    """{x, y} = xy/2, {x, z} = xz, {y, z} = yz/3: the structure denominator
+    is 6, while a single rule or assembly plan needs 1, 2, 3 or 6."""
+    vt = VarTable(("x", "y", "z"))
+    return PoissonStructure(vt, {(0, 1): vt.monomial((1, 1, 0), Fraction(1, 2)),
+                                 (0, 2): vt.monomial((1, 0, 1)),
+                                 (1, 2): vt.monomial((0, 1, 1), Fraction(1, 3))})
+
+
 def polynomial_atom_reduce(S: PoissonStructure, parts, strategy: str = "leftmost"):
     """Normal form of a rational combination of words, on Polynomial atoms.
 
@@ -315,8 +324,11 @@ def _rewrite_at(S: PoissonStructure, word, k: int):
         return out
     j, i = a[1], b[1]
     out = [head + (b, a) + tail]
-    for k2, c in S.term_tables().derivatives.get((j, i), ()):
-        out.append(head + (poly_atom(c), ham(k2)) + tail)
+    pair = S.entry(j, i)
+    for k2 in range(len(S.vars)):
+        c = partial_derivative(pair, k2)
+        if c:
+            out.append(head + (poly_atom(c), ham(k2)) + tail)
     return out
 
 

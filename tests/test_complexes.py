@@ -29,6 +29,7 @@ from _oracles import (
     coboundary_matrix_by_columns,
     coinvariant_dimension,
     euler_characteristic_matches,
+    mixed_denominator_log_canonical,
     random_polynomial,
 )
 
@@ -138,8 +139,9 @@ def _weighted_rational():
     return PoissonStructure(vt, {(0, 1): vt.monomial((2, 0), Fraction(2, 3))})
 
 
-@pytest.mark.parametrize("S", ALL + [_weighted_rational()],
-                         ids=[entry.id for entry in CATALOG] + ["weighted-rational"])
+@pytest.mark.parametrize("S", ALL + [_weighted_rational(), mixed_denominator_log_canonical()],
+                         ids=[entry.id for entry in CATALOG]
+                         + ["weighted-rational", "mixed-denominators"])
 def test_matrices_match_column_by_column_oracle(S):
     lo = -sum(S.vars.weights)
     for n in range(len(S.vars) + 1):
@@ -166,8 +168,9 @@ def _fresh(entry_id):
 @pytest.mark.parametrize("order", [("omega", "canonical", None),
                                    ("canonical", "omega", None),
                                    (None, "omega", "canonical")])
-@pytest.mark.parametrize("make", [lambda: _fresh("log-canonical-3"), _weighted_rational],
-                         ids=["log-canonical-3", "weighted-rational"])
+@pytest.mark.parametrize("make", [lambda: _fresh("log-canonical-3"), _weighted_rational,
+                                  mixed_denominator_log_canonical],
+                         ids=["log-canonical-3", "weighted-rational", "mixed-denominators"])
 def test_memoised_plans_keep_differentials_apart(make, order):
     S = make()
     assert not S.modular_data().unimodular

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from unittest import mock
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poishom import envelope
-from poishom.catalog import catalog_ids, get_entry
+from poishom.catalog import CATALOG, catalog_ids, get_entry
 from poishom.envelope import (
     ConfluenceFailure,
     EnvelopeElement,
@@ -28,7 +29,12 @@ from poishom.envelope import (
 from poishom.polycore import VarTable, partial_derivative
 from poishom.structure import PoissonStructure
 
-from _oracles import polynomial_atom_reduce, random_log_canonical, random_polynomial
+from _oracles import (
+    mixed_denominator_log_canonical,
+    polynomial_atom_reduce,
+    random_log_canonical,
+    random_polynomial,
+)
 
 
 def elem(S, *word):
@@ -141,9 +147,9 @@ def test_confluence_on_catalog(symplectic, so3, potential, log3):
 def test_confluence_catches_a_corrupted_symbol_rule():
     S = get_entry("so3").document.to_structure()
     assert confluence_check(S, samples=60) == 60
-    swaps = S.term_tables().rules["swaps"]
-    (k, terms), = swaps[(1, 0)]  # h(y) h(x) -> h(x) h(y) - h(z)
-    swaps[(1, 0)] = ((k, tuple((e, 2 * c) for e, c in terms)),)
+    partials = S.term_tables().partials
+    (k, terms), = partials[(0, 1)]  # h(y) h(x) -> h(x) h(y) - h(z)
+    partials[(0, 1)] = ((k, tuple((e, 2 * c) for e, c in terms)),)
     with pytest.raises(ConfluenceFailure):
         confluence_check(S, samples=60)
 
@@ -214,6 +220,17 @@ def test_residue_golden(log2):
     assert right_module_residue(log2, e, traces).is_zero()
     one = reduce_word(log2, (ham(0),))
     assert right_module_residue(log2, one, traces) == x
+
+
+def test_residue_refuses_a_trace_list_of_the_wrong_length(so3):
+    traces = list(so3.modular_data().traces)
+    e = reduce_word(so3, (poly_atom(so3.vars.gen(2)), ham(0)))
+    for wrong in (traces[:2], traces + [so3.vars.zero()], []):
+        with pytest.raises(ValueError, match="one trace per variable"):
+            right_module_residue(so3, e, wrong)
+    # also when no term carries the missing symbol
+    with pytest.raises(ValueError, match="one trace per variable"):
+        right_module_residue(so3, EnvelopeElement.from_polynomial(so3.vars.one()), [])
 
 
 def test_residue_of_polynomial_is_itself(so3):
@@ -333,8 +350,34 @@ def test_integer_engine_matches_polynomial_atoms(S, seed, strategy):
 def test_rational_structures_have_a_denominator():
     rng = random.Random(5)
     for S in (_rational_log_canonical(rng, 3), _rational_jacobian(rng)):
-        reduce_word(S, ())
-        assert S.term_tables().rules["denominator"] > 1
+        assert S.term_tables().denominator > 1
+
+
+TABLE_STRUCTURES = [
+    *(lambda entry=entry: entry.document.to_structure() for entry in CATALOG),
+    mixed_denominator_log_canonical,
+    *(lambda seed=seed: _rational_log_canonical(random.Random(seed), 3 + seed % 2)
+      for seed in range(4)),
+    *(lambda seed=seed: _rational_jacobian(random.Random(seed)) for seed in range(4)),
+]
+TABLE_IDS = ([entry.id for entry in CATALOG] + ["mixed-denominators"]
+             + [f"rational-log-canonical-{seed}" for seed in range(4)]
+             + [f"rational-jacobian-{seed}" for seed in range(4)])
+
+
+@pytest.mark.parametrize("build", TABLE_STRUCTURES, ids=TABLE_IDS)
+def test_term_tables_are_integers_over_one_denominator(build):
+    S = build()
+    tables = S.term_tables()
+    assert tables.denominator == lcm(*(
+        c.denominator for i, j in combinations(range(len(S.vars)), 2)
+        for c in S.entry(i, j).terms.values()))
+    coefficients = [c for row in tables.anchor for _, terms in row for _, c in terms]
+    coefficients += [c for derivs in tables.partials.values()
+                     for _, terms in derivs for _, c in terms]
+    coefficients += [c for terms in tables.traces for _, c in terms]
+    assert all(type(c) is int for c in coefficients)
+    assert coefficients or not S.entries
 
 
 @pytest.mark.parametrize("build", [

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from poishom.catalog import CATALOG
 from poishom.polycore import (
+    Polynomial,
     VarTable,
     homogeneous_weight,
     parse_poly,
@@ -347,12 +348,19 @@ def test_bracket_matches_biderivation_oracle(S):
 
 @pytest.mark.parametrize("S", ORACLE_STRUCTURES, ids=ORACLE_IDS)
 def test_tables_match_direct_derivatives(S):
+    # the tables hold D times each polynomial; partials only for i < j
     tables = S.term_tables()
-    ell = len(S.vars)
+    vt, d = S.vars, tables.denominator
+    ell = len(vt)
     for i in range(ell):
         assert tables.generator_traces[i] == S.trace(S.gens[i])
         assert S.modular_data().traces[i] == tables.generator_traces[i]
+        assert Polynomial(vt, dict(tables.traces[i])) == d * tables.generator_traces[i]
         for j in range(ell):
+            if i >= j:
+                assert (i, j) not in tables.partials
+                continue
             derivs = [(k, partial_derivative(S.entry(i, j), k)) for k in range(ell)]
-            assert tables.derivatives.get((i, j), ()) == tuple(
-                (k, d) for k, d in derivs if d)
+            got = tuple((k, Polynomial(vt, dict(terms)) * Fraction(1, d))
+                        for k, terms in tables.partials.get((i, j), ()))
+            assert got == tuple((k, dk) for k, dk in derivs if dk)
