@@ -16,11 +16,13 @@ by cell at fixed (n, w) and ranks are taken exactly over the rationals.
 on polynomials, kept independent of the assembly as its test oracles.
 ``boundary_matrix`` and ``coboundary_matrix`` do not call them: they turn
 the structure's exponent tables (``PoissonStructure.term_tables``), which
-hold int coefficients times one structure denominator D, into a plan per
-multi-index, the coboundary's read off the boundary's, and run one small
-kernel, ``_assemble``, over the exponent tuples of each column; it divides
-each entry by D.  One sweep, ``_dims``, takes homology and cohomology
-tables alike.
+hold int coefficients times one structure denominator D, into one plan
+table per differential, built whole by ``_plans``: per multi-index, one
+linear form in the column's exponents for each target.  The coboundary's
+table is the canonical boundary's read backwards.  One small kernel,
+``_assemble``, evaluates those forms on the exponent tuple of each column
+and divides each entry by D.  One sweep, ``_dims``, takes homology and
+cohomology tables alike.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .polycore import Polynomial, monomials_of_weight, partial_derivative
 from .structure import PoissonStructure
 
 __all__ = [
-    "MultiIndex",
     "ChainBasis",
     "Cochain",
     "GradedComplexCell",
@@ -55,14 +56,19 @@ __all__ = [
     "duality_report",
 ]
 
-MultiIndex = "tuple[int, ...]"
-
 _COEFFS = ("canonical", "omega")
 
 
 def _check_coeff(coeff: str) -> None:
     if coeff not in _COEFFS:
         raise ValueError(f"coefficient module must be one of {_COEFFS}, got {coeff!r}")
+
+
+def _check_index(index: "tuple[int, ...]", ell: int) -> None:
+    """Refuse a multi-index that is not strictly increasing within range(ell)."""
+    if any(not 0 <= i < ell for i in index) or list(index) != sorted(set(index)):
+        raise ValueError(f"bad multi-index {index}: need strictly increasing "
+                         f"indices in range({ell})")
 
 
 class ChainBasis:
@@ -181,6 +187,8 @@ def apply_boundary(S: PoissonStructure,
     Each wedge slot acts on the coefficient through the chosen right module
     with alternating sign, and each pair of slots contracts to the wedge of
     d{x_i, x_j} with the remaining slots (resorted, duplicates killed).
+    A multi-index that is not strictly increasing within range(ell) is
+    refused with ValueError.
     """
     _check_coeff(coeff)
     vt = S.vars
@@ -190,6 +198,8 @@ def apply_boundary(S: PoissonStructure,
             return S.bracket(m, xs[i])
     else:
         act = S.omega_h_action
+    for index in chain:
+        _check_index(index, len(vt))
     out: dict[tuple[int, ...], Polynomial] = {}
 
     def add(index: "tuple[int, ...]", poly: Polynomial) -> None:
@@ -234,11 +244,14 @@ def apply_coboundary(S: PoissonStructure, F: Cochain) -> Cochain:
     (dF)(dx_{i_0}..dx_{i_n}) takes each slot out through the anchor
     {x_{i_r}, -} with sign (-1)^r, then contracts slot pairs into
     F(d{x_i, x_j} ^ rest) with sign (-1)^{r+s}; at order 0 this is
-    f |-> ({x_i, f})_i, whose kernel is the Casimirs.
+    f |-> ({x_i, f})_i, whose kernel is the Casimirs.  A value at a
+    multi-index outside range(ell) is refused with ValueError.
     """
     vt = S.vars
     xs = vt.gens()
     n = F.order
+    for index in F.values:
+        _check_index(index, len(vt))
     out: dict[tuple[int, ...], Polynomial] = {}
     for index in combinations(range(len(vt)), n + 1):
         total = vt.zero()
@@ -288,111 +301,94 @@ class GradedComplexCell:
 # -- matrix assembly ---------------------------------------------------------
 #
 # A differential sends a basis element m (.) dx_I, m = x^e, to a sum of terms
-# scale * c * x^(e + t) (.) dx_J, where the multi-index J, the table terms
-# (t, c) and whether scale is 1 or the exponent e_a all depend only on I.
-# A plan lists, per (J, a), those terms (t, c), with a None when scale is 1.
-# A plan is a sum of +/- table terms, so its coefficients are ints times the
-# structure denominator D, by which ``_assemble`` divides each entry once at
-# the end (and not at all when D is 1).  A plan is built once per structure,
-# kind of differential and multi-index, kept in ``TermTables.plans``, and
-# ``_assemble`` runs it on every column of a cell.
+# (c0 + sum_a c_a * e_a) * x^(e + t) (.) dx_J, where the targets (J, t) and
+# the linear forms depend only on I: the anchor terms through x_a give c_a,
+# the traces and the bracket contractions give c0.  A plan lists one step
+# (J, t, c0, ((a, c_a), ...)) per target, so ``_assemble`` evaluates each
+# form once per column and target and writes the entry.  A plan is a sum of
+# +/- table terms, so its coefficients are ints times the structure
+# denominator D, by which ``_assemble`` divides each entry (not at all when
+# D is 1).  ``_plans`` builds the plans of one differential for every
+# multi-index at once and keeps them in ``TermTables.plans``.
 # Only the boundary plans are built from the term tables.  Both complexes
 # come from one resolution of the algebra, so the coboundary's plans are the
-# canonical boundary's read backwards (``_coboundary_plans``).
+# canonical boundary's read backwards.
 
-Plan = "tuple[tuple[MultiIndex, int | None, tuple[tuple[tuple[int, ...], int], ...]], ...]"
-
-
-def _plan_step(plan: dict, index: "tuple[int, ...]", a: "int | None",
-               terms, sign: int) -> None:
-    acc = plan.setdefault((index, a), {})
-    for t, c in terms:
-        acc[t] = acc.get(t, 0) + sign * c
+Plan = "tuple[tuple[tuple[int, ...], tuple[int, ...], int, tuple[tuple[int, int], ...]], ...]"
 
 
-def _boundary_plan(S: PoissonStructure, index: "tuple[int, ...]",
-                   omega: bool) -> dict:
-    """Plan of apply_boundary on m (.) dx_index, keyed by (J, a)."""
-    tables = S.term_tables()
-    plan: dict = {}
-    for r, i in enumerate(index):
-        rest = index[:r] + index[r + 1 :]
-        sign = 1 if r % 2 == 0 else -1
-        for a, terms in tables.anchor[i]:
-            _plan_step(plan, rest, a, terms, sign)
-        if omega:
-            _plan_step(plan, rest, None, tables.traces[i], sign)
-    for p in range(len(index)):
-        for q in range(p + 1, len(index)):
-            rest = index[:p] + index[p + 1 : q] + index[q + 1 :]
-            base_sign = 1 if (p + q) % 2 == 0 else -1
-            for k, terms in tables.partials.get((index[p], index[q]), ()):
-                if k in rest:
-                    continue
-                pos = bisect_left(rest, k)
-                merged = rest[:pos] + (k,) + rest[pos:]
-                _plan_step(plan, merged, None, terms,
-                           base_sign if pos % 2 == 0 else -base_sign)
-    return plan
-
-
-def _coboundary_plans(S: PoissonStructure) -> dict:
-    """Plan of apply_coboundary on m (.) dx_J, keyed by (K, a), for every J.
+def _plans(S: PoissonStructure, coeff: "str | None") -> "dict[tuple[int, ...], Plan]":
+    """The plan of the boundary (coeff "canonical" or "omega") or of the
+    coboundary (coeff None) on m (.) dx_I, for every multi-index I, built
+    once per structure.
 
     The coboundary is the canonical boundary read backwards: its step from
-    dx_J to dx_K is the boundary's step from dx_K to dx_J, negated when it
-    goes through the anchor, since {x_i, m} = -{m, x_i}.
+    dx_J to dx_K is the boundary's step from dx_K to dx_J, with the anchor
+    part negated, since {x_i, m} = -{m, x_i}.
     """
+    tables = S.term_tables()
+    if coeff in tables.plans:
+        return tables.plans[coeff]
     ell = len(S.vars)
-    plans: dict = {J: {} for n in range(ell + 1) for J in combinations(range(ell), n)}
-    for K in plans:
-        for (J, a), terms in _boundary_plan(S, K, False).items():
-            plans[J][(K, a)] = (terms if a is None
-                                else {t: -c for t, c in terms.items()})
+    indices = [I for n in range(ell + 1) for I in combinations(range(ell), n)]
+    if coeff is None:
+        steps: dict = {J: [] for J in indices}
+        for K, plan in _plans(S, "canonical").items():
+            for J, t, c0, linear in plan:
+                steps[J].append((K, t, c0, tuple((a, -c) for a, c in linear)))
+        plans = {J: tuple(plan) for J, plan in steps.items()}
+    else:
+        plans = {}
+        for I in indices:
+            forms: dict = {}  # (J, t) -> {a or None for c0: coefficient}
+
+            def step(J: "tuple[int, ...]", a: "int | None", terms, sign: int) -> None:
+                for t, c in terms:
+                    form = forms.setdefault((J, t), {})
+                    form[a] = form.get(a, 0) + sign * c
+
+            for r, i in enumerate(I):
+                rest = I[:r] + I[r + 1 :]
+                sign = 1 if r % 2 == 0 else -1
+                for a, terms in tables.anchor[i]:
+                    step(rest, a, terms, sign)
+                if coeff == "omega":
+                    step(rest, None, tables.traces[i], sign)
+            for p in range(len(I)):
+                for q in range(p + 1, len(I)):
+                    rest = I[:p] + I[p + 1 : q] + I[q + 1 :]
+                    base_sign = 1 if (p + q) % 2 == 0 else -1
+                    for k, terms in tables.partials.get((I[p], I[q]), ()):
+                        if k in rest:
+                            continue
+                        pos = bisect_left(rest, k)
+                        step(rest[:pos] + (k,) + rest[pos:], None, terms,
+                             base_sign if pos % 2 == 0 else -base_sign)
+            plan = []
+            for (J, t), form in forms.items():
+                c0 = form.pop(None, 0)
+                linear = tuple((a, c) for a, c in form.items() if c)
+                if c0 or linear:
+                    plan.append((J, t, c0, linear))
+            plans[I] = tuple(plan)
+    tables.plans[coeff] = plans
     return plans
-
-
-def _finalize(built: dict) -> Plan:
-    """A raw plan as a tuple of steps, with its cancelled terms dropped."""
-    return tuple((index2, a, tuple((t, c) for t, c in terms.items() if c))
-                 for (index2, a), terms in built.items())
-
-
-def _plan(S: PoissonStructure, coeff: "str | None",
-          index: "tuple[int, ...]") -> Plan:
-    """The plan of the boundary (coeff "canonical" or "omega") or of the
-    coboundary (coeff None) on m (.) dx_index, built once per structure;
-    the coboundary's are built all at once."""
-    plans = S.term_tables().plans
-    key = (coeff, index)
-    if key not in plans:
-        if coeff is None:
-            plans.update(((None, J), _finalize(built))
-                         for J, built in _coboundary_plans(S).items())
-        else:
-            plans[key] = _finalize(_boundary_plan(S, index, coeff == "omega"))
-    return plans[key]
 
 
 def _assemble(S: PoissonStructure, src: ChainBasis, tgt: ChainBasis,
               coeff: "str | None") -> GradedComplexCell:
-    """Run each column's plan on its monomial and collect the matrix."""
-    plans = {index: _plan(S, coeff, index)
-             for index in {index for _, index in src.elements}}
+    """Evaluate each column's plan on its monomial and collect the matrix."""
+    plans = _plans(S, coeff)
     denominator = S.term_tables().denominator
     position = tgt._position
     entries = {}
     for col, (exps, index) in enumerate(src.elements):
-        image: dict = {}
-        for index2, a, terms in plans[index]:
-            scale = 1 if a is None else exps[a]
-            if not scale:
-                continue
-            for t, c in terms:
-                key = (tuple(map(add, exps, t)), index2)
-                image[key] = image.get(key, 0) + scale * c
-        for key, v in image.items():
+        for J, t, c0, linear in plans[index]:
+            v = c0
+            for a, c in linear:
+                v += c * exps[a]
             if v:
+                key = (tuple(map(add, exps, t)), J)
                 entries[(position[key], col)] = (v if denominator == 1
                                                  else Fraction(v, denominator))
     return GradedComplexCell(src, tgt, SparseMatrix(len(tgt), len(src), entries))

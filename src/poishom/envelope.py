@@ -458,9 +458,9 @@ def right_module_residue(S: PoissonStructure, element: EnvelopeElement,
     """Residue of a normal form in the right quotient by (h(i) - t_i).
 
     Peeling the leading derivation symbol off a term f h(j) rest leaves
-    (f t_j - {x_j, f}) rest modulo the ideal, so each pass strictly lowers
-    the number of symbols and the loop terminates with the polynomial part.
-    ``traces`` needs one polynomial per variable.
+    (f t_j - {x_j, f}) rest modulo the ideal, so each term is reduced on
+    its own polynomial, one symbol at a time in ascending order, and the
+    results are summed.  ``traces`` needs one polynomial per variable.
     """
     if element.vars != S.vars:
         raise ValueError("element over a different variable table")
@@ -468,27 +468,14 @@ def right_module_residue(S: PoissonStructure, element: EnvelopeElement,
     if len(traces) != len(vt):
         raise ValueError(f"need one trace per variable ({len(vt)}), "
                          f"got {len(traces)}")
-    zero_h = (0,) * len(vt)
     result: dict[tuple[int, ...], Fraction] = {}
-    current = dict(element.terms)
-    while current:
-        pending: dict[tuple, Fraction] = {}
-        for (xexp, hexp), c in current.items():
-            if hexp == zero_h:
-                result[xexp] = result.get(xexp, 0) + c
-                continue
-            j = next(k for k, e in enumerate(hexp) if e)
-            f = vt.monomial(xexp, c)
-            reduced = f * traces[j] - S.bracket(S.gens[j], f)
-            lowered = hexp[:j] + (hexp[j] - 1,) + hexp[j + 1 :]
-            for exps, c2 in reduced.terms.items():
-                key = (exps, lowered)
-                s = pending.get(key, Fraction(0)) + c2
-                if s:
-                    pending[key] = s
-                else:
-                    pending.pop(key, None)
-        current = pending
+    for (xexp, hexp), c in element.terms.items():
+        f = vt.monomial(xexp, c)
+        for j, e in enumerate(hexp):
+            for _ in range(e):
+                f = f * traces[j] - S.bracket(S.gens[j], f)
+        for exps, c2 in f.terms.items():
+            result[exps] = result.get(exps, 0) + c2
     return Polynomial(vt, result)
 
 

@@ -165,12 +165,12 @@ class TermTables:
     * ``partials[(i, j)]`` (i < j) lists (k, terms of D * d{x_i, x_j}/dx_k);
     * ``generator_traces[i]`` is trace(x_i) = sum_k d{x_i, x_k}/dx_k, and
       ``traces[i]`` holds the terms of D * trace(x_i);
-    * ``plans`` starts empty; ``complexes`` keeps there the assembly plan
-      of each differential and multi-index it has built from the tables
-      above, so each is built once per structure.  The key is (coefficient
-      module "canonical" or "omega" of the boundary, or None for the
-      coboundary; multi-index).  The coboundary plans are all read off the
-      canonical boundary's at once;
+    * ``plans`` starts empty; ``complexes`` keeps there the assembly plans
+      it builds from the tables above, one whole table per differential,
+      so each is built once per structure.  It is keyed by differential
+      (coefficient module "canonical" or "omega" of the boundary, or None
+      for the coboundary), then by multi-index.  The coboundary's table is
+      read off the canonical boundary's;
     * ``bases`` likewise keeps each cell basis ``complexes`` enumerates,
       keyed by (sign -1 for chains or +1 for cochains, n, w).
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -139,9 +140,11 @@ def _weighted_rational():
     return PoissonStructure(vt, {(0, 1): vt.monomial((2, 0), Fraction(2, 3))})
 
 
-@pytest.mark.parametrize("S", ALL + [_weighted_rational(), mixed_denominator_log_canonical()],
-                         ids=[entry.id for entry in CATALOG]
-                         + ["weighted-rational", "mixed-denominators"])
+PLAN_INPUTS = ALL + [_weighted_rational(), mixed_denominator_log_canonical()]
+PLAN_IDS = [entry.id for entry in CATALOG] + ["weighted-rational", "mixed-denominators"]
+
+
+@pytest.mark.parametrize("S", PLAN_INPUTS, ids=PLAN_IDS)
 def test_matrices_match_column_by_column_oracle(S):
     lo = -sum(S.vars.weights)
     for n in range(len(S.vars) + 1):
@@ -163,8 +166,9 @@ def _fresh(entry_id):
     return next(e for e in CATALOG if e.id == entry_id).document.to_structure()
 
 
-# None stands for the coboundary; the last order builds every coboundary
-# plan (read off the canonical boundary's) before any boundary plan
+# None stands for the coboundary; the last order asks for the coboundary
+# table first, which builds the canonical table it is read off, and the
+# omega table after both
 @pytest.mark.parametrize("order", [("omega", "canonical", None),
                                    ("canonical", "omega", None),
                                    (None, "omega", "canonical")])
@@ -190,6 +194,35 @@ def test_memoised_plans_keep_differentials_apart(make, order):
             assert matrix == slow.matrix, (coeff, n, w)
     assert any(built[("omega", n, w)] != built[("canonical", n, w)]
                for n, w in cells)
+
+
+@pytest.mark.parametrize("S", PLAN_INPUTS, ids=PLAN_IDS)
+def test_each_plan_hits_each_target_once(S):
+    # _assemble writes one entry per step, so no two steps of a plan may
+    # share a target (J, t)
+    ell = len(S.vars)
+    for coeff in ("canonical", "omega", None):
+        plans = complexes._plans(S, coeff)
+        assert sorted(plans) == sorted(I for n in range(ell + 1)
+                                       for I in combinations(range(ell), n))
+        for I, plan in plans.items():
+            targets = [(J, t) for J, t, _, _ in plan]
+            assert len(set(targets)) == len(targets), (coeff, I)
+            for J, t, c0, linear in plan:
+                assert c0 or linear, (coeff, I, J, t)
+                assert all(c for _, c in linear), (coeff, I, J, t)
+
+
+@pytest.mark.parametrize("S", PLAN_INPUTS, ids=PLAN_IDS)
+def test_coboundary_plans_are_the_canonical_read_backwards(S):
+    canonical = complexes._plans(S, "canonical")
+    expected = {J: set() for J in canonical}
+    for K, plan in canonical.items():
+        for J, t, c0, linear in plan:
+            expected[J].add((K, t, c0, tuple((a, -c) for a, c in linear)))
+    coboundary = complexes._plans(S, None)
+    assert {J: set(plan) for J, plan in coboundary.items()} == expected
+    assert S.term_tables().plans[None] is coboundary
 
 
 UNIMODULAR = [entry for entry in CATALOG if entry.unimodular]
@@ -252,6 +285,24 @@ def test_coboundary_squares_on_random_cochains(potential, log3u):
         )
         twice = apply_coboundary(S, apply_coboundary(S, F))
         assert twice.is_zero()
+
+
+def test_boundary_refuses_an_index_out_of_order(so3):
+    x, y, _ = so3.vars.gens()
+    with pytest.raises(ValueError, match="multi-index"):
+        apply_boundary(so3, {(2, 1, 0): x * y})
+
+
+def test_boundary_refuses_an_index_out_of_range(so3):
+    x = so3.vars.gen(0)
+    with pytest.raises(ValueError, match="multi-index"):
+        apply_boundary(so3, {(0, 5): x})
+
+
+def test_coboundary_refuses_an_index_out_of_range(so3):
+    x = so3.vars.gen(0)
+    with pytest.raises(ValueError, match="multi-index"):
+        apply_coboundary(so3, Cochain(1, {(5,): x}))
 
 
 def test_cochain_validation():
