@@ -21,15 +21,14 @@ table per differential, built whole by ``_plans``: per multi-index, one
 linear form in the column's exponents for each target.  The coboundary's
 table is the canonical boundary's read backwards.  One small kernel,
 ``_assemble``, evaluates those forms on the exponent tuple of each column
-and divides each entry by D.  One sweep, ``_dims``, takes homology and
-cohomology tables alike.
+into int rows and hands them to ``SparseMatrix`` as they are, over D.  One
+sweep, ``_dims``, takes homology and cohomology tables alike.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from operator import add
 from typing import Mapping
@@ -307,9 +306,11 @@ class GradedComplexCell:
 # (J, t, c0, ((a, c_a), ...)) per target, so ``_assemble`` evaluates each
 # form once per column and target and writes the entry.  A plan is a sum of
 # +/- table terms, so its coefficients are ints times the structure
-# denominator D, by which ``_assemble`` divides each entry (not at all when
-# D is 1).  ``_plans`` builds the plans of one differential for every
-# multi-index at once and keeps them in ``TermTables.plans``.
+# denominator D: ``_assemble`` writes those ints into the rows of the matrix
+# and hands D over with them, so the matrix is rows / D, no Fraction is
+# built, and the rank is read off the int rows.  ``_plans`` builds the plans
+# of one differential for every multi-index at once and keeps them in
+# ``TermTables.plans``.
 # Only the boundary plans are built from the term tables.  Both complexes
 # come from one resolution of the algebra, so the coboundary's plans are the
 # canonical boundary's read backwards.
@@ -377,21 +378,25 @@ def _plans(S: PoissonStructure, coeff: "str | None") -> "dict[tuple[int, ...], P
 
 def _assemble(S: PoissonStructure, src: ChainBasis, tgt: ChainBasis,
               coeff: "str | None") -> GradedComplexCell:
-    """Evaluate each column's plan on its monomial and collect the matrix."""
+    """Evaluate each column's plan on its monomial into int rows over the
+    structure denominator."""
     plans = _plans(S, coeff)
-    denominator = S.term_tables().denominator
     position = tgt._position
-    entries = {}
+    rows: dict[int, dict[int, int]] = {}
     for col, (exps, index) in enumerate(src.elements):
         for J, t, c0, linear in plans[index]:
             v = c0
             for a, c in linear:
                 v += c * exps[a]
             if v:
-                key = (tuple(map(add, exps, t)), J)
-                entries[(position[key], col)] = (v if denominator == 1
-                                                 else Fraction(v, denominator))
-    return GradedComplexCell(src, tgt, SparseMatrix(len(tgt), len(src), entries))
+                r = position[(tuple(map(add, exps, t)), J)]
+                row = rows.get(r)
+                if row is None:
+                    rows[r] = {col: v}
+                else:
+                    row[col] = v
+    return GradedComplexCell(src, tgt, SparseMatrix.from_int_rows(
+        len(tgt), len(src), rows, S.term_tables().denominator))
 
 
 def boundary_matrix(S: PoissonStructure, n: int, w: int,

@@ -1,12 +1,16 @@
 """Exact linear algebra over the rationals for graded complex cells.
 
-Matrices are stored sparsely as (row, col) -> value, where a value is an
-``int`` when it is given as one and a ``Fraction`` otherwise; the two
-compare and hash alike, so neither equality nor hashing sees the
-difference.  Rank is computed by fraction-free Gaussian elimination on the
-sparse rows themselves: each row is kept as a column -> int dict, cleared
-of denominators, and only its nonzero entries are ever touched, so the cost
-follows the fill-in of the matrix rather than its dense area, and no
+A matrix is stored as sparse rows, row -> {col: value}, over one positive
+int denominator: the matrix it stands for is rows / denominator.  The
+complexes hand over int rows with the structure denominator D, so no
+``Fraction`` is built between a plan and a rank.  Matrices given entry by
+entry keep their ``int`` and ``Fraction`` values as they are, over
+denominator 1; the two compare and hash alike, so neither equality nor
+hashing sees the difference.  Rank is computed by fraction-free Gaussian
+elimination on copies of the stored rows: int rows are read as they are,
+since scaling by D does not change the rank, and any other row is first
+cleared of denominators.  Only nonzero entries are ever touched, so the
+cost follows the fill-in of the matrix rather than its dense area, and no
 ``Fraction`` is built while eliminating.
 """
 
@@ -25,21 +29,26 @@ def _exact(value) -> "int | Fraction":
 
 
 def _integral(row: "dict[int, int | Fraction]") -> "dict[int, int]":
-    """The row scaled by the lcm of its denominators, so all ints."""
+    """A copy of the row scaled by the lcm of its denominators, so all ints."""
     if all(type(v) is int for v in row.values()):
-        return row
+        return dict(row)
     scale = lcm(*(v.denominator for v in row.values()))
     return {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
 
 
 class SparseMatrix:
-    """Rational matrix with explicit shape and sparse storage.
+    """Rational matrix with explicit shape, stored as sparse rows over one
+    denominator.
 
-    Int and Fraction values are kept as they are; other values are
-    converted to Fraction.
+    ``rows`` maps a row index to {col: value} and holds no empty row;
+    ``denominator`` is a positive int, 1 unless the rows came from
+    :meth:`from_int_rows`.  ``integral`` is True when every stored value is
+    known to be an int, so that :meth:`rank` can take the rows without
+    checking each value's type.  Entries given one by one are kept as
+    they are if int or Fraction, and converted to Fraction otherwise.
     """
 
-    __slots__ = ("nrows", "ncols", "entries")
+    __slots__ = ("nrows", "ncols", "rows", "denominator", "integral")
 
     def __init__(self, nrows: int, ncols: int,
                  entries: "dict[tuple[int, int], int | Fraction] | None" = None):
@@ -47,14 +56,29 @@ class SparseMatrix:
             raise ValueError("matrix shape must be non-negative")
         self.nrows = nrows
         self.ncols = ncols
-        self.entries: dict[tuple[int, int], int | Fraction] = {}
+        self.rows: dict[int, dict[int, int | Fraction]] = {}
+        self.denominator = 1
+        self.integral = True
         if entries:
             for (r, c), v in entries.items():
                 if not (0 <= r < nrows and 0 <= c < ncols):
                     self._check_index(r, c)
                 v = _exact(v)
                 if v:
-                    self.entries[(r, c)] = v
+                    self.rows.setdefault(r, {})[c] = v
+                    if type(v) is not int:
+                        self.integral = False
+
+    @classmethod
+    def from_int_rows(cls, nrows: int, ncols: int,
+                      rows: "dict[int, dict[int, int]]",
+                      denominator: int) -> "SparseMatrix":
+        """The matrix rows / denominator, taking ``rows`` as they are: int
+        values, no zero value, no empty row, indices inside the shape."""
+        m = cls(nrows, ncols)
+        m.rows = rows
+        m.denominator = denominator
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "SparseMatrix":
@@ -72,24 +96,42 @@ class SparseMatrix:
         if not (0 <= r < self.nrows and 0 <= c < self.ncols):
             raise IndexError(f"entry ({r}, {c}) outside {self.nrows}x{self.ncols}")
 
+    @property
+    def entries(self) -> "dict[tuple[int, int], int | Fraction]":
+        """The nonzero entries as (row, col) -> value, a new dict.  Over
+        denominator 1 the values are the stored ones; otherwise each is
+        the Fraction value / denominator."""
+        d = self.denominator
+        if d == 1:
+            return {(r, c): v for r, row in self.rows.items() for c, v in row.items()}
+        return {(r, c): Fraction(v, d)
+                for r, row in self.rows.items() for c, v in row.items()}
+
     def add_to(self, r: int, c: int, value) -> None:
         """Accumulate into one entry, dropping it if the sum is zero."""
         self._check_index(r, c)
-        v = self.entries.get((r, c), 0) + _exact(value)
+        row = self.rows.setdefault(r, {})
+        v = row.get(c, 0) + _exact(value) * self.denominator
         if v:
-            self.entries[(r, c)] = v
+            row[c] = v
+            if type(v) is not int:
+                self.integral = False
         else:
-            self.entries.pop((r, c), None)
+            row.pop(c, None)
+            if not row:
+                del self.rows[r]
 
     def __getitem__(self, key: "tuple[int, int]") -> "int | Fraction":
         self._check_index(*key)
-        return self.entries.get(key, 0)
+        r, c = key
+        v = self.rows.get(r, {}).get(c, 0)
+        return v if self.denominator == 1 else Fraction(v, self.denominator)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.rows
 
     def nnz(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self.rows.values()))
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if not isinstance(other, SparseMatrix):
@@ -116,21 +158,21 @@ class SparseMatrix:
     def rank(self) -> int:
         """Rank over Q by fraction-free sparse row elimination.
 
-        Each row is first scaled by the lcm of its denominators, which does
-        not change the rank, so everything after that is int arithmetic.
-        Rows are reduced one at a time against the pivot rows found so far,
-        always on their lowest column: with a the pivot's leading entry, b
-        the row's and g = gcd(a, b), the row becomes row * (a/g) -
-        pivot * (b/g).  A row that survives becomes the pivot row of that
-        column, divided by the gcd of its entries.  Exact over Q; there is
-        no modular step and no sampling.
+        Scaling a row does not change the rank, so the stored rows are read
+        as they are when they are ints, whatever the denominator, and any
+        other row is first scaled by the lcm of its denominators; from then
+        on everything is int arithmetic, on copies of the stored rows.
+        Rows are reduced one at a time, in stored order, against the pivot
+        rows found so far, always on their lowest column: with a the
+        pivot's leading entry, b the row's and g = gcd(a, b), the row
+        becomes row * (a/g) - pivot * (b/g).  A row that survives becomes
+        the pivot row of that column, divided by the gcd of its entries.
+        Exact over Q; there is no modular step and no sampling.
         """
-        rows: dict[int, dict[int, int | Fraction]] = {}
-        for (r, c), v in self.entries.items():
-            rows.setdefault(r, {})[c] = v
         pivots: dict[int, dict[int, int]] = {}
-        for row in rows.values():
-            row = _integral(row)
+        integral = self.integral
+        for row in self.rows.values():
+            row = dict(row) if integral else _integral(row)
             while row:
                 col = min(row)
                 pivot = pivots.get(col)

@@ -263,6 +263,12 @@ def random_log_canonical(rng: random.Random, n: int) -> PoissonStructure:
     return PoissonStructure(vt, entries)
 
 
+def weighted_rational() -> PoissonStructure:
+    """{x, y} = 2x^2/3 with weights (1, 2): structure denominator 3."""
+    vt = VarTable(("x", "y"), (1, 2))
+    return PoissonStructure(vt, {(0, 1): vt.monomial((2, 0), Fraction(2, 3))})
+
+
 def mixed_denominator_log_canonical() -> PoissonStructure:
     """{x, y} = xy/2, {x, z} = xz, {y, z} = yz/3: the structure denominator
     is 6, while a single rule or assembly plan needs 1, 2, 3 or 6."""

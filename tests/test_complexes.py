@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -32,6 +31,7 @@ from _oracles import (
     euler_characteristic_matches,
     mixed_denominator_log_canonical,
     random_polynomial,
+    weighted_rational,
 )
 
 ALL = [entry.document.to_structure() for entry in CATALOG]
@@ -135,12 +135,7 @@ def test_coboundary_matrices_compose_to_zero():
                 assert (outer.matrix @ inner.matrix).is_zero()
 
 
-def _weighted_rational():
-    vt = VarTable(("x", "y"), (1, 2))
-    return PoissonStructure(vt, {(0, 1): vt.monomial((2, 0), Fraction(2, 3))})
-
-
-PLAN_INPUTS = ALL + [_weighted_rational(), mixed_denominator_log_canonical()]
+PLAN_INPUTS = ALL + [weighted_rational(), mixed_denominator_log_canonical()]
 PLAN_IDS = [entry.id for entry in CATALOG] + ["weighted-rational", "mixed-denominators"]
 
 
@@ -172,7 +167,7 @@ def _fresh(entry_id):
 @pytest.mark.parametrize("order", [("omega", "canonical", None),
                                    ("canonical", "omega", None),
                                    (None, "omega", "canonical")])
-@pytest.mark.parametrize("make", [lambda: _fresh("log-canonical-3"), _weighted_rational,
+@pytest.mark.parametrize("make", [lambda: _fresh("log-canonical-3"), weighted_rational,
                                   mixed_denominator_log_canonical],
                          ids=["log-canonical-3", "weighted-rational", "mixed-denominators"])
 def test_memoised_plans_keep_differentials_apart(make, order):

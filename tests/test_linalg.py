@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,15 @@ from poishom.catalog import CATALOG
 from poishom.complexes import boundary_matrix, coboundary_matrix
 from poishom.linalg import SparseMatrix, exact_rank
 
-from _oracles import dense_rows, fraction_rank, naive_rank
+from _oracles import (
+    boundary_matrix_by_columns,
+    coboundary_matrix_by_columns,
+    dense_rows,
+    fraction_rank,
+    mixed_denominator_log_canonical,
+    naive_rank,
+    weighted_rational,
+)
 
 
 def dense(rows):
@@ -133,19 +142,130 @@ def test_sparse_rank_matches_naive_elimination(case):
     assert transpose.rank() == rank
 
 
+def _cells(S):
+    """Every boundary and coboundary cell of S with weight below 5."""
+    lo = -sum(S.vars.weights)
+    for n in range(len(S.vars) + 1):
+        yield from (coboundary_matrix(S, n, w) for w in range(lo, 5))
+        yield from (boundary_matrix(S, n, w, coeff)
+                    for w in range(5) for coeff in ("canonical", "omega"))
+
+
 def test_rank_of_catalog_cells_matches_naive_elimination():
     for entry in CATALOG:
         S = entry.document.to_structure()
-        lo = -sum(S.vars.weights)
-        for n in range(len(S.vars) + 1):
-            cells = [coboundary_matrix(S, n, w) for w in range(lo, 5)]
-            cells += [boundary_matrix(S, n, w, coeff)
-                      for w in range(5) for coeff in ("canonical", "omega")]
-            for cell in cells:
-                rank = cell.matrix.rank()
-                assert rank == naive_rank(dense_rows(cell.matrix)), (
-                    entry.id, cell.source)
-                assert rank == fraction_rank(cell.matrix), (entry.id, cell.source)
+        for cell in _cells(S):
+            rank = cell.matrix.rank()
+            assert rank == naive_rank(dense_rows(cell.matrix)), (
+                entry.id, cell.source)
+            assert rank == fraction_rank(cell.matrix), (entry.id, cell.source)
+
+
+@pytest.mark.parametrize("make", [weighted_rational, mixed_denominator_log_canonical])
+def test_rank_of_rational_structure_cells_matches_naive_elimination(make):
+    # the structure denominator is 3 and 6: every cell holds its int rows
+    # over it, and rank reads those rows unscaled
+    S = make()
+    denominator = S.term_tables().denominator
+    assert denominator > 1
+    for cell in _cells(S):
+        assert cell.matrix.denominator == denominator
+        rank = cell.matrix.rank()
+        assert rank == naive_rank(dense_rows(cell.matrix)), cell.source
+        assert rank == fraction_rank(cell.matrix), cell.source
+
+
+def test_rank_leaves_the_matrix_as_it_was():
+    # each second row has the first's leading entry 1 (or a multiple of it),
+    # so eliminating on the stored rows would rewrite them
+    S = mixed_denominator_log_canonical()
+    so3 = next(e for e in CATALOG if e.id == "so3").document.to_structure()
+    matrices = [cell.matrix for T in (S, so3) for cell in _cells(T)]
+    matrices += [SparseMatrix.from_int_rows(2, 2, {0: {0: 1, 1: 1}, 1: {0: 1, 1: 2}}, 6),
+                 SparseMatrix(2, 2, {(0, 0): 1, (0, 1): 1, (1, 0): 2, (1, 1): 3}),
+                 dense([[Fraction(1, 2), 1], [1, 3]])]
+    for m in matrices:
+        before = m.entries
+        rank = m.rank()
+        assert m.entries == before
+        assert m.rank() == rank
+
+
+def _over_denominator(matrix):
+    """The same rational matrix held as int rows over the lcm of its
+    denominators."""
+    d = lcm(1, *(Fraction(v).denominator for v in matrix.entries.values()))
+    rows = {}
+    for (r, c), v in matrix.entries.items():
+        rows.setdefault(r, {})[c] = int(v * d)
+    return SparseMatrix.from_int_rows(matrix.nrows, matrix.ncols, rows, d)
+
+
+def test_denominator_matrix_reads_like_its_fraction_twin():
+    half = Fraction(1, 2)
+    twin = SparseMatrix(2, 3, {(0, 0): half, (0, 2): Fraction(-2, 3), (1, 1): 1})
+    m = SparseMatrix.from_int_rows(2, 3, {0: {0: 3, 2: -4}, 1: {1: 6}}, 6)
+    assert m == twin and twin == m
+    assert m.entries == twin.entries
+    assert [m[r, c] for r in range(2) for c in range(3)] == [
+        twin[r, c] for r in range(2) for c in range(3)]
+    assert type(m[1, 1]) is Fraction and m[1, 1] == 1 and m[1, 0] == 0
+    assert m.nnz() == twin.nnz() == 3
+    assert m != SparseMatrix.from_int_rows(2, 3, {0: {0: 3, 2: -4}, 1: {1: 6}}, 3)
+    assert m.rank() == twin.rank() == 2
+    other = SparseMatrix.from_int_rows(3, 2, {0: {0: 2}, 2: {0: 1, 1: -5}}, 4)
+    other_twin = SparseMatrix(3, 2, {(0, 0): half, (2, 0): Fraction(1, 4),
+                                     (2, 1): Fraction(-5, 4)})
+    assert other == other_twin
+    product = twin @ other_twin
+    assert m @ other == product
+    assert m @ other_twin == product and twin @ other == product
+    for matrix in (m, twin):
+        matrix.add_to(0, 1, Fraction(1, 4))
+        matrix.add_to(0, 0, -half)
+        matrix.add_to(1, 2, 5)
+    assert m == twin
+    assert m.entries == {(0, 1): Fraction(1, 4), (0, 2): Fraction(-2, 3),
+                         (1, 1): 1, (1, 2): 5}
+    assert m.nnz() == twin.nnz() == 4
+    assert m.rank() == twin.rank() == 2
+    m.add_to(1, 1, -1)
+    m.add_to(1, 2, -5)
+    assert m.nnz() == 2 and m.rank() == 1
+    with pytest.raises(IndexError):
+        m[2, 0]
+    with pytest.raises(IndexError):
+        m.add_to(0, 3, 1)
+
+
+@given(sparse_matrices())
+@settings(max_examples=100)
+def test_int_rows_over_a_denominator_match_the_fraction_matrix(case):
+    matrix, _ = case
+    scaled = _over_denominator(matrix)
+    assert scaled == matrix
+    assert scaled.entries == matrix.entries
+    assert scaled.nnz() == matrix.nnz()
+    assert all(scaled[key] == v for key, v in matrix.entries.items())
+    assert scaled.rank() == matrix.rank()
+    transpose = SparseMatrix(matrix.ncols, matrix.nrows,
+                             {(c, r): v for (r, c), v in matrix.entries.items()})
+    assert scaled @ _over_denominator(transpose) == matrix @ transpose
+
+
+@pytest.mark.parametrize("n, w", [(n, w) for n in range(4) for w in range(-3, 5)])
+def test_mixed_denominator_cells_hold_int_rows_over_six(n, w):
+    S = mixed_denominator_log_canonical()
+    cells = [(coboundary_matrix(S, n, w), coboundary_matrix_by_columns(S, n, w))]
+    if w >= 0:
+        cells += [(boundary_matrix(S, n, w, coeff), boundary_matrix_by_columns(S, n, w, coeff))
+                  for coeff in ("canonical", "omega")]
+    for fast, slow in cells:
+        m = fast.matrix
+        assert m.denominator == 6
+        assert all(type(v) is int for row in m.rows.values() for v in row.values())
+        assert all(m.rows.values())
+        assert m == slow.matrix
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31), st.integers(1, 3))
