@@ -164,7 +164,7 @@ def _cmd_cohomology(doc: SpecDocument, args, out) -> int:
     if _below("--max-weight", args.max_weight, low,
               " (the lowest cochain weight)"):
         return EXIT_USAGE
-    table = cohomology_dims(S, max_weight=args.max_weight, min_weight=low)
+    table = cohomology_dims(S, max_weight=args.max_weight)
     if args.tsv:
         print(dim_table_tsv(table), file=out)
         return EXIT_OK

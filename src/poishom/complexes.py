@@ -178,6 +178,29 @@ class Cochain:
         return self.order == other.order and self.values == other.values
 
 
+def _contractions(S: PoissonStructure, index: "tuple[int, ...]"):
+    """The slot-pair contractions of dx_index, on polynomials.
+
+    For slots p < q and each k outside the remaining slots, yields (the
+    remaining slots with k merged in, d{x_{i_p}, x_{i_q}}/dx_k, the sign
+    (-1)^(p+q) times that of moving dx_k to its place).
+    """
+    for p in range(len(index)):
+        for q in range(p + 1, len(index)):
+            pair = S.entry(index[p], index[q])
+            if pair.is_zero():
+                continue
+            rest = index[:p] + index[p + 1 : q] + index[q + 1 :]
+            base_sign = 1 if (p + q) % 2 == 0 else -1
+            for k in range(len(S.vars)):
+                c = partial_derivative(pair, k)
+                if c.is_zero() or k in rest:
+                    continue
+                pos = bisect_left(rest, k)
+                yield (rest[:pos] + (k,) + rest[pos:], c,
+                       base_sign if pos % 2 == 0 else -base_sign)
+
+
 def apply_boundary(S: PoissonStructure,
                    chain: "Mapping[tuple[int, ...], Polynomial]",
                    coeff: str = "canonical") -> "dict[tuple[int, ...], Polynomial]":
@@ -219,21 +242,8 @@ def apply_boundary(S: PoissonStructure,
             if moved:
                 rest = index[:r] + index[r + 1 :]
                 add(rest, moved if r % 2 == 0 else -moved)
-        for p in range(len(index)):
-            for q in range(p + 1, len(index)):
-                pair = S.entry(index[p], index[q])
-                if pair.is_zero():
-                    continue
-                rest = index[:p] + index[p + 1 : q] + index[q + 1 :]
-                base_sign = 1 if (p + q) % 2 == 0 else -1
-                for k in range(len(vt)):
-                    c = partial_derivative(pair, k)
-                    if c.is_zero() or k in rest:
-                        continue
-                    pos = bisect_left(rest, k)
-                    merged = rest[:pos] + (k,) + rest[pos:]
-                    sign = base_sign if pos % 2 == 0 else -base_sign
-                    add(merged, (poly * c) * sign)
+        for merged, c, sign in _contractions(S, index):
+            add(merged, (poly * c) * sign)
     return out
 
 
@@ -261,24 +271,10 @@ def apply_coboundary(S: PoissonStructure, F: Cochain) -> Cochain:
             moved = S.bracket(xs[i], inner)
             if moved:
                 total = total + (moved if r % 2 == 0 else -moved)
-        for p in range(n + 1):
-            for q in range(p + 1, n + 1):
-                pair = S.entry(index[p], index[q])
-                if pair.is_zero():
-                    continue
-                rest = index[:p] + index[p + 1 : q] + index[q + 1 :]
-                base_sign = 1 if (p + q) % 2 == 0 else -1
-                for k in range(len(vt)):
-                    c = partial_derivative(pair, k)
-                    if c.is_zero() or k in rest:
-                        continue
-                    pos = bisect_left(rest, k)
-                    merged = rest[:pos] + (k,) + rest[pos:]
-                    inner = F.value(merged, vt)
-                    if inner.is_zero():
-                        continue
-                    sign = base_sign if pos % 2 == 0 else -base_sign
-                    total = total + (c * inner) * sign
+        for merged, c, sign in _contractions(S, index):
+            inner = F.value(merged, vt)
+            if not inner.is_zero():
+                total = total + (c * inner) * sign
         if not total.is_zero():
             out[index] = total
     return Cochain(n + 1, out)
@@ -424,12 +420,11 @@ def coboundary_matrix(S: PoissonStructure, n: int, w: int) -> GradedComplexCell:
 
 
 def _dims(S: PoissonStructure, coeff: "str | None", max_weight: int,
-          min_weight: "int | None" = None,
           max_degree: "int | None" = None) -> "dict[tuple[int, int], int]":
     """Homology (coeff "canonical" or "omega") or cohomology (coeff None)
-    dimensions per (n, w), w from min_weight (default: the lowest weight of
-    any cell): dim ker of the differential leaving (n, w) minus the rank of
-    the one arriving, computed also when it leaves a cell outside the window.
+    dimensions per (n, w), w from the lowest weight of any cell: dim ker of
+    the differential leaving (n, w) minus the rank of the one arriving,
+    computed also when it leaves a cell outside the window.
     """
     shift = S.weight_shift()
     ell = len(S.vars)
@@ -452,7 +447,7 @@ def _dims(S: PoissonStructure, coeff: "str | None", max_weight: int,
 
     table: dict[tuple[int, int], int] = {}
     for n in range((ell if max_degree is None else max_degree) + 1):
-        for w in range(floor if min_weight is None else min_weight, max_weight + 1):
+        for w in range(floor, max_weight + 1):
             dim, rank = leaving(n, w) or (len(basis(S, n, w)), 0)
             arriving = leaving(n - step, w - shift)
             table[(n, w)] = dim - rank - (arriving[1] if arriving else 0)
@@ -468,14 +463,13 @@ def homology_dims(S: PoissonStructure, coeff: str = "canonical",
 
 
 def cohomology_dims(S: PoissonStructure, max_weight: int = 8,
-                    min_weight: "int | None" = None,
                     max_degree: "int | None" = None) -> "dict[tuple[int, int], int]":
     """Cohomology dimensions per (n, w).
 
-    The default window starts at minus the sum of the variable weights, the
-    lowest weight any cochain can carry.
+    The window starts at minus the sum of the variable weights, the lowest
+    weight any cochain can carry.
     """
-    return _dims(S, None, max_weight, min_weight, max_degree)
+    return _dims(S, None, max_weight, max_degree)
 
 
 def dim_table_tsv(table: "dict[tuple[int, int], int]") -> str:
@@ -555,7 +549,7 @@ def duality_report(S: PoissonStructure, max_weight: int = 8) -> DualityReport:
     ell = len(S.vars)
     expected = sum(S.vars.weights)
     twisted = homology_dims(S, "omega", max_weight)
-    cohomology = cohomology_dims(S, max_weight=max_weight, min_weight=-expected)
+    cohomology = cohomology_dims(S, max_weight=max_weight)
 
     def fits(s: int) -> bool:
         return all(

@@ -16,20 +16,21 @@ different strategies.
 
 Public words spell polynomial atoms as ("p", Polynomial).  Reduction runs
 in integer arithmetic instead: on entry each atom becomes a tuple of
-(exponents, int) terms, scaled by the lcm of its denominators, and the
-part coefficients are brought over one common denominator E.  The rules
-read the integer tables of ``PoissonStructure.term_tables()`` as they are:
-the anchor terms, from which h(i) * x^e takes {x_i, x^e} =
--sum_a e_a x^e {x_a, x_i} / x_a, and the partials d{x_i, x_j}/dx_k
-(i < j), from which h(j) * h(i) takes the negated terms, all multiplied by
-one structure denominator D (D = 1 on an integral structure).  No rule
-calls ``S.bracket`` or builds a Polynomial.  Every term a rule takes from
-the bracket (in h(i) * f and in h(j) * h(i)) removes exactly one
-derivation symbol, and the swaps and the merge of two polynomial atoms
-remove none, so a normal-form term with q symbols reached from inputs with
-at most Q symbols carries exactly D^(Q - q).  Each input part with q0
-symbols is therefore scaled by D^(Q - q0) on entry, the fold adds only
-ints, and each output term is one Fraction(v, E * D^(Q - q)).
+(exponents, int) terms by ``structure.int_terms``, scaled by the lcm of
+its denominators, and the part coefficients are brought over one common
+denominator E.  The rules read the integer tables of
+``PoissonStructure.term_tables()`` through the term kernel of
+``structure``: two atoms merge by ``times``, h(i) * f takes
+{x_i, f} = -{f, x_i} from ``anchor_action`` with the sign flipped, and
+h(j) * h(i) takes the negated partials d{x_i, x_j}/dx_k (i < j), all
+multiplied by one structure denominator D (D = 1 on an integral
+structure).  No rule calls ``S.bracket`` or builds a Polynomial.  Every
+term a rule takes from the bracket (in h(i) * f and in h(j) * h(i))
+removes exactly one derivation symbol, and the swaps and the merge of two
+polynomial atoms remove none, so a normal-form term with q symbols reached
+from inputs with at most Q symbols carries exactly D^(Q - q).  Each input
+part with q0 symbols is therefore scaled by D^(Q - q0) on entry, the fold
+adds only ints, and each output term is one Fraction(v, E * D^(Q - q)).
 
 The module also reduces elements against right ideals generated by
 h(i) - t_i for prescribed polynomials t_i, which realizes both the plain
@@ -45,11 +46,16 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
 from typing import Iterable, Sequence
 
 from .polycore import Polynomial, VarTable, monomials_of_weight, partial_derivative
-from .structure import PoissonStructure, log_canonical_matrix
+from .structure import (
+    PoissonStructure,
+    anchor_action,
+    int_terms,
+    log_canonical_matrix,
+    times,
+)
 
 __all__ = [
     "Word",
@@ -216,10 +222,9 @@ def _enter(vt: VarTable, coeff, word: "Sequence[tuple]"):
             raise ValueError("polynomial atom over a different variable table")
         if f.is_zero():
             num = 0
-        scale = lcm(*(v.denominator for v in f.terms.values()))
+        scale, terms = int_terms(f)
         den *= scale
-        atoms.append(tuple((e, v.numerator * (scale // v.denominator))
-                           for e, v in f.terms.items()))
+        atoms.append(terms)
     if not num:
         return None
     g = gcd(num, den)
@@ -236,31 +241,6 @@ def _find_redex(word: tuple, rightmost: bool) -> "int | None":
         if type(b) is tuple or (type(a) is int and a > b):
             return k
     return None
-
-
-def _times(f: tuple, g: tuple) -> tuple:
-    """Product of two integer polynomial atoms."""
-    out: dict = {}
-    for e1, c1 in f:
-        for e2, c2 in g:
-            key = tuple(map(add, e1, e2))
-            out[key] = out.get(key, 0) + c1 * c2
-    return tuple((e, c) for e, c in out.items() if c)
-
-
-def _moved(anchor_i: tuple, f: tuple) -> tuple:
-    """D * {x_i, f} for an integer polynomial atom f, off the anchor row of i."""
-    out: dict = {}
-    for e, c in f:
-        for a, terms in anchor_i:
-            ea = e[a]
-            if not ea:
-                continue
-            scale = c * ea
-            for t, tc in terms:
-                key = tuple(map(add, e, t))
-                out[key] = out.get(key, 0) - scale * tc
-    return tuple((e, c) for e, c in out.items() if c)
 
 
 def reduce_combination(S: PoissonStructure,
@@ -299,13 +279,13 @@ def reduce_combination(S: PoissonStructure,
             continue
         head, a, b, tail = word[:k], word[k], word[k + 1], word[k + 2:]
         if type(a) is tuple:  # two polynomial atoms merge
-            agenda.append((coeff, head + (_times(a, b),) + tail))
+            agenda.append((coeff, head + (times(a, b),) + tail))
             continue
         agenda.append((coeff, head + (b, a) + tail))
-        if type(b) is tuple:  # h(a) * f
-            moved = _moved(anchor[a], b)
+        if type(b) is tuple:  # h(a) * f: D * {x_a, f} = -D * {f, x_a}
+            moved = anchor_action(anchor[a], b)
             if moved:
-                agenda.append((coeff, head + (moved,) + tail))
+                agenda.append((-coeff, head + (moved,) + tail))
         else:  # h(a) * h(b) with a > b: D * d{x_a, x_b}/dx_k = -partials
             for k2, partial in partials.get((b, a), ()):
                 agenda.append((-coeff, head + (partial, k2) + tail))

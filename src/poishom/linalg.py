@@ -1,54 +1,37 @@
 """Exact linear algebra over the rationals for graded complex cells.
 
-A matrix is stored as sparse rows, row -> {col: value}, over one positive
-int denominator: the matrix it stands for is rows / denominator.  The
-complexes hand over int rows with the structure denominator D, so no
-``Fraction`` is built between a plan and a rank.  Matrices given entry by
-entry keep their ``int`` and ``Fraction`` values as they are, over
-denominator 1; the two compare and hash alike, so neither equality nor
-hashing sees the difference.  Rank is computed by fraction-free Gaussian
-elimination on copies of the stored rows: int rows are read as they are,
-since scaling by D does not change the rank, and any other row is first
-cleared of denominators.  Only nonzero entries are ever touched, so the
-cost follows the fill-in of the matrix rather than its dense area, and no
-``Fraction`` is built while eliminating.
+A matrix is stored in one format: sparse int rows, row -> {col: value},
+over one positive int denominator, so the matrix it stands for is
+rows / denominator.  The complexes hand over their int rows with the
+structure denominator D as they are; rational values given entry by entry
+are cleared into the same format, the denominator rising to the lcm of
+theirs.  Readers see rational values: ints over denominator 1, and
+``Fraction(value, denominator)`` otherwise.  Rank is computed by
+fraction-free Gaussian elimination on copies of the stored rows, since
+scaling by the denominator does not change it.  Only nonzero entries are
+ever touched, so the cost follows the fill-in of the matrix rather than
+its dense area, and no ``Fraction`` is built while eliminating.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 __all__ = ["SparseMatrix", "exact_rank"]
 
 
-def _exact(value) -> "int | Fraction":
-    """An int or a Fraction stays as it is; anything else becomes a Fraction."""
-    return value if type(value) in (int, Fraction) else Fraction(value)
-
-
-def _integral(row: "dict[int, int | Fraction]") -> "dict[int, int]":
-    """A copy of the row scaled by the lcm of its denominators, so all ints."""
-    if all(type(v) is int for v in row.values()):
-        return dict(row)
-    scale = lcm(*(v.denominator for v in row.values()))
-    return {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
-
-
 class SparseMatrix:
-    """Rational matrix with explicit shape, stored as sparse rows over one
-    denominator.
+    """Rational matrix with explicit shape, stored as sparse int rows over
+    one denominator.
 
-    ``rows`` maps a row index to {col: value} and holds no empty row;
-    ``denominator`` is a positive int, 1 unless the rows came from
-    :meth:`from_int_rows`.  ``integral`` is True when every stored value is
-    known to be an int, so that :meth:`rank` can take the rows without
-    checking each value's type.  Entries given one by one are kept as
-    they are if int or Fraction, and converted to Fraction otherwise.
+    ``rows`` maps a row index to {col: int} and holds no zero value and no
+    empty row; ``denominator`` is a positive int, 1 unless some value
+    needed more.
     """
 
-    __slots__ = ("nrows", "ncols", "rows", "denominator", "integral")
+    __slots__ = ("nrows", "ncols", "rows", "denominator")
 
     def __init__(self, nrows: int, ncols: int,
                  entries: "dict[tuple[int, int], int | Fraction] | None" = None):
@@ -56,18 +39,10 @@ class SparseMatrix:
             raise ValueError("matrix shape must be non-negative")
         self.nrows = nrows
         self.ncols = ncols
-        self.rows: dict[int, dict[int, int | Fraction]] = {}
+        self.rows: dict[int, dict[int, int]] = {}
         self.denominator = 1
-        self.integral = True
-        if entries:
-            for (r, c), v in entries.items():
-                if not (0 <= r < nrows and 0 <= c < ncols):
-                    self._check_index(r, c)
-                v = _exact(v)
-                if v:
-                    self.rows.setdefault(r, {})[c] = v
-                    if type(v) is not int:
-                        self.integral = False
+        for (r, c), v in (entries or {}).items():
+            self.add_to(r, c, v)
 
     @classmethod
     def from_int_rows(cls, nrows: int, ncols: int,
@@ -108,14 +83,22 @@ class SparseMatrix:
                 for r, row in self.rows.items() for c, v in row.items()}
 
     def add_to(self, r: int, c: int, value) -> None:
-        """Accumulate into one entry, dropping it if the sum is zero."""
+        """Accumulate into one entry, dropping it if the sum is zero.  A
+        value whose denominator does not divide the stored one raises that
+        to their lcm, scaling every stored row."""
         self._check_index(r, c)
+        if type(value) is not int:
+            value = Fraction(value)
+        d, q = self.denominator, value.denominator
+        if d % q:
+            k = q // gcd(d, q)
+            self.rows = {i: {j: v * k for j, v in row.items()}
+                         for i, row in self.rows.items()}
+            self.denominator = d = d * k
         row = self.rows.setdefault(r, {})
-        v = row.get(c, 0) + _exact(value) * self.denominator
+        v = row.get(c, 0) + value.numerator * (d // q)
         if v:
             row[c] = v
-            if type(v) is not int:
-                self.integral = False
         else:
             row.pop(c, None)
             if not row:
@@ -140,14 +123,17 @@ class SparseMatrix:
             raise ValueError(
                 f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}"
             )
-        by_row: dict[int, list[tuple[int, int | Fraction]]] = {}
-        for (k, c), v in other.entries.items():
-            by_row.setdefault(k, []).append((c, v))
-        out = SparseMatrix(self.nrows, other.ncols)
-        for (r, k), a in self.entries.items():
-            for c, b in by_row.get(k, ()):
-                out.add_to(r, c, a * b)
-        return out
+        rows: dict[int, dict[int, int]] = {}
+        for r, row in self.rows.items():
+            out: dict[int, int] = {}
+            for k, a in row.items():
+                for c, b in other.rows.get(k, {}).items():
+                    out[c] = out.get(c, 0) + a * b
+            out = {c: v for c, v in out.items() if v}
+            if out:
+                rows[r] = out
+        return SparseMatrix.from_int_rows(self.nrows, other.ncols, rows,
+                                          self.denominator * other.denominator)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):
@@ -158,10 +144,9 @@ class SparseMatrix:
     def rank(self) -> int:
         """Rank over Q by fraction-free sparse row elimination.
 
-        Scaling a row does not change the rank, so the stored rows are read
-        as they are when they are ints, whatever the denominator, and any
-        other row is first scaled by the lcm of its denominators; from then
-        on everything is int arithmetic, on copies of the stored rows.
+        Scaling by the denominator does not change the rank, so the stored
+        int rows are read as they are, and everything is int arithmetic on
+        copies of them.
         Rows are reduced one at a time, in stored order, against the pivot
         rows found so far, always on their lowest column: with a the
         pivot's leading entry, b the row's and g = gcd(a, b), the row
@@ -170,9 +155,8 @@ class SparseMatrix:
         Exact over Q; there is no modular step and no sampling.
         """
         pivots: dict[int, dict[int, int]] = {}
-        integral = self.integral
         for row in self.rows.values():
-            row = dict(row) if integral else _integral(row)
+            row = dict(row)
             while row:
                 col = min(row)
                 pivot = pivots.get(col)

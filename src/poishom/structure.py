@@ -16,12 +16,17 @@ structure.  It fixes one denominator D, the lcm of the denominators of the
 generator brackets (1 on an integral structure), and holds, as exponent
 terms with int coefficients times D, the anchor table {x_a, x_i} / x_a,
 the partials d{x_i, x_j}/dx_k and the generator traces read off those
-partials.  ``bracket`` evaluates the biderivation formula from the anchor
-table and divides by D, so the Jacobi check, the traces of arbitrary
+partials.
+
+One integer term kernel reads those tables: ``int_terms`` turns a
+polynomial into (L, int terms of L * f), ``times`` multiplies two int term
+tuples, and ``anchor_action`` gives D * {f, x_j} off one anchor row.
+``bracket`` computes {f, g} = sum_j (dg/dx_j) {f, x_j} with them in ints
+and divides once, so the Jacobi check, the traces of arbitrary
 polynomials, ``omega_h_action``, ``lr_bracket`` and ``anchor_apply`` all
-go through it; ``complexes`` builds its assembly plans from the terms and
-keeps them in the same store, and the PBW rules in ``envelope`` read the
-anchor table and the partials as they are.
+go through it; the PBW rules in ``envelope`` use the same kernel, and
+``complexes`` builds its assembly plans from the terms and keeps them in
+the same store.
 """
 
 from __future__ import annotations
@@ -134,24 +139,53 @@ class ModularData:
     unimodular: bool
 
 
-Terms = "tuple[tuple[tuple[int, ...], int | Fraction], ...]"
+Terms = "tuple[tuple[tuple[int, ...], int], ...]"
 
 
 def _terms(f: Polynomial, scale: int = 1, lowered: "int | None" = None) -> Terms:
-    """Terms of scale * f as (exponents, coefficient) pairs.
-
-    Integral coefficients become ints, so sums of them stay in integer
-    arithmetic.  With ``lowered`` set, that variable's exponent is reduced
-    by one (it may become -1).
+    """Terms of scale * f as (exponents, int) pairs; ``scale`` must clear
+    every denominator of f.  With ``lowered`` set, that variable's exponent
+    is reduced by one (it may become -1).
     """
     out = []
     for exps, c in f.terms.items():
         if lowered is not None:
             exps = exps[:lowered] + (exps[lowered] - 1,) + exps[lowered + 1:]
-        if scale != 1:
-            c = c * scale
-        out.append((exps, c.numerator if c.denominator == 1 else c))
+        out.append((exps, c.numerator * (scale // c.denominator)))
     return tuple(out)
+
+
+def int_terms(f: Polynomial) -> "tuple[int, Terms]":
+    """(L, terms of L * f), with L the lcm of the denominators of f."""
+    scale = lcm(*(c.denominator for c in f.terms.values()))
+    return scale, _terms(f, scale)
+
+
+def times(f: Terms, g: Terms) -> Terms:
+    """Product of two int term tuples."""
+    out: dict = {}
+    for e1, c1 in f:
+        for e2, c2 in g:
+            key = tuple(map(add, e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return tuple((e, c) for e, c in out.items() if c)
+
+
+def anchor_action(row: "tuple[tuple[int, Terms], ...]", f: Terms) -> Terms:
+    """D * {f, x_j} for int terms f, off the anchor row ``anchor[j]`` of the
+    term tables: D * {x^e, x_j} = sum_a e_a * x^e * (D * {x_a, x_j} / x_a).
+    """
+    out: dict = {}
+    for e, c in f:
+        for a, terms in row:
+            ea = e[a]
+            if not ea:
+                continue
+            scale = c * ea
+            for t, tc in terms:
+                key = tuple(map(add, e, t))
+                out[key] = out.get(key, 0) + scale * tc
+    return tuple((e, c) for e, c in out.items() if c)
 
 
 @dataclass(frozen=True)
@@ -260,36 +294,28 @@ class PoissonStructure:
         return -self.entries.get((j, i), self.vars.zero())
 
     def bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        """{f, g} via the biderivation extension, read off the anchor table.
+        """{f, g} = sum_j (dg/dx_j) {f, x_j}, in ints off the anchor table.
 
-        On monomials, {x^e, x^e'} = sum_j e'_j x^(e' - u_j) *
-        sum_a e_a x^e {x_a, x_j} / x_a, with u_j the j-th unit vector.  The
-        table holds D times the anchor terms, so the sum is divided by D.
+        With L_f and L_g the lcms of the denominators of f and g,
+        ``anchor_action`` gives D * L_f * {f, x_j} and the int partials of
+        L_g * g carry L_g, so the sum is divided once by D * L_f * L_g.
         """
         if f.vars != self.vars or g.vars != self.vars:
             raise ValueError("operands over a different variable table")
         tables = self.term_tables()
-        anchor, d = tables.anchor, tables.denominator
-        f_terms = _terms(f)
+        lf, f_terms = int_terms(f)
+        lg, g_terms = int_terms(g)
         out: dict = {}
-        for e2, c2 in _terms(g):
-            for j, ej in enumerate(e2):
-                if not ej or not anchor[j]:
-                    continue
-                lowered = e2[:j] + (ej - 1,) + e2[j + 1:]
-                for e1, c1 in f_terms:
-                    base = tuple(map(add, e1, lowered))
-                    c = c1 * c2 * ej
-                    for a, terms in anchor[j]:
-                        ea = e1[a]
-                        if not ea:
-                            continue
-                        scale = c * ea
-                        for t, tc in terms:
-                            key = tuple(map(add, base, t))
-                            out[key] = out.get(key, 0) + scale * tc
-        if d != 1:
-            out = {key: Fraction(v, d) for key, v in out.items()}
+        for j, row in enumerate(tables.anchor):
+            dg = tuple((e[:j] + (e[j] - 1,) + e[j + 1:], c * e[j])
+                       for e, c in g_terms if e[j])
+            if not (row and dg):
+                continue
+            for key, c in times(dg, anchor_action(row, f_terms)):
+                out[key] = out.get(key, 0) + c
+        scale = tables.denominator * lf * lg
+        if scale != 1:
+            out = {key: Fraction(v, scale) for key, v in out.items()}
         return Polynomial(self.vars, out)
 
     def jacobiator(self, i: int, j: int, k: int) -> Polynomial:

@@ -45,16 +45,36 @@ def test_entry_accumulation():
     assert m[0, 1] == 0
 
 
+def test_add_to_raises_the_denominator_to_the_lcm():
+    m = SparseMatrix(2, 2, {(1, 1): 5})
+    m.add_to(0, 0, Fraction(1, 2))
+    assert m.denominator == 2 and m.rows == {0: {0: 1}, 1: {1: 10}}
+    m.add_to(0, 0, Fraction(1, 3))
+    assert m.denominator == 6 and m.rows == {0: {0: 5}, 1: {1: 30}}
+    assert m[0, 0] == Fraction(5, 6) and m[1, 1] == 5
+    m.add_to(0, 0, Fraction(-5, 6))
+    m.add_to(1, 1, -5)
+    assert m.is_zero() and m.nnz() == 0 and m.rank() == 0
+    assert m == SparseMatrix(2, 2)
+    m.add_to(1, 0, Fraction(7, 4))
+    assert m.denominator == 12 and m.rows == {1: {0: 21}}
+    assert m.entries == {(1, 0): Fraction(7, 4)}
+
+
 def test_int_entries_stay_ints():
+    # one rule for the type a reader sees: ints over denominator 1, and
+    # Fraction(v, D) over any other denominator D
+    ints = SparseMatrix(1, 2, {(0, 0): 3, (0, 1): Fraction(4, 1)})
+    assert ints.denominator == 1
+    assert all(type(v) is int for v in ints.entries.values())
     m = SparseMatrix(2, 3, {(0, 0): 3, (0, 1): Fraction(1, 2), (1, 2): 0,
                             (1, 0): Fraction(4, 1), (1, 1): 2 ** 70})
-    assert type(m.entries[(0, 0)]) is int
-    assert type(m.entries[(1, 1)]) is int
-    assert type(m.entries[(0, 1)]) is Fraction
-    assert type(m.entries[(1, 0)]) is Fraction and m[1, 0] == 4
+    assert m.denominator == 2
+    assert all(type(v) is Fraction for v in m.entries.values())
+    assert m[1, 0] == 4
     assert (1, 2) not in m.entries
     m.add_to(0, 0, 2)
-    assert type(m.entries[(0, 0)]) is int and m[0, 0] == 5
+    assert type(m.entries[(0, 0)]) is Fraction and m[0, 0] == 5
     # equal to, and hashed like, the same matrix held in Fractions
     same = SparseMatrix(2, 3, {k: Fraction(v) for k, v in m.entries.items()})
     assert m == same

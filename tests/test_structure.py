@@ -29,8 +29,10 @@ from _oracles import (
     biderivation_lr_bracket,
     biderivation_omega_action,
     biderivation_trace,
+    mixed_denominator_log_canonical,
     random_log_canonical,
     random_polynomial,
+    weighted_rational,
 )
 
 XYZ = VarTable(("x", "y", "z"))
@@ -324,8 +326,12 @@ def _weighted_jacobian():
 
 
 ORACLE_STRUCTURES = [entry.document.to_structure() for entry in CATALOG]
-ORACLE_STRUCTURES.append(_weighted_jacobian())
-ORACLE_IDS = [entry.id for entry in CATALOG] + ["weighted-jacobian"]
+# the last two have structure denominators 3 and 6, so the bracket's one
+# division by D * L_f * L_g is checked where D > 1
+ORACLE_STRUCTURES += [_weighted_jacobian(), weighted_rational(),
+                      mixed_denominator_log_canonical()]
+ORACLE_IDS = [entry.id for entry in CATALOG] + [
+    "weighted-jacobian", "weighted-rational", "mixed-denominator-log-canonical"]
 
 
 @pytest.mark.parametrize("S", ORACLE_STRUCTURES, ids=ORACLE_IDS)
