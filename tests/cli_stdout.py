@@ -1,0 +1,70 @@
+"""Stdout digests of the table commands, for ``test_cli_stdout.py``, and
+their recorder.
+
+Each case runs ``homology`` (canonical and ``--coeff omega``),
+``cohomology``, ``duality`` and ``duality --tsv`` at ``--max-weight 6`` on
+every catalog entry and every shipped document under ``docs/``.
+``cli_stdout_digests.json`` holds the sha256 of each case's stdout and its
+exit code.  Record them only from a commit whose output is the reference,
+from the repository root::
+
+    PYTHONPATH=src python tests/cli_stdout.py
+
+This module needs no pytest, so it runs on any supported interpreter.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from poishom import cli
+from poishom.catalog import catalog_ids
+
+HERE = Path(__file__).resolve().parent
+DIGESTS = HERE / "cli_stdout_digests.json"
+DOCS = HERE.parent / "docs"
+
+COMMANDS = (
+    ("homology", "--max-weight", "6"),
+    ("homology", "--coeff", "omega", "--max-weight", "6"),
+    ("cohomology", "--max-weight", "6"),
+    ("duality", "--max-weight", "6"),
+    ("duality", "--max-weight", "6", "--tsv"),
+)
+
+# (name, document argument); documents are named by their path under the
+# repository root, so the digests do not depend on where it is checked out
+SOURCES = (
+    [(f"catalog:{entry}", f"catalog:{entry}") for entry in catalog_ids()]
+    + [(f"docs/{path.name}", str(path)) for path in sorted(DOCS.glob("*.json"))]
+)
+
+CASES = tuple((name, document, command)
+              for name, document in SOURCES for command in COMMANDS)
+
+
+def key(name: str, command) -> str:
+    return f"{command[0]} {name} {' '.join(command[1:])}"
+
+
+def run(document: str, command) -> "tuple[int, str]":
+    """(exit code, sha256 of stdout) of one command on one document."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main([command[0], document, *command[1:]])
+        except SystemExit as exc:
+            code = exc.code
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+if __name__ == "__main__":
+    recorded = {key(name, command): list(run(document, command))
+                for name, document, command in CASES}
+    DIGESTS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(recorded)} cases", file=sys.stderr)

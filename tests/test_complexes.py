@@ -300,6 +300,24 @@ def test_coboundary_refuses_an_index_out_of_range(so3):
         apply_coboundary(so3, Cochain(1, {(5,): x}))
 
 
+COEFF_REFUSAL = ("coefficient module must be one of ('canonical', 'omega'), "
+                 "got 'bad'")
+
+
+def test_unknown_coefficient_names_are_refused(so3):
+    # the library refuses the name itself, not only the CLI's --coeff choice;
+    # at max_weight -1 no cell is built, so the refusal cannot wait for one
+    x = so3.vars.gen(0)
+    calls = [lambda: homology_dims(so3, "bad"),
+             lambda: homology_dims(so3, "bad", max_weight=-1),
+             lambda: boundary_matrix(so3, 1, 1, "bad"),
+             lambda: apply_boundary(so3, {(0,): x}, coeff="bad")]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == COEFF_REFUSAL
+
+
 def test_cochain_validation():
     vt = VarTable(("x", "y"))
     with pytest.raises(ValueError):
