@@ -45,7 +45,7 @@ from .envelope import (
     reduce_word,
     right_module_residue,
 )
-from .linalg import SparseMatrix, exact_rank
+from .linalg import SparseMatrix
 from .polycore import (
     PolyParseError,
     Polynomial,
@@ -112,7 +112,6 @@ __all__ = [
     "dim_table_tsv",
     "document_from_structure",
     "duality_report",
-    "exact_rank",
     "format_poly",
     "get_entry",
     "gr_dimension_check",

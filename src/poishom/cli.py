@@ -10,6 +10,7 @@ import sys
 
 from .catalog import CATALOG, get_entry
 from .complexes import (
+    _COEFFS,
     ShiftNotFound,
     cohomology_dims,
     dim_table_tsv,
@@ -55,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     structure_command("trace", "print generator traces and modular status")
 
     p = structure_command("homology", "print homology dimensions per weight")
-    p.add_argument("--coeff", choices=("canonical", "omega"), default="canonical")
+    p.add_argument("--coeff", choices=_COEFFS, default="canonical")
     p.add_argument("--max-weight", type=int, default=8)
     p.add_argument("--tsv", action="store_true", help="machine-readable output")
 

@@ -17,10 +17,13 @@ on polynomials, kept independent of the assembly as its test oracles.
 ``boundary_matrix`` and ``coboundary_matrix`` do not call them: they turn
 the structure's exponent tables (``PoissonStructure.term_tables``), which
 hold int coefficients times one structure denominator D, into one plan
-table per differential, built whole by ``_plans``: per multi-index, one
-linear form in the column's exponents for each target.  The coboundary's
-table is the canonical boundary's read backwards.  One small kernel,
-``_assemble``, evaluates those forms on the exponent tuple of each column
+table per distinct differential, built whole by ``_plans``: per
+multi-index, one linear form in the column's exponents for each target.
+A boundary is keyed by its twist table, the terms added to each
+generator's action (``_twist``): zero for "canonical" and the traces for
+"omega", so a unimodular structure has one table for both.  The
+coboundary's table is the zero twist's read backwards.  One small kernel,
+``_assemble``, evaluates a plan table on the exponent tuple of each column
 into int rows and hands them to ``SparseMatrix`` as they are, over D.  One
 sweep, ``_dims``, takes homology and cohomology tables alike.
 """
@@ -35,7 +38,7 @@ from typing import Mapping
 
 from .linalg import SparseMatrix
 from .polycore import Polynomial, monomials_of_weight, partial_derivative
-from .structure import PoissonStructure
+from .structure import PoissonStructure, Terms
 
 __all__ = [
     "ChainBasis",
@@ -58,9 +61,12 @@ __all__ = [
 _COEFFS = ("canonical", "omega")
 
 
-def _check_coeff(coeff: str) -> None:
+def _twist(S: PoissonStructure, coeff: str) -> "tuple[Terms, ...]":
+    """Per generator, the int terms over D that the coefficient module adds
+    to its action: none for "canonical", the trace for "omega"."""
     if coeff not in _COEFFS:
         raise ValueError(f"coefficient module must be one of {_COEFFS}, got {coeff!r}")
+    return S.term_tables().traces if coeff == "omega" else ((),) * len(S.vars)
 
 
 def _check_index(index: "tuple[int, ...]", ell: int) -> None:
@@ -212,7 +218,7 @@ def apply_boundary(S: PoissonStructure,
     A multi-index that is not strictly increasing within range(ell) is
     refused with ValueError.
     """
-    _check_coeff(coeff)
+    _twist(S, coeff)
     vt = S.vars
     xs = vt.gens()
     if coeff == "canonical":
@@ -298,7 +304,7 @@ class GradedComplexCell:
 # A differential sends a basis element m (.) dx_I, m = x^e, to a sum of terms
 # (c0 + sum_a c_a * e_a) * x^(e + t) (.) dx_J, where the targets (J, t) and
 # the linear forms depend only on I: the anchor terms through x_a give c_a,
-# the traces and the bracket contractions give c0.  A plan lists one step
+# the twist and the bracket contractions give c0.  A plan lists one step
 # (J, t, c0, ((a, c_a), ...)) per target, so ``_assemble`` evaluates each
 # form once per column and target and writes the entry.  A plan is a sum of
 # +/- table terms, so its coefficients are ints times the structure
@@ -306,31 +312,34 @@ class GradedComplexCell:
 # and hands D over with them, so the matrix is rows / D, no Fraction is
 # built, and the rank is read off the int rows.  ``_plans`` builds the plans
 # of one differential for every multi-index at once and keeps them in
-# ``TermTables.plans``.
-# Only the boundary plans are built from the term tables.  Both complexes
-# come from one resolution of the algebra, so the coboundary's plans are the
-# canonical boundary's read backwards.
+# ``TermTables.plans``, keyed by (twist table, read backwards): one boundary
+# table when the traces vanish, since they are the omega twist.  Only the
+# boundary plans are built from the term tables.  Both complexes come from
+# one resolution of the algebra, so the coboundary's plans are the
+# zero-twist boundary's read backwards.
 
 Plan = "tuple[tuple[tuple[int, ...], tuple[int, ...], int, tuple[tuple[int, int], ...]], ...]"
 
 
-def _plans(S: PoissonStructure, coeff: "str | None") -> "dict[tuple[int, ...], Plan]":
-    """The plan of the boundary (coeff "canonical" or "omega") or of the
-    coboundary (coeff None) on m (.) dx_I, for every multi-index I, built
-    once per structure.
+def _plans(S: PoissonStructure, twist: "tuple[Terms, ...]",
+           backwards: bool = False) -> "dict[tuple[int, ...], Plan]":
+    """The plan on m (.) dx_I, for every multi-index I, of the boundary
+    whose generator x_i acts by {-, x_i} plus twist[i], or of that boundary
+    read backwards; built once per structure and twist.
 
-    The coboundary is the canonical boundary read backwards: its step from
-    dx_J to dx_K is the boundary's step from dx_K to dx_J, with the anchor
-    part negated, since {x_i, m} = -{m, x_i}.
+    Read backwards, the step from dx_J to dx_K is the boundary's step from
+    dx_K to dx_J, with the anchor part negated, since {x_i, m} = -{m, x_i};
+    the zero twist read backwards is the coboundary.
     """
     tables = S.term_tables()
-    if coeff in tables.plans:
-        return tables.plans[coeff]
+    key = (twist, backwards)
+    if key in tables.plans:
+        return tables.plans[key]
     ell = len(S.vars)
     indices = [I for n in range(ell + 1) for I in combinations(range(ell), n)]
-    if coeff is None:
+    if backwards:
         steps: dict = {J: [] for J in indices}
-        for K, plan in _plans(S, "canonical").items():
+        for K, plan in _plans(S, twist).items():
             for J, t, c0, linear in plan:
                 steps[J].append((K, t, c0, tuple((a, -c) for a, c in linear)))
         plans = {J: tuple(plan) for J, plan in steps.items()}
@@ -349,8 +358,7 @@ def _plans(S: PoissonStructure, coeff: "str | None") -> "dict[tuple[int, ...], P
                 sign = 1 if r % 2 == 0 else -1
                 for a, terms in tables.anchor[i]:
                     step(rest, a, terms, sign)
-                if coeff == "omega":
-                    step(rest, None, tables.traces[i], sign)
+                step(rest, None, twist[i], sign)
             for p in range(len(I)):
                 for q in range(p + 1, len(I)):
                     rest = I[:p] + I[p + 1 : q] + I[q + 1 :]
@@ -368,15 +376,14 @@ def _plans(S: PoissonStructure, coeff: "str | None") -> "dict[tuple[int, ...], P
                 if c0 or linear:
                     plan.append((J, t, c0, linear))
             plans[I] = tuple(plan)
-    tables.plans[coeff] = plans
+    tables.plans[key] = plans
     return plans
 
 
 def _assemble(S: PoissonStructure, src: ChainBasis, tgt: ChainBasis,
-              coeff: "str | None") -> GradedComplexCell:
+              plans: "dict[tuple[int, ...], Plan]") -> GradedComplexCell:
     """Evaluate each column's plan on its monomial into int rows over the
     structure denominator."""
-    plans = _plans(S, coeff)
     position = tgt._position
     rows: dict[int, dict[int, int]] = {}
     for col, (exps, index) in enumerate(src.elements):
@@ -401,11 +408,11 @@ def boundary_matrix(S: PoissonStructure, n: int, w: int,
 
     The target cell sits at (n - 1, w + d - 2); graded structures only.
     """
-    _check_coeff(coeff)
+    twist = _twist(S, coeff)
     shift = S.weight_shift()
     src = chain_basis(S, n, w)
     tgt = chain_basis(S, n - 1, w + shift)
-    return _assemble(S, src, tgt, coeff)
+    return _assemble(S, src, tgt, _plans(S, twist))
 
 
 def coboundary_matrix(S: PoissonStructure, n: int, w: int) -> GradedComplexCell:
@@ -416,7 +423,7 @@ def coboundary_matrix(S: PoissonStructure, n: int, w: int) -> GradedComplexCell:
     shift = S.weight_shift()
     src = cochain_basis(S, n, w)
     tgt = cochain_basis(S, n + 1, w + shift)
-    return _assemble(S, src, tgt, None)
+    return _assemble(S, src, tgt, _plans(S, _twist(S, "canonical"), backwards=True))
 
 
 def _dims(S: PoissonStructure, coeff: "str | None", max_weight: int,
@@ -458,7 +465,7 @@ def homology_dims(S: PoissonStructure, coeff: str = "canonical",
                   max_weight: int = 8,
                   max_degree: "int | None" = None) -> "dict[tuple[int, int], int]":
     """Homology dimensions per (n, w) over 0 <= w <= max_weight."""
-    _check_coeff(coeff)
+    _twist(S, coeff)  # refuse an unknown name even when no cell is built
     return _dims(S, coeff, max_weight, max_degree=max_degree)
 
 
@@ -487,7 +494,8 @@ class DualityReport:
     (ell - n, w - expected_shift), match); ``fitting_shifts`` lists every
     uniform shift that makes all cells agree.  On unimodular structures
     the canonical homology table is the twisted one, since every trace
-    vanishes and the two boundary maps are the same matrices.
+    vanishes, so the omega twist table is the zero one and both names
+    assemble from one plan table.
     """
 
     ell: int
@@ -542,8 +550,8 @@ def duality_report(S: PoissonStructure, max_weight: int = 8) -> DualityReport:
     fits) rather than ever papering over a mismatch.
 
     A structure is unimodular when every generator trace vanishes.  The
-    omega action differs from the canonical one only by the traces, so
-    then the two boundary maps are the same matrices, and the canonical
+    omega twist table is the traces and the canonical one is zero, so
+    then both boundaries are read off one plan table, and the canonical
     homology table is the twisted one; no second sweep is run.
     """
     ell = len(S.vars)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-__all__ = ["SparseMatrix", "exact_rank"]
+__all__ = ["SparseMatrix"]
 
 
 class SparseMatrix:
@@ -183,15 +183,3 @@ class SparseMatrix:
     def __repr__(self) -> str:
         return f"<SparseMatrix {self.nrows}x{self.ncols}, {self.nnz()} nonzero>"
 
-
-def exact_rank(matrix) -> "tuple[int, int]":
-    """(rank, kernel dimension) of a rational matrix.
-
-    Accepts a :class:`SparseMatrix` or a sequence of rows.  The kernel
-    dimension refers to the column kernel, so the pair always sums to the
-    number of columns.
-    """
-    if not isinstance(matrix, SparseMatrix):
-        matrix = SparseMatrix.from_rows([list(row) for row in matrix])
-    r = matrix.rank()
-    return r, matrix.ncols - r

@@ -201,10 +201,12 @@ class TermTables:
       ``traces[i]`` holds the terms of D * trace(x_i);
     * ``plans`` starts empty; ``complexes`` keeps there the assembly plans
       it builds from the tables above, one whole table per differential,
-      so each is built once per structure.  It is keyed by differential
-      (coefficient module "canonical" or "omega" of the boundary, or None
-      for the coboundary), then by multi-index.  The coboundary's table is
-      read off the canonical boundary's;
+      so each is built once per structure.  It is keyed by (twist table,
+      read backwards), then by multi-index: a twist table holds per
+      generator the terms added to its action, none for the canonical
+      boundary and ``traces`` for the omega one, so a unimodular structure
+      has one table for both, and the coboundary is the zero twist read
+      backwards;
     * ``bases`` likewise keeps each cell basis ``complexes`` enumerates,
       keyed by (sign -1 for chains or +1 for cochains, n, w).
 

@@ -191,13 +191,21 @@ def test_memoised_plans_keep_differentials_apart(make, order):
                for n, w in cells)
 
 
+def _differentials(S):
+    """(name, twist table, read backwards) of the three differentials."""
+    zero = complexes._twist(S, "canonical")
+    return [("canonical", zero, False),
+            ("omega", complexes._twist(S, "omega"), False),
+            ("coboundary", zero, True)]
+
+
 @pytest.mark.parametrize("S", PLAN_INPUTS, ids=PLAN_IDS)
 def test_each_plan_hits_each_target_once(S):
     # _assemble writes one entry per step, so no two steps of a plan may
     # share a target (J, t)
     ell = len(S.vars)
-    for coeff in ("canonical", "omega", None):
-        plans = complexes._plans(S, coeff)
+    for coeff, twist, backwards in _differentials(S):
+        plans = complexes._plans(S, twist, backwards)
         assert sorted(plans) == sorted(I for n in range(ell + 1)
                                        for I in combinations(range(ell), n))
         for I, plan in plans.items():
@@ -210,14 +218,34 @@ def test_each_plan_hits_each_target_once(S):
 
 @pytest.mark.parametrize("S", PLAN_INPUTS, ids=PLAN_IDS)
 def test_coboundary_plans_are_the_canonical_read_backwards(S):
-    canonical = complexes._plans(S, "canonical")
+    zero = complexes._twist(S, "canonical")
+    canonical = complexes._plans(S, zero)
     expected = {J: set() for J in canonical}
     for K, plan in canonical.items():
         for J, t, c0, linear in plan:
             expected[J].add((K, t, c0, tuple((a, -c) for a, c in linear)))
-    coboundary = complexes._plans(S, None)
+    coboundary = complexes._plans(S, zero, backwards=True)
     assert {J: set(plan) for J, plan in coboundary.items()} == expected
-    assert S.term_tables().plans[None] is coboundary
+    assert S.term_tables().plans[(zero, True)] is coboundary
+
+
+@pytest.mark.parametrize("S", PLAN_INPUTS, ids=PLAN_IDS)
+def test_one_boundary_table_exactly_when_unimodular(S):
+    # the omega twist is the traces and the canonical one is zero, so the
+    # two names share a plan table exactly when every trace vanishes
+    canonical = complexes._plans(S, complexes._twist(S, "canonical"))
+    omega = complexes._plans(S, complexes._twist(S, "omega"))
+    assert (canonical is omega) == S.modular_data().unimodular
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=[e.id for e in CATALOG])
+def test_duality_keeps_one_plan_table_per_distinct_differential(entry):
+    S = _fresh(entry.id)
+    duality_report(S, max_weight=3)
+    plans = S.term_tables().plans
+    assert len(plans) == (2 if entry.unimodular else 3)
+    for twist, backwards in plans:
+        assert len(twist) == len(S.vars) and type(backwards) is bool
 
 
 UNIMODULAR = [entry for entry in CATALOG if entry.unimodular]
