@@ -1,6 +1,12 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 a mathematical check failed, 2 bad usage or input.
+
+There is one parser tree, but a subcommand's parser is built only when
+argparse dispatches a command line to it (``_Command``), so a call builds
+the parsers on its path, not all ten.  Building costs more than parsing,
+and each call pays it anew: a command line runs in a new process, and the
+benchmark imports the package afresh for each job.
 """
 
 from __future__ import annotations
@@ -39,50 +45,73 @@ EXIT_USAGE = 2
 _CATALOG_SCHEME = "catalog:"
 
 
+class _Command(argparse.ArgumentParser):
+    """A subcommand's parser, constructed when argparse first hands it a
+    command line: ``_SubParsersAction`` calls no other method of a
+    subparser.  ``build`` then adds its arguments."""
+
+    def __init__(self, build, **kwargs):
+        self._pending = build, kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._pending:
+            (build, kwargs), self._pending = self._pending, None
+            super().__init__(**kwargs)
+            build(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _arg(*args, **kwargs):
+    """The arguments of one ``add_argument`` call."""
+    return args, kwargs
+
+
+def _add_command(sub, name: str, help_text: str, *arguments) -> None:
+    """Add a subcommand whose parser, once built, takes ``arguments``."""
+    def build(p: argparse.ArgumentParser) -> None:
+        for args, kwargs in arguments:
+            p.add_argument(*args, **kwargs)
+    sub.add_parser(name, help=help_text, build=build)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="poishom",
         description="exact homology of graded polynomial Poisson algebras",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Command)
+    file = _arg("file", help="structure document (JSON), or catalog:<id>")
+    max_weight = _arg("--max-weight", type=int, default=8)
+    tsv = _arg("--tsv", action="store_true", help="machine-readable output")
 
-    def structure_command(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("file", help="structure document (JSON), or catalog:<id>")
-        return p
+    _add_command(sub, "check", "validate a structure document", file)
+    _add_command(sub, "trace", "print generator traces and modular status", file)
+    _add_command(sub, "homology", "print homology dimensions per weight", file,
+                 _arg("--coeff", choices=_COEFFS, default="canonical"),
+                 max_weight, tsv)
+    _add_command(sub, "cohomology", "print cohomology dimensions per weight",
+                 file, max_weight, tsv)
+    _add_command(sub, "duality", "compare twisted homology with cohomology",
+                 file, max_weight, tsv)
+    _add_command(sub, "pbw", "check the rewriting engine on this structure", file,
+                 _arg("--samples", type=int, default=200,
+                      help="random words per strategy comparison"),
+                 _arg("--max-weight", type=int, default=6,
+                      help="weight bound for the graded dimension count"),
+                 _arg("--nu", action="store_true",
+                      help="also check the log-canonical twist automorphism"))
 
-    structure_command("check", "validate a structure document")
+    def catalog(p: argparse.ArgumentParser) -> None:
+        catalog_sub = p.add_subparsers(dest="catalog_command")
+        _add_command(catalog_sub, "list", "list built-in structures")
+        _add_command(catalog_sub, "run", "run a command on a built-in structure",
+                     _arg("id", help="catalog entry id"),
+                     _arg("rest", nargs=argparse.REMAINDER,
+                          help="command and flags to run"))
 
-    structure_command("trace", "print generator traces and modular status")
-
-    p = structure_command("homology", "print homology dimensions per weight")
-    p.add_argument("--coeff", choices=_COEFFS, default="canonical")
-    p.add_argument("--max-weight", type=int, default=8)
-    p.add_argument("--tsv", action="store_true", help="machine-readable output")
-
-    p = structure_command("cohomology", "print cohomology dimensions per weight")
-    p.add_argument("--max-weight", type=int, default=8)
-    p.add_argument("--tsv", action="store_true", help="machine-readable output")
-
-    p = structure_command("duality", "compare twisted homology with cohomology")
-    p.add_argument("--max-weight", type=int, default=8)
-    p.add_argument("--tsv", action="store_true", help="machine-readable output")
-
-    p = structure_command("pbw", "check the rewriting engine on this structure")
-    p.add_argument("--samples", type=int, default=200,
-                   help="random words per strategy comparison")
-    p.add_argument("--max-weight", type=int, default=6,
-                   help="weight bound for the graded dimension count")
-    p.add_argument("--nu", action="store_true",
-                   help="also check the log-canonical twist automorphism")
-
-    p = sub.add_parser("catalog", help="list built-in structures or run on one")
-    catalog_sub = p.add_subparsers(dest="catalog_command")
-    catalog_sub.add_parser("list", help="list built-in structures")
-    p_run = catalog_sub.add_parser("run", help="run a command on a built-in structure")
-    p_run.add_argument("id", help="catalog entry id")
-    p_run.add_argument("rest", nargs=argparse.REMAINDER,
-                       help="command and flags to run")
+    sub.add_parser("catalog", help="list built-in structures or run on one",
+                   build=catalog)
     return parser
 
 

@@ -442,14 +442,19 @@ def _dims(S: PoissonStructure, coeff: "str | None", max_weight: int,
     cells: dict[tuple[int, int], tuple[int, int]] = {}
 
     def leaving(n: int, w: int) -> "tuple[int, int] | None":
-        """(dim of the cell, rank) of the differential leaving (n, w), if any."""
+        """(dim of the cell, rank) of the differential leaving (n, w), if
+        any; a map with an empty side has rank 0 and is not built."""
         if not (0 <= n <= ell and 0 <= n + step <= ell and w >= floor):
             return None
         key = (n, w)
         if key not in cells:
-            matrix = (coboundary_matrix(S, n, w) if coeff is None
-                      else boundary_matrix(S, n, w, coeff)).matrix
-            cells[key] = (matrix.ncols, matrix.rank())
+            dim = len(basis(S, n, w))
+            if not (dim and basis(S, n + step, w + shift)):
+                cells[key] = (dim, 0)
+            else:
+                matrix = (coboundary_matrix(S, n, w) if coeff is None
+                          else boundary_matrix(S, n, w, coeff)).matrix
+                cells[key] = (dim, matrix.rank())
         return cells[key]
 
     table: dict[tuple[int, int], int] = {}

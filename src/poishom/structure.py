@@ -280,10 +280,18 @@ class PoissonStructure:
         return None
 
     def _check_jacobi(self) -> None:
-        for i, j, k in combinations(range(len(self.vars)), 3):
-            jac = self.jacobiator(i, j, k)
-            if not jac.is_zero():
-                raise JacobiViolation(i, j, k, jac)
+        """Check D^2 * sum_cyclic {{x_j, x_k}, x_i} = 0 on int terms, off the
+        anchor table; the Polynomial jacobiator only words a violation."""
+        tables = self.term_tables()
+        d = tables.denominator
+        for a, b, c in combinations(range(len(self.vars)), 3):
+            out: dict = {}
+            for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
+                pair = _terms(self.entry(j, k), d)
+                for e, v in anchor_action(tables.anchor[i], pair):
+                    out[e] = out.get(e, 0) + v
+            if any(out.values()):
+                raise JacobiViolation(a, b, c, self.jacobiator(a, b, c))
 
     # -- basic bracket data ------------------------------------------------
 

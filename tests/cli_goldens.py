@@ -9,7 +9,9 @@ running interpreter's goldens, run from the repository root::
     PYTHONPATH=src python tests/cli_goldens.py [--exact]
 
 which records them under its major.minor version, or with ``--exact`` under
-its exact version.
+its exact version.  With ``--check`` it records nothing: it compares every
+case with the running interpreter's goldens, names each case that differs,
+and exits 1 if any does, 0 if all match.
 
 This module needs no pytest, so it runs on any supported interpreter.
 """
@@ -93,7 +95,25 @@ def recorded() -> "dict | None":
     return recordings.get(exact, recordings.get(minor))
 
 
+def check() -> int:
+    """Compare every case with the recorded goldens; 1 if any differs."""
+    goldens = recorded()
+    exact = platform.python_version()
+    if goldens is None:
+        print(f"no goldens recorded for Python {exact}", file=sys.stderr)
+        return 1
+    differ = [key(width, argv) for width, argv in CASES
+              if list(run(width, argv)) != goldens.get(key(width, argv))]
+    for case in differ:
+        print(f"differs: {case!r}")
+    print(f"Python {exact}: {len(CASES) - len(differ)} of {len(CASES)} "
+          "cases match the goldens")
+    return 1 if differ else 0
+
+
 if __name__ == "__main__":
+    if "--check" in sys.argv[1:]:
+        sys.exit(check())
     recordings = json.loads(GOLDENS.read_text()) if GOLDENS.exists() else {}
     version = versions()[0 if "--exact" in sys.argv[1:] else 1]
     recordings[version] = {

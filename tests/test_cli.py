@@ -139,6 +139,19 @@ def test_catalog_run_unknown__command(capsys):
     assert "catalog run expects" in err
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("homology", ("--max-weight", "3", "--coeff", "omega")),
+    ("cohomology", ("--max-weight", "2", "--tsv")),
+    ("duality", ("--max-weight", "3")),
+    ("pbw", ("--samples", "5")),
+])
+def test_catalog_run_equals_the_catalog_scheme(capsys, command, flags):
+    # catalog run re-parses its rest with the same parser
+    code, out, _ = run(capsys, "catalog", "run", "so3", command, *flags)
+    assert code == 0 and out
+    assert (code, out) == run(capsys, command, "catalog:so3", *flags)[:2]
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "check", "/no/such/file.json")
     assert code == 2

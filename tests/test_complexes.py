@@ -392,6 +392,29 @@ def test_unimodular_tables_collapse(so3, potential, log3u, trivial2):
         assert canonical == twisted
 
 
+def test_maps_with_an_empty_side_are_not_built(monkeypatch):
+    # a map with no source or no target has rank 0, so the sweeps count its
+    # cell with its full dimension and assemble and rank no matrix for it
+    shapes = []
+    for name in ("boundary_matrix", "coboundary_matrix"):
+        def recording(*args, make=getattr(complexes, name)):
+            cell = make(*args)
+            shapes.append((len(cell.source), len(cell.target)))
+            return cell
+        monkeypatch.setattr(complexes, name, recording)
+    empty = 0
+    for entry in CATALOG:
+        S = _fresh(entry.id)
+        shift = S.weight_shift()
+        homology_dims(S, max_weight=4)
+        cohomology_dims(S, max_weight=4)
+        empty += sum(not (len(chain_basis(S, n, w))
+                          and len(chain_basis(S, n - 1, w + shift)))
+                     for n in range(1, len(S.vars) + 1) for w in range(5))
+    assert shapes and empty
+    assert all(source and target for source, target in shapes)
+
+
 def test_trivial_homology_is_the_full_basis(trivial2):
     H = homology_dims(trivial2, max_weight=5)
     for (n, w), dim in H.items():

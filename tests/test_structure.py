@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +56,31 @@ def test_jacobi_rejection_carries_witness():
     assert exc.triple == (0, 1, 2)
     assert exc.jacobiator == parse_poly("-x - y - z", XYZ)
     assert "x" in str(exc)
+
+
+# each message names the first failing triple and its Polynomial jacobiator;
+# the second and fourth brackets have structure denominators 6 and 15
+NON_POISSON = [
+    (("x", "y", "z"), (1, 1, 1), {(0, 1): "y", (1, 2): "z", (2, 0): "x"},
+     "jacobi identity fails on (x, y, z): jacobiator = -x - y - z"),
+    (("x", "y", "z"), (1, 1, 1),
+     {(0, 1): "1/2*z^2", (1, 2): "1/3*x*z", (2, 0): "y"},
+     "jacobi identity fails on (x, y, z): jacobiator = -1/3*x*y"),
+    (("x", "y", "z", "w"), (1, 1, 1, 1),
+     {(0, 1): "z", (1, 2): "x", (2, 0): "y", (0, 3): "y*w"},
+     "jacobi identity fails on (x, z, w): jacobiator = x*w"),
+    (("x", "y", "z"), (1, 2, 3),
+     {(0, 1): "2/3*x*y + z", (1, 2): "y*z", (0, 2): "-1/5*x*z"},
+     "jacobi identity fails on (x, y, z): jacobiator = 4/5*z^2"),
+]
+
+
+@pytest.mark.parametrize("names, weights, entries, message", NON_POISSON)
+def test_jacobi_rejection_text(names, weights, entries, message):
+    vt = VarTable(names, weights)
+    with pytest.raises(JacobiViolation) as info:
+        structure(entries, vt)
+    assert str(info.value) == message
 
 
 def test_entry_normalization():
@@ -332,6 +358,14 @@ ORACLE_STRUCTURES += [_weighted_jacobian(), weighted_rational(),
                       mixed_denominator_log_canonical()]
 ORACLE_IDS = [entry.id for entry in CATALOG] + [
     "weighted-jacobian", "weighted-rational", "mixed-denominator-log-canonical"]
+
+
+@pytest.mark.parametrize("S", ORACLE_STRUCTURES, ids=ORACLE_IDS)
+def test_integer_jacobi_check_accepts_poisson_structures(S):
+    # construction ran the int check; the Polynomial jacobiators agree
+    S._check_jacobi()
+    for triple in combinations(range(len(S.vars)), 3):
+        assert S.jacobiator(*triple).is_zero(), triple
 
 
 @pytest.mark.parametrize("S", ORACLE_STRUCTURES, ids=ORACLE_IDS)
