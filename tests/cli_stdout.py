@@ -1,10 +1,12 @@
-"""Stdout digests of the table commands, for ``test_cli_stdout.py``, and
-their recorder.
+"""Stdout digests of the table commands and of ``pbw``, for
+``test_cli_stdout.py``, and their recorder.
 
-Each case runs ``homology`` (canonical and ``--coeff omega``),
+Each table case runs ``homology`` (canonical and ``--coeff omega``),
 ``cohomology``, ``duality`` and ``duality --tsv`` at ``--max-weight 6`` on
-every catalog entry and every shipped document under ``docs/``.
-``cli_stdout_digests.json`` holds the sha256 of each case's stdout and its
+every catalog entry and every shipped document under ``docs/``.  Each
+``pbw`` case runs ``pbw --samples 60`` on the same documents, and again
+with ``--nu`` on the log-canonical ones.  ``cli_stdout_digests.json`` and
+``cli_pbw_digests.json`` hold the sha256 of each case's stdout and its
 exit code.  Record them only from a commit whose output is the reference,
 from the repository root::
 
@@ -27,6 +29,7 @@ from poishom.catalog import catalog_ids
 
 HERE = Path(__file__).resolve().parent
 DIGESTS = HERE / "cli_stdout_digests.json"
+PBW_DIGESTS = HERE / "cli_pbw_digests.json"
 DOCS = HERE.parent / "docs"
 
 COMMANDS = (
@@ -37,6 +40,9 @@ COMMANDS = (
     ("duality", "--max-weight", "6", "--tsv"),
 )
 
+PBW = ("pbw", "--samples", "60")
+PBW_NU = PBW + ("--nu",)
+
 # (name, document argument); documents are named by their path under the
 # repository root, so the digests do not depend on where it is checked out
 SOURCES = (
@@ -46,6 +52,13 @@ SOURCES = (
 
 CASES = tuple((name, document, command)
               for name, document in SOURCES for command in COMMANDS)
+
+
+PBW_CASES = tuple(
+    (name, document, command)
+    for name, document in SOURCES
+    for command in ((PBW, PBW_NU) if "log-canonical" in name else (PBW,))
+)
 
 
 def key(name: str, command) -> str:
@@ -63,8 +76,13 @@ def run(document: str, command) -> "tuple[int, str]":
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
-if __name__ == "__main__":
+def record(cases, path: Path) -> None:
     recorded = {key(name, command): list(run(document, command))
-                for name, document, command in CASES}
-    DIGESTS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(recorded)} cases", file=sys.stderr)
+                for name, document, command in cases}
+    path.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(recorded)} cases in {path.name}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    record(CASES, DIGESTS)
+    record(PBW_CASES, PBW_DIGESTS)
