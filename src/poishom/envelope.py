@@ -31,6 +31,8 @@ polynomial atoms remove none, so a normal-form term with q symbols reached
 from inputs with at most Q symbols carries exactly D^(Q - q).  Each input
 part with q0 symbols is therefore scaled by D^(Q - q0) on entry, the fold
 adds only ints, and each output term is one Fraction(v, E * D^(Q - q)).
+The sampled checks stay in ints: their sampler stores a coefficient p/q
+(q = 1 or 2) as 2p/q, and they build Fractions only to report a failure.
 
 The module also reduces elements against right ideals generated by
 h(i) - t_i for prescribed polynomials t_i, which realizes both the plain
@@ -243,22 +245,11 @@ def _find_redex(word: tuple, rightmost: bool) -> "int | None":
     return None
 
 
-def reduce_combination(S: PoissonStructure,
-                       parts: "Iterable[tuple[Fraction, Word]]",
-                       strategy: str = "leftmost") -> EnvelopeElement:
-    """Reduce a rational combination of words to its normal form."""
-    if strategy not in _STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    vt = S.vars
-    tables = S.term_tables()
-    d, anchor, partials = tables.denominator, tables.anchor, tables.partials
-    entered = [p for p in (_enter(vt, c, w) for c, w in parts) if p is not None]
-    common = lcm(*(den for _, den, _, _ in entered))
-    top = max((q for _, _, q, _ in entered), default=0)
-    agenda = [(num * (common // den) * d ** (top - q), w)
-              for num, den, q, w in entered]
-    rightmost = strategy == "rightmost"
-    n = len(vt)
+def _reduce(tables, n: int, agenda: list, rightmost: bool) -> dict:
+    """Normal form {(x exponents, h exponents): nonzero int} of an agenda of
+    (int, integer word) parts, which it consumes; a term with q symbols
+    reached from a part with q0 gains D^(q0 - q)."""
+    anchor, partials = tables.anchor, tables.partials
     unit = (((0,) * n, 1),)
     terms: dict = {}
     while agenda:
@@ -289,9 +280,27 @@ def reduce_combination(S: PoissonStructure,
         else:  # h(a) * h(b) with a > b: D * d{x_a, x_b}/dx_k = -partials
             for k2, partial in partials.get((b, a), ()):
                 agenda.append((-coeff, head + (partial, k2) + tail))
+    return {key: v for key, v in terms.items() if v}
+
+
+def reduce_combination(S: PoissonStructure,
+                       parts: "Iterable[tuple[Fraction, Word]]",
+                       strategy: str = "leftmost") -> EnvelopeElement:
+    """Reduce a rational combination of words to its normal form."""
+    if strategy not in _STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    vt = S.vars
+    tables = S.term_tables()
+    d = tables.denominator
+    entered = [p for p in (_enter(vt, c, w) for c, w in parts) if p is not None]
+    common = lcm(*(den for _, den, _, _ in entered))
+    top = max((q for _, _, q, _ in entered), default=0)
+    agenda = [(num * (common // den) * d ** (top - q), w)
+              for num, den, q, w in entered]
+    terms = _reduce(tables, len(vt), agenda, strategy == "rightmost")
     return EnvelopeElement(vt, {
         key: Fraction(v, common * d ** (top - sum(key[1])))
-        for key, v in terms.items() if v
+        for key, v in terms.items()
     })
 
 
@@ -327,38 +336,60 @@ class ConfluenceFailure(AssertionError):
         self.right = right
 
 
-def _random_poly(rng: random.Random, vt: VarTable, max_degree: int = 2,
-                 max_terms: int = 2) -> Polynomial:
-    out = vt.zero()
+def _sample_poly(rng: random.Random, n: int, max_degree: int = 2,
+                 max_terms: int = 2) -> tuple:
+    """Int terms of 2 * f for a random polynomial f, () if f = 0."""
+    out: dict = {}
     for _ in range(rng.randint(1, max_terms)):
-        exps = [0] * len(vt)
+        exps = [0] * n
         for _ in range(rng.randint(0, max_degree)):
-            exps[rng.randrange(len(vt))] += 1
-        coeff = Fraction(rng.choice((1, -1, 2, -2, 1, 3)), rng.choice((1, 1, 2)))
-        out = out + vt.monomial(exps, coeff)
-    return out
+            exps[rng.randrange(n)] += 1
+        key = tuple(exps)
+        p = rng.choice((1, -1, 2, -2, 1, 3))
+        out[key] = out.get(key, 0) + p * (2 // rng.choice((1, 1, 2)))
+    return tuple((e, c) for e, c in out.items() if c)
 
 
-def _random_word(rng: random.Random, vt: VarTable, max_len: int = 5) -> Word:
-    atoms = []
+def _sample_word(rng: random.Random, n: int, max_len: int) -> tuple:
+    """An integer word of 2 to ``max_len`` atoms, each h(i) or 2 * f."""
+    atoms: list = []
     for _ in range(rng.randint(2, max_len)):
         if rng.random() < 0.55:
-            atoms.append(ham(rng.randrange(len(vt))))
+            atoms.append(rng.randrange(n))
         else:
-            atoms.append(poly_atom(_random_poly(rng, vt)))
+            atoms.append(_sample_poly(rng, n))
     return tuple(atoms)
+
+
+def _polynomial(vt: VarTable, terms, scale: int = 2) -> Polynomial:
+    """f, from the int (exponents, coefficient) pairs of scale * f."""
+    return Polynomial(vt, {e: Fraction(c, scale) for e, c in terms})
+
+
+def _at_least(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def confluence_check(S: PoissonStructure, samples: int = 200,
                      seed: int = 0, max_len: int = 5) -> int:
-    """Reduce random words under both strategies; raise on any disagreement."""
+    """Reduce random words under both strategies; raise on any disagreement.
+
+    Both int normal forms of a word carry the same scale key by key."""
+    _at_least("samples", samples, 0)
+    _at_least("max_len", max_len, 2)
     rng = random.Random(seed)
+    tables = S.term_tables()
+    n = len(S.vars)
     for _ in range(samples):
-        word = _random_word(rng, S.vars, max_len)
-        left = reduce_combination(S, [(_ONE, word)], "leftmost")
-        right = reduce_combination(S, [(_ONE, word)], "rightmost")
-        if left != right:
-            raise ConfluenceFailure(word, left, right)
+        word = _sample_word(rng, n, max_len)
+        if (_reduce(tables, n, [(1, word)], False)
+                != _reduce(tables, n, [(1, word)], True)):
+            public = tuple(ham(a) if type(a) is int  # halve each atom back
+                           else poly_atom(_polynomial(S.vars, a)) for a in word)
+            raise ConfluenceFailure(
+                public, reduce_combination(S, [(_ONE, public)], "leftmost"),
+                reduce_combination(S, [(_ONE, public)], "rightmost"))
     return samples
 
 
@@ -433,14 +464,37 @@ def _compositions(total: int, parts: int) -> "list[tuple[int, ...]]":
 # -- right-quotient reductions ------------------------------------------------
 
 
+def _peel(f, row, trace, m: int):
+    """m * D * (f * t_j - {x_j, f}) from anchor[j] and the terms of m * D * t_j."""
+    out = dict(times(f, trace))
+    for e, c in anchor_action(row, f):  # D * {f, x_j} = -D * {x_j, f}
+        out[e] = out.get(e, 0) + m * c
+    return tuple((e, c) for e, c in out.items() if c)
+
+
+def _residue(anchor, m: int, traces, terms: dict) -> dict:
+    """{x exponents: int} residue of an int normal form modulo (h(j) - t_j).
+
+    f h(j) rest leaves (f t_j - {x_j, f}) rest, so each term is peeled by
+    ``_peel`` one symbol at a time in ascending order, each step times
+    m * D: a key with q of at most Q symbols must carry (m * D)^(Q - q).
+    """
+    out: dict = {}
+    for (xexp, hexp), c in terms.items():
+        f = ((xexp, c),)
+        for j, e in enumerate(hexp):
+            for _ in range(e):
+                f = _peel(f, anchor[j], traces[j], m)
+        for exps, c2 in f:
+            out[exps] = out.get(exps, 0) + c2
+    return {e: c for e, c in out.items() if c}
+
+
 def right_module_residue(S: PoissonStructure, element: EnvelopeElement,
                          traces: "Sequence[Polynomial]") -> Polynomial:
     """Residue of a normal form in the right quotient by (h(i) - t_i).
 
-    Peeling the leading derivation symbol off a term f h(j) rest leaves
-    (f t_j - {x_j, f}) rest modulo the ideal, so each term is reduced on
-    its own polynomial, one symbol at a time in ascending order, and the
-    results are summed.  ``traces`` needs one polynomial per variable.
+    ``traces`` needs one polynomial per variable; m clears their denominators.
     """
     if element.vars != S.vars:
         raise ValueError("element over a different variable table")
@@ -448,15 +502,19 @@ def right_module_residue(S: PoissonStructure, element: EnvelopeElement,
     if len(traces) != len(vt):
         raise ValueError(f"need one trace per variable ({len(vt)}), "
                          f"got {len(traces)}")
-    result: dict[tuple[int, ...], Fraction] = {}
-    for (xexp, hexp), c in element.terms.items():
-        f = vt.monomial(xexp, c)
-        for j, e in enumerate(hexp):
-            for _ in range(e):
-                f = f * traces[j] - S.bracket(S.gens[j], f)
-        for exps, c2 in f.terms.items():
-            result[exps] = result.get(exps, 0) + c2
-    return Polynomial(vt, result)
+    tables = S.term_tables()
+    cleared = [int_terms(t) for t in traces]
+    m = lcm(*(scale for scale, _ in cleared))
+    step = m * tables.denominator
+    ints = tuple(tuple((e, c * (step // scale)) for e, c in terms)
+                 for scale, terms in cleared)
+    common = lcm(*(c.denominator for c in element.terms.values()))
+    top = max((sum(h) for _, h in element.terms), default=0)
+    scaled = {key: c.numerator * (common // c.denominator) * step ** (top - sum(key[1]))
+              for key, c in element.terms.items()}
+    out = _residue(tables.anchor, m, ints, scaled)
+    return Polynomial(vt, {e: Fraction(c, common * step ** top)
+                           for e, c in out.items()})
 
 
 def j_quotient_action(S: PoissonStructure, a: Polynomial, i: int) -> Polynomial:
@@ -503,6 +561,17 @@ class NuReport:
     module_samples: int
 
 
+def _twisted_residue(tables, a, i: int, twist: int) -> dict:
+    """2D times the plain residue of f * h(i) + r_i * f * x_i, the twisted
+    image of f * h(i), for ``a`` the terms of 2 * f and ``twist`` = D * r_i."""
+    n = len(tables.anchor)
+    agenda = [(1, (a, i))]
+    if twist:
+        unit = tuple(int(k == i) for k in range(n))
+        agenda.append((twist, (a, ((unit, 1),))))
+    return _residue(tables.anchor, 1, ((),) * n, _reduce(tables, n, agenda, False))
+
+
 def nu_check(S: PoissonStructure, samples: int = 20, seed: int = 0) -> NuReport:
     """Verify the twist automorphism of a log-canonical structure.
 
@@ -510,8 +579,9 @@ def nu_check(S: PoissonStructure, samples: int = 20, seed: int = 0) -> NuReport:
     Two facts are checked mechanically: the images of both sides of every
     rewrite rule reduce to the same normal form, and twisting the plain
     right quotient action reproduces the trace-twisted module action on
-    random samples.
+    random samples, in ints.
     """
+    _at_least("samples", samples, 0)
     mat = log_canonical_matrix(S)
     if mat is None:
         raise ValueError("the twist check needs a log-canonical structure")
@@ -575,16 +645,16 @@ def nu_check(S: PoissonStructure, samples: int = 20, seed: int = 0) -> NuReport:
                     f"h({vt.names[j]}) * h({vt.names[i]})", left, right)
             relations += 1
 
-    zero_traces = [vt.zero()] * n
+    tables = S.term_tables()
+    d = tables.denominator
     rng = random.Random(seed)
-    checked = 0
     for _ in range(samples):
-        a = _random_poly(rng, vt, max_degree=3, max_terms=3)
+        a = _sample_poly(rng, n, max_degree=3, max_terms=3)
         i = rng.randrange(n)
-        twisted = reduced([(Fraction(1), (poly_atom(a), ham(i)))])
-        got = right_module_residue(S, twisted, zero_traces)
-        want = S.omega_h_action(a, i)
+        got = _twisted_residue(tables, a, i, int(d * row_sums[i]))
+        want = dict(_peel(a, tables.anchor[i], tables.traces[i], 1))
         if got != want:
-            raise ModuleMismatch(a, i, got, want)
-        checked += 1
-    return NuReport(relations, checked)
+            sample = _polynomial(vt, a)
+            raise ModuleMismatch(sample, i, _polynomial(vt, got.items(), 2 * d),
+                                 _polynomial(vt, want.items(), 2 * d))
+    return NuReport(relations, samples)

@@ -248,6 +248,32 @@ def random_polynomial(rng: random.Random, vt: VarTable, max_degree: int = 3,
     return out
 
 
+def sample_poly(rng: random.Random, vt: VarTable, max_degree: int = 2,
+                max_terms: int = 2) -> Polynomial:
+    """The Polynomial twin of ``envelope._sample_poly``: the same draws in
+    the same order, each coefficient a Fraction p/q."""
+    out = vt.zero()
+    for _ in range(rng.randint(1, max_terms)):
+        exps = [0] * len(vt)
+        for _ in range(rng.randint(0, max_degree)):
+            exps[rng.randrange(len(vt))] += 1
+        coeff = Fraction(rng.choice((1, -1, 2, -2, 1, 3)), rng.choice((1, 1, 2)))
+        out = out + vt.monomial(exps, coeff)
+    return out
+
+
+def sample_word(rng: random.Random, vt: VarTable, max_len: int = 5):
+    """The public-word twin of ``envelope._sample_word``: ("h", i) and
+    ("p", Polynomial) atoms from the same draws."""
+    atoms = []
+    for _ in range(rng.randint(2, max_len)):
+        if rng.random() < 0.55:
+            atoms.append(ham(rng.randrange(len(vt))))
+        else:
+            atoms.append(poly_atom(sample_poly(rng, vt)))
+    return tuple(atoms)
+
+
 def random_log_canonical(rng: random.Random, n: int) -> PoissonStructure:
     names = tuple(f"x{i}" for i in range(n))
     vt = VarTable(names)
@@ -303,6 +329,22 @@ def polynomial_atom_reduce(S: PoissonStructure, parts, strategy: str = "leftmost
         for new_word in _rewrite_at(S, word, k):
             agenda.append((coeff, new_word))
     return EnvelopeElement(S.vars, terms)
+
+
+def polynomial_module_residue(S: PoissonStructure, element: EnvelopeElement,
+                              traces) -> Polynomial:
+    """Residue of a normal form modulo (h(i) - t_i), on Polynomials: each
+    term's polynomial f takes f * t_j - {x_j, f} per symbol h(j), in
+    ascending order, with ``S.bracket``."""
+    vt = S.vars
+    out = vt.zero()
+    for (xexp, hexp), c in element.terms.items():
+        f = vt.monomial(xexp, c)
+        for j, e in enumerate(hexp):
+            for _ in range(e):
+                f = f * traces[j] - S.bracket(S.gens[j], f)
+        out = out + f
+    return out
 
 
 def _polynomial_redex(word, strategy: str):

@@ -14,6 +14,7 @@ from poishom.envelope import (
     ConfluenceFailure,
     EnvelopeElement,
     GrMismatch,
+    ModuleMismatch,
     NuReport,
     confluence_check,
     gr_dimension_check,
@@ -26,14 +27,17 @@ from poishom.envelope import (
     reduce_word,
     right_module_residue,
 )
-from poishom.polycore import VarTable, partial_derivative
-from poishom.structure import PoissonStructure
+from poishom.polycore import Polynomial, VarTable, partial_derivative
+from poishom.structure import PoissonStructure, int_terms, log_canonical_matrix
 
 from _oracles import (
     mixed_denominator_log_canonical,
     polynomial_atom_reduce,
+    polynomial_module_residue,
     random_log_canonical,
     random_polynomial,
+    sample_poly,
+    sample_word,
 )
 
 
@@ -152,6 +156,61 @@ def test_confluence_catches_a_corrupted_symbol_rule():
     partials[(0, 1)] = ((k, tuple((e, 2 * c) for e, c in terms)),)
     with pytest.raises(ConfluenceFailure):
         confluence_check(S, samples=60)
+
+
+def test_confluence_failure_carries_public_words_and_elements():
+    S = get_entry("so3").document.to_structure()
+    partials = S.term_tables().partials
+    (k, terms), = partials[(0, 1)]
+    partials[(0, 1)] = ((k, tuple((e, 2 * c) for e, c in terms)),)
+    with pytest.raises(ConfluenceFailure) as info:
+        confluence_check(S, samples=60)
+    exc = info.value
+    assert type(exc.word) is tuple and exc.word
+    for atom in exc.word:
+        assert atom[0] in ("h", "p")
+        if atom[0] == "h":
+            assert type(atom[1]) is int
+        else:
+            assert type(atom[1]) is Polynomial and atom[1].vars == S.vars
+    assert type(exc.left) is EnvelopeElement and type(exc.right) is EnvelopeElement
+    assert exc.left != exc.right
+    assert reduce_combination(S, [(1, exc.word)], "leftmost") == exc.left
+    assert reduce_combination(S, [(1, exc.word)], "rightmost") == exc.right
+    # the failing word is one the check drew, spelled with rational atoms
+    oracle = random.Random(0)
+    assert exc.word in [sample_word(oracle, S.vars) for _ in range(60)]
+
+
+def test_module_mismatch_carries_polynomials():
+    S = get_entry("log-canonical-3").document.to_structure()
+    tables = S.term_tables()
+    doubled = tuple(tuple((e, 2 * c) for e, c in t) for t in tables.traces)
+    object.__setattr__(tables, "traces", doubled)
+    with pytest.raises(ModuleMismatch) as info:
+        nu_check(S, samples=20)
+    exc = info.value
+    for poly in (exc.sample, exc.got, exc.want):
+        assert type(poly) is Polynomial and poly.vars == S.vars
+    assert exc.got == S.omega_h_action(exc.sample, exc.index) != exc.want
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda S: confluence_check(S, samples=-3), "samples"),
+    (lambda S: confluence_check(S, samples=5, max_len=1), "max_len"),
+    (lambda S: confluence_check(S, samples=0, max_len=-2), "max_len"),
+    (lambda S: nu_check(S, samples=-1), "samples"),
+], ids=["confluence-samples", "confluence-max-len", "confluence-no-samples-max-len",
+        "nu-samples"])
+def test_sample_arguments_are_refused(log3, call, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be at least"):
+        call(log3)
+
+
+def test_smallest_sample_arguments(log3):
+    assert confluence_check(log3, samples=0) == 0
+    assert confluence_check(log3, samples=20, max_len=2) == 20
+    assert nu_check(log3, samples=0).module_samples == 0
 
 
 def test_multiply_is_associative(so3):
@@ -400,3 +459,97 @@ def test_nu_combinations_match_polynomial_atoms(build):
     with mock.patch.object(envelope, "reduce_combination", checked):
         nu_check(S, samples=6, seed=2)
     assert seen
+
+
+# -- the integer sampler and checks against their Polynomial twins -----------------
+
+
+@pytest.mark.parametrize("build", TABLE_STRUCTURES, ids=TABLE_IDS)
+def test_integer_words_are_the_oracle_words(build):
+    S = build()
+    vt, n = S.vars, len(S.vars)
+    tables = S.term_tables()
+    d = tables.denominator
+    for seed in range(6):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        for _ in range(12):
+            word = envelope._sample_word(rng, n, 5)
+            public = sample_word(oracle, vt, 5)
+            assert rng.getstate() == oracle.getstate()
+            assert len(word) == len(public)
+            entered = envelope._enter(vt, 1, public)
+            if entered is None:  # a polynomial atom summed to zero
+                assert () in word
+                atoms = [a[1] if a[0] == "h" else int_terms(a[1])[1] for a in public]
+            else:
+                atoms = entered[3]
+            for atom, entered_atom, public_atom in zip(word, atoms, public):
+                if public_atom[0] == "h":
+                    assert atom == entered_atom == public_atom[1]
+                else:  # _enter holds L * f, with L its denominators' lcm
+                    scale = int_terms(public_atom[1])[0]
+                    assert dict(atom) == {e: Fraction(2 * c, scale)
+                                          for e, c in entered_atom}
+            polys = sum(a[0] == "p" for a in public)
+            symbols = len(public) - polys
+            for strategy in ("leftmost", "rightmost"):
+                got = envelope._reduce(tables, n, [(1, word)], strategy == "rightmost")
+                want = polynomial_atom_reduce(S, [(1, public)], strategy)
+                assert got == {key: c * 2 ** polys * d ** (symbols - sum(key[1]))
+                               for key, c in want.terms.items()}
+        # the module samples of the twist check
+        for _ in range(6):
+            a = envelope._sample_poly(rng, n, max_degree=3, max_terms=3)
+            i = rng.randrange(n)
+            public = sample_poly(oracle, vt, max_degree=3, max_terms=3)
+            assert oracle.randrange(n) == i
+            assert dict(a) == {e: 2 * c for e, c in public.terms.items()}
+            assert rng.getstate() == oracle.getstate()
+
+
+@pytest.mark.parametrize("build", TABLE_STRUCTURES, ids=TABLE_IDS)
+def test_residue_matches_polynomial_peeling(build):
+    # rational traces and structures: the int kernel's m and D both above 1
+    S = build()
+    rng = random.Random(17)
+    for _ in range(6):
+        traces = [random_polynomial(rng, S.vars, max_degree=2, max_terms=2)
+                  for _ in S.vars.names]
+        parts = [(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5))),
+                  tuple(_random_atoms(rng, S, rng.randint(0, 3))))
+                 for _ in range(2)]
+        element = reduce_combination(S, parts)
+        assert right_module_residue(S, element, traces) \
+            == polynomial_module_residue(S, element, traces)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: get_entry("log-canonical-2").document.to_structure(),
+    lambda: get_entry("log-canonical-3").document.to_structure(),
+    lambda: get_entry("log-canonical-3u").document.to_structure(),
+    mixed_denominator_log_canonical,
+    lambda: _rational_log_canonical(random.Random(7), 3),
+    lambda: _rational_log_canonical(random.Random(8), 4),
+], ids=["log-canonical-2", "log-canonical-3", "log-canonical-3u",
+        "mixed-denominators", "rational-3", "rational-4"])
+def test_integer_module_samples_match_the_fraction_residue(build):
+    S = build()
+    vt, n = S.vars, len(S.vars)
+    tables = S.term_tables()
+    d = tables.denominator
+    row_sums = [sum(row, Fraction(0)) for row in log_canonical_matrix(S)]
+    zero_traces = [vt.zero()] * n
+    for seed in range(6):
+        rng = random.Random(seed)
+        for _ in range(5):
+            a = envelope._sample_poly(rng, n, max_degree=3, max_terms=3)
+            i = rng.randrange(n)
+            f = Polynomial(vt, {e: Fraction(c, 2) for e, c in a})
+            got = envelope._twisted_residue(tables, a, i, int(d * row_sums[i]))
+            twisted = polynomial_atom_reduce(S, [
+                (1, (poly_atom(f), ham(i))),
+                (row_sums[i], (poly_atom(f), poly_atom(vt.gen(i)))),
+            ])
+            residue = right_module_residue(S, twisted, zero_traces)
+            assert got == {e: 2 * d * c for e, c in residue.terms.items()}
+            assert residue == S.omega_h_action(f, i)
