@@ -25,16 +25,26 @@ generator's action (``_twist``): zero for "canonical" and the traces for
 coboundary's table is the zero twist's read backwards.  One small kernel,
 ``_assemble``, evaluates a plan table on the exponent tuple of each column
 into int rows and hands them to ``SparseMatrix`` as they are, over D.  One
-sweep, ``_dims``, takes homology and cohomology tables alike.
+sweep, ``_dims``, takes homology and cohomology tables alike, and each rank
+is taken once per structure and differential.
+
+``duality_report`` decides duality on the plan tables, for every weight at
+once: ``_duality_certificate`` checks that m (.) dx_I -> (m, I^c) carries
+the omega boundary's steps onto the coboundary's, up to sign.  When it
+holds, the cohomology table is the twisted homology table moved by the sum
+of the weights, so the report runs one twisted sweep over the window and
+its ``cohomology`` table computes each cell when it is read, above the
+window only when a shift's comparison reaches that far.  When it fails,
+the cohomology is swept on its own and the verdict is FAIL.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import combinations
 from operator import add
-from typing import Mapping
 
 from .linalg import SparseMatrix
 from .polycore import Polynomial, monomials_of_weight, partial_derivative
@@ -426,44 +436,52 @@ def coboundary_matrix(S: PoissonStructure, n: int, w: int) -> GradedComplexCell:
     return _assemble(S, src, tgt, _plans(S, _twist(S, "canonical"), backwards=True))
 
 
-def _dims(S: PoissonStructure, coeff: "str | None", max_weight: int,
-          max_degree: "int | None" = None) -> "dict[tuple[int, int], int]":
-    """Homology (coeff "canonical" or "omega") or cohomology (coeff None)
-    dimensions per (n, w), w from the lowest weight of any cell: dim ker of
-    the differential leaving (n, w) minus the rank of the one arriving,
-    computed also when it leaves a cell outside the window.
+def _cell_dims(S: PoissonStructure, coeff: "str | None"):
+    """The homology (coeff "canonical" or "omega") or cohomology (coeff
+    None) dimension as a function of the cell (n, w), and the lowest weight
+    of any cell: dim ker of the differential leaving (n, w) minus the rank
+    of the one arriving, computed also when it leaves a cell outside any
+    window.  Each rank is taken once per structure and differential and
+    kept in ``TermTables.ranks``.
     """
     shift = S.weight_shift()
     ell = len(S.vars)
     if coeff is None:
         step, floor, basis = 1, -sum(S.vars.weights), cochain_basis
+        twist = _twist(S, "canonical")
     else:
         step, floor, basis = -1, 0, chain_basis
-    cells: dict[tuple[int, int], tuple[int, int]] = {}
+        twist = _twist(S, coeff)
+    ranks = S.term_tables().ranks.setdefault((twist, coeff is None), {})
 
-    def leaving(n: int, w: int) -> "tuple[int, int] | None":
-        """(dim of the cell, rank) of the differential leaving (n, w), if
-        any; a map with an empty side has rank 0 and is not built."""
+    def rank(n: int, w: int) -> int:
+        """Rank of the differential leaving (n, w); a map with an empty
+        side has rank 0 and is not built."""
         if not (0 <= n <= ell and 0 <= n + step <= ell and w >= floor):
-            return None
+            return 0
         key = (n, w)
-        if key not in cells:
-            dim = len(basis(S, n, w))
-            if not (dim and basis(S, n + step, w + shift)):
-                cells[key] = (dim, 0)
+        if key not in ranks:
+            if not (basis(S, n, w) and basis(S, n + step, w + shift)):
+                ranks[key] = 0
             else:
-                matrix = (coboundary_matrix(S, n, w) if coeff is None
-                          else boundary_matrix(S, n, w, coeff)).matrix
-                cells[key] = (dim, matrix.rank())
-        return cells[key]
+                ranks[key] = (coboundary_matrix(S, n, w) if coeff is None
+                              else boundary_matrix(S, n, w, coeff)).matrix.rank()
+        return ranks[key]
 
-    table: dict[tuple[int, int], int] = {}
-    for n in range((ell if max_degree is None else max_degree) + 1):
-        for w in range(floor, max_weight + 1):
-            dim, rank = leaving(n, w) or (len(basis(S, n, w)), 0)
-            arriving = leaving(n - step, w - shift)
-            table[(n, w)] = dim - rank - (arriving[1] if arriving else 0)
-    return table
+    def dim(n: int, w: int) -> int:
+        return len(basis(S, n, w)) - rank(n, w) - rank(n - step, w - shift)
+
+    return dim, floor
+
+
+def _dims(S: PoissonStructure, coeff: "str | None", max_weight: int,
+          max_degree: "int | None" = None) -> "dict[tuple[int, int], int]":
+    """Homology (coeff "canonical" or "omega") or cohomology (coeff None)
+    dimensions per (n, w), w from the lowest weight of any cell."""
+    dim, floor = _cell_dims(S, coeff)
+    return {(n, w): dim(n, w)
+            for n in range((len(S.vars) if max_degree is None else max_degree) + 1)
+            for w in range(floor, max_weight + 1)}
 
 
 def homology_dims(S: PoissonStructure, coeff: str = "canonical",
@@ -491,14 +509,80 @@ def dim_table_tsv(table: "dict[tuple[int, int], int]") -> str:
     return "\n".join(lines)
 
 
+def _shuffle_sign(index: "tuple[int, ...]") -> int:
+    """Sign of the shuffle that sorts index followed by its complement:
+    -1 to the number of pairs i in index, k outside it with k < i."""
+    return -1 if (sum(index) - len(index) * (len(index) - 1) // 2) % 2 else 1
+
+
+def _duality_certificate(S: PoissonStructure) -> bool:
+    """True when m (.) dx_I -> (m, I^c) carries the omega boundary onto the
+    coboundary, up to sign, at every weight at once.
+
+    For every step I -> J of the omega plan table, the zero-twist table
+    must hold the step J^c -> I^c with the same t, constant sigma * c0 and
+    anchor part -sigma * linear, where sigma = (-1)^|I| eps(I) eps(J) and
+    eps is ``_shuffle_sign``, and no other step.  The coboundary is the
+    zero-twist table read backwards, so that makes each coboundary cell
+    (ell - n, w - s) the omega boundary cell (n, w) with rows and columns
+    signed, s the sum of the weights.
+    """
+    ell = len(S.vars)
+
+    def complement(index: "tuple[int, ...]") -> "tuple[int, ...]":
+        return tuple(i for i in range(ell) if i not in index)
+
+    boundary = {K: {(J, t): (c0, dict(linear)) for J, t, c0, linear in plan}
+                for K, plan in _plans(S, _twist(S, "canonical")).items()}
+    steps = 0
+    for I, plan in _plans(S, _twist(S, "omega")).items():
+        target = complement(I)
+        sign_I = (-1) ** len(I) * _shuffle_sign(I)
+        for J, t, c0, linear in plan:
+            sigma = sign_I * _shuffle_sign(J)
+            if boundary[complement(J)].get((target, t)) != (
+                    sigma * c0, {a: -sigma * c for a, c in linear}):
+                return False
+            steps += 1
+    return steps == sum(map(len, boundary.values()))
+
+
+class _Dual(Mapping):
+    """The cohomology table read off the twisted cells: (k, v), for
+    0 <= k <= ell and -s <= v <= max_weight, holds the twisted homology at
+    (ell - k, v + s), computed when read."""
+
+    def __init__(self, dim, ell: int, s: int, max_weight: int):
+        self._dim = dim
+        self._ell = ell
+        self._s = s
+        self._max_weight = max_weight
+
+    def __getitem__(self, key: "tuple[int, int]") -> int:
+        k, v = key
+        if not (0 <= k <= self._ell and -self._s <= v <= self._max_weight):
+            raise KeyError(key)
+        return self._dim(self._ell - k, v + self._s)
+
+    def __iter__(self):
+        return ((k, v) for k in range(self._ell + 1)
+                for v in range(-self._s, self._max_weight + 1))
+
+    def __len__(self) -> int:
+        return (self._ell + 1) * (self._max_weight + self._s + 1)
+
+
 @dataclass
 class DualityReport:
     """Cell-by-cell comparison of twisted homology with cohomology.
 
     ``cells`` holds rows (n, w, twisted dim, cohomology dim at
     (ell - n, w - expected_shift), match); ``fitting_shifts`` lists every
-    uniform shift that makes all cells agree.  On unimodular structures
-    the canonical homology table is the twisted one, since every trace
+    uniform shift that makes all cells agree.  ``certified`` says whether
+    the duality certificate held on the plan tables; ``cohomology`` is a
+    read-only table with the keys of ``cohomology_dims``, whose values are
+    computed when read when it did.  On unimodular structures the
+    canonical homology table is the twisted one, since every trace
     vanishes, so the omega twist table is the zero one and both names
     assemble from one plan table.
     """
@@ -508,9 +592,10 @@ class DualityReport:
     expected_shift: int
     fitting_shifts: "tuple[int, ...]"
     twisted: "dict[tuple[int, int], int]"
-    cohomology: "dict[tuple[int, int], int]"
+    cohomology: "Mapping[tuple[int, int], int]"
     unimodular: bool
     cells: "list[tuple[int, int, int, int, bool]]"
+    certified: bool
     passed: bool
 
     def render_text(self) -> str:
@@ -525,6 +610,9 @@ class DualityReport:
         lines.append(header)
         for n, w, t, c, ok in self.cells:
             lines.append(f"{n:>3} {w:>3} {t:>8} {c:>6}  {'yes' if ok else 'NO'}")
+        if not self.certified:
+            lines.append("certificate: FAIL (the omega boundary plans are not "
+                         "the coboundary's under m dx_I -> (m, I^c))")
         lines.append(f"result: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
 
@@ -552,24 +640,38 @@ def duality_report(S: PoissonStructure, max_weight: int = 8) -> DualityReport:
 
     The expected shift s is the sum of the variable weights.  All shifts in
     0..s are tried; the report fails (or raises ShiftNotFound when nothing
-    fits) rather than ever papering over a mismatch.
+    fits) rather than ever papering over a mismatch.  A max_weight below 0
+    leaves no cell and is refused with ValueError.
+
+    The verdict needs ``_duality_certificate`` to hold; then each
+    cohomology cell (k, v) is read off the twisted cell (ell - k, v + s),
+    and a shift's comparison reaches above the window only once every pair
+    inside it agrees.  Otherwise the cohomology is swept on its own.
 
     A structure is unimodular when every generator trace vanishes.  The
     omega twist table is the traces and the canonical one is zero, so
     then both boundaries are read off one plan table, and the canonical
     homology table is the twisted one; no second sweep is run.
     """
+    if max_weight < 0:
+        raise ValueError(f"max_weight must be at least 0, got {max_weight}")
     ell = len(S.vars)
     expected = sum(S.vars.weights)
     twisted = homology_dims(S, "omega", max_weight)
-    cohomology = cohomology_dims(S, max_weight=max_weight)
+    certified = _duality_certificate(S)
+    if certified:
+        cohomology: Mapping = _Dual(_cell_dims(S, "omega")[0], ell, expected,
+                                    max_weight)
+    else:
+        cohomology = cohomology_dims(S, max_weight=max_weight)
 
     def fits(s: int) -> bool:
-        return all(
-            twisted[(n, w)] == cohomology[(ell - n, w - s)]
-            for n in range(ell + 1)
-            for w in range(max_weight + 1)
-        )
+        # the pairs whose cohomology cell lies above the window come last
+        pairs = sorted(((n, w) for n in range(ell + 1)
+                        for w in range(max_weight + 1)),
+                       key=lambda p: p[1] + expected - s > max_weight)
+        return all(twisted[(n, w)] == cohomology[(ell - n, w - s)]
+                   for n, w in pairs)
 
     fitting = tuple(s for s in range(expected + 1) if fits(s))
     cells = [
@@ -578,7 +680,6 @@ def duality_report(S: PoissonStructure, max_weight: int = 8) -> DualityReport:
         for n in range(ell + 1)
         for w in range(max_weight + 1)
     ]
-    passed = expected in fitting
     report = DualityReport(
         ell=ell,
         max_weight=max_weight,
@@ -588,7 +689,8 @@ def duality_report(S: PoissonStructure, max_weight: int = 8) -> DualityReport:
         cohomology=cohomology,
         unimodular=S.modular_data().unimodular,
         cells=cells,
-        passed=passed,
+        certified=certified,
+        passed=certified and expected in fitting,
     )
     if not fitting:
         raise ShiftNotFound(report)

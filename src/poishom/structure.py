@@ -208,7 +208,9 @@ class TermTables:
       has one table for both, and the coboundary is the zero twist read
       backwards;
     * ``bases`` likewise keeps each cell basis ``complexes`` enumerates,
-      keyed by (sign -1 for chains or +1 for cochains, n, w).
+      keyed by (sign -1 for chains or +1 for cochains, n, w);
+    * ``ranks`` keeps the rank of each differential ``complexes`` has
+      taken, keyed like ``plans``, then by the cell (n, w) it leaves.
 
     Every coefficient in ``anchor``, ``partials`` and ``traces`` is an int.
     Only nonzero polynomials are listed, and pairs with a zero bracket have
@@ -222,6 +224,7 @@ class TermTables:
     traces: "tuple[Terms, ...]"
     plans: dict = field(default_factory=dict, compare=False)
     bases: dict = field(default_factory=dict, compare=False)
+    ranks: dict = field(default_factory=dict, compare=False)
 
 
 class PoissonStructure:

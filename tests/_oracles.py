@@ -12,6 +12,8 @@ from poishom.complexes import (
     apply_coboundary,
     chain_basis,
     cochain_basis,
+    cohomology_dims,
+    homology_dims,
 )
 from poishom.envelope import EnvelopeElement, ham, poly_atom
 from poishom.linalg import SparseMatrix
@@ -145,6 +147,19 @@ def coboundary_matrix_by_columns(S: PoissonStructure, n: int,
             for exps2, c in poly.terms.items():
                 matrix.add_to(tgt.position(exps2, index2), col, c)
     return GradedComplexCell(src, tgt, matrix)
+
+
+def eager_duality(S: PoissonStructure, max_weight: int) -> "tuple[int, ...]":
+    """The fitting shifts of two independent sweeps, twisted homology and
+    cohomology over the window, compared cell by cell at every shift from 0
+    to the sum of the weights."""
+    ell = len(S.vars)
+    twisted = homology_dims(S, "omega", max_weight)
+    cohomology = cohomology_dims(S, max_weight=max_weight)
+    return tuple(
+        s for s in range(sum(S.vars.weights) + 1)
+        if all(twisted[(n, w)] == cohomology[(ell - n, w - s)]
+               for n in range(ell + 1) for w in range(max_weight + 1)))
 
 
 def dense_rows(matrix: SparseMatrix) -> "list[list[Fraction]]":

@@ -1,10 +1,16 @@
+import dataclasses
 import random
+from collections.abc import Mapping
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import poishom.complexes as complexes
 from poishom.catalog import CATALOG
+from poishom.cli import main
+from poishom.linalg import SparseMatrix
 from poishom.complexes import (
     Cochain,
     DualityReport,
@@ -20,7 +26,13 @@ from poishom.complexes import (
     duality_report,
     homology_dims,
 )
-from poishom.polycore import VarTable, homogeneous_weight, parse_poly
+from poishom.polycore import (
+    VarTable,
+    homogeneous_weight,
+    monomials_of_weight,
+    parse_poly,
+    partial_derivative,
+)
 from poishom.structure import NonHomogeneousError, PoissonStructure
 
 from _oracles import (
@@ -28,6 +40,7 @@ from _oracles import (
     casimir_dimension,
     coboundary_matrix_by_columns,
     coinvariant_dimension,
+    eager_duality,
     euler_characteristic_matches,
     mixed_denominator_log_canonical,
     random_polynomial,
@@ -240,12 +253,15 @@ def test_one_boundary_table_exactly_when_unimodular(S):
 
 @pytest.mark.parametrize("entry", CATALOG, ids=[e.id for e in CATALOG])
 def test_duality_keeps_one_plan_table_per_distinct_differential(entry):
+    # the certificate reads the coboundary off the zero-twist boundary
+    # table, so duality builds the one or two boundary tables and no
+    # coboundary table
     S = _fresh(entry.id)
     duality_report(S, max_weight=3)
     plans = S.term_tables().plans
-    assert len(plans) == (2 if entry.unimodular else 3)
+    assert len(plans) == (1 if entry.unimodular else 2)
     for twist, backwards in plans:
-        assert len(twist) == len(S.vars) and type(backwards) is bool
+        assert len(twist) == len(S.vars) and backwards is False
 
 
 UNIMODULAR = [entry for entry in CATALOG if entry.unimodular]
@@ -526,3 +542,178 @@ def test_shift_not_found(monkeypatch, symplectic):
     assert report.fitting_shifts == ()
     assert not report.passed
     assert "result: FAIL" in report.render_text()
+
+
+def test_duality_refuses_an_empty_window(so3):
+    with pytest.raises(ValueError, match="max_weight"):
+        duality_report(so3, max_weight=-1)
+
+
+# -- the duality certificate and the cohomology read off the twisted cells -------
+
+
+def _oracles_agree(make, max_weight):
+    """duality_report against two sweeps on structures fresh from make(),
+    so that no plan or rank is shared with the report's."""
+    report = duality_report(make(), max_weight=max_weight)
+    assert report.certified and report.passed
+    oracle = make()
+    assert report.twisted == homology_dims(oracle, "omega", max_weight)
+    assert dict(report.cohomology) == cohomology_dims(oracle, max_weight=max_weight)
+    assert report.fitting_shifts == eager_duality(make(), max_weight)
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=[e.id for e in CATALOG])
+def test_duality_matches_the_two_sweep_oracles(entry):
+    _oracles_agree(lambda: _fresh(entry.id), 8)
+
+
+@st.composite
+def weighted_structures(draw):
+    """Log-canonical brackets (l = 3 or 4) with rational entries, or l = 3
+    Jacobian brackets of a rational weighted-homogeneous potential; weights
+    1 to 3."""
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    if draw(st.booleans()):
+        ell = draw(st.integers(3, 4))
+        vt = VarTable(tuple(f"x{i}" for i in range(ell)),
+                      tuple(draw(st.integers(1, 3)) for _ in range(ell)))
+        entries = {}
+        for i, j in combinations(range(ell), 2):
+            c = draw(rationals)
+            if c:
+                entries[(i, j)] = vt.monomial(
+                    tuple(int(k in (i, j)) for k in range(ell)), c)
+        return PoissonStructure(vt, entries)
+    vt = VarTable(("x", "y", "z"), tuple(draw(st.integers(1, 3)) for _ in range(3)))
+    weights = [w for w in range(2, sum(vt.weights) + 3) if monomials_of_weight(vt, w)]
+    terms = monomials_of_weight(vt, draw(st.sampled_from(weights)))
+    phi = vt.zero()
+    for exps in draw(st.lists(st.sampled_from(terms), min_size=1, max_size=3)):
+        phi = phi + vt.monomial(exps, draw(rationals))
+    dx, dy, dz = (partial_derivative(phi, k) for k in range(3))
+    return PoissonStructure(vt, {(0, 1): dz, (1, 2): dx, (0, 2): -dy})
+
+
+@given(weighted_structures())
+@settings(max_examples=60, deadline=None)
+def test_certificate_and_oracles_on_random_structures(S):
+    document = (S.vars, dict(S.entries))
+    assert complexes._duality_certificate(S)
+    _oracles_agree(lambda: PoissonStructure(*document), 3)
+
+
+def _verdict(S, max_weight=4):
+    try:
+        return duality_report(S, max_weight=max_weight)
+    except ShiftNotFound as exc:
+        return exc.report
+
+
+def _scaled_traces(S, scale):
+    tables = S.term_tables()
+    traces = tuple(tuple((t, scale * c) for t, c in terms) for terms in tables.traces)
+    S._tables = dataclasses.replace(tables, traces=traces, plans={}, bases={},
+                                    ranks={})
+
+
+def _drop_anchor_term(S):
+    # the first step of the built omega table with an anchor part loses
+    # one anchor term; a fault shared by every table is the d^2
+    # certificate's to find, not this one's
+    plans = complexes._plans(S, complexes._twist(S, "omega"))
+    for I, plan in plans.items():
+        for k, (J, t, c0, linear) in enumerate(plan):
+            if linear:
+                kept = ((J, t, c0, linear[1:]),) if c0 or linear[1:] else ()
+                plans[I] = plan[:k] + kept + plan[k + 1:]
+                return
+
+
+def _drop_step(S):
+    # every other step still has its counterpart, so only the count of
+    # steps can see this one
+    plans = complexes._plans(S, complexes._twist(S, "omega"))
+    I = next(I for I, plan in plans.items() if plan)
+    plans[I] = plans[I][1:]
+
+
+MUTATIONS = {
+    "negated-traces": lambda S, monkeypatch: _scaled_traces(S, -1),
+    "doubled-traces": lambda S, monkeypatch: _scaled_traces(S, 2),
+    "dropped-anchor-term": lambda S, monkeypatch: _drop_anchor_term(S),
+    "dropped-step": lambda S, monkeypatch: _drop_step(S),
+    "flipped-shuffle-sign": lambda S, monkeypatch: monkeypatch.setattr(
+        complexes, "_shuffle_sign",
+        lambda index, real=complexes._shuffle_sign:
+            -real(index) if index == (0,) else real(index)),
+}
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("entry_id", ["log-canonical-2", "log-canonical-3"])
+def test_mutations_fail_the_certificate_and_the_verdict(entry_id, mutation,
+                                                        monkeypatch):
+    S = _fresh(entry_id)
+    assert complexes._duality_certificate(S)
+    MUTATIONS[mutation](S, monkeypatch)
+    assert not complexes._duality_certificate(S)
+    report = _verdict(S)
+    assert not report.certified and not report.passed
+    text = report.render_text()
+    assert "certificate: FAIL" in text and text.endswith("result: FAIL")
+
+
+def test_a_failing_certificate_fails_even_when_the_tables_fit(monkeypatch):
+    # a wrong shuffle sign leaves both complexes as they are, so the swept
+    # cohomology still fits at the expected shift; the verdict is FAIL
+    # anyway, and the command exits 1
+    MUTATIONS["flipped-shuffle-sign"](None, monkeypatch)
+    report = duality_report(_fresh("log-canonical-3"), max_weight=4)
+    assert report.expected_shift in report.fitting_shifts
+    assert all(ok for *_, ok in report.cells)
+    assert not report.passed
+    assert main(["catalog", "run", "log-canonical-3", "duality",
+                 "--max-weight", "4"]) == 1
+
+
+@pytest.mark.parametrize("scale", [-1, 2])
+def test_wrong_traces_find_no_shift(scale):
+    S = _fresh("log-canonical-3")
+    _scaled_traces(S, scale)
+    with pytest.raises(ShiftNotFound) as info:
+        duality_report(S, max_weight=4)
+    assert not info.value.report.certified
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=[e.id for e in CATALOG])
+def test_duality_takes_each_rank_once(entry, monkeypatch):
+    built, ranks = [], []
+    for name in ("boundary_matrix", "coboundary_matrix"):
+        def recording(*args, name=name, make=getattr(complexes, name)):
+            built.append((name,) + args[1:])
+            return make(*args)
+        monkeypatch.setattr(complexes, name, recording)
+    real_rank = SparseMatrix.rank
+    monkeypatch.setattr(SparseMatrix, "rank",
+                        lambda self: ranks.append(1) or real_rank(self))
+    report = duality_report(_fresh(entry.id), max_weight=6)
+    dict(report.cohomology)  # every cell, also those above the window
+    assert len(set(built)) == len(built) == len(ranks)
+    assert all(name == "boundary_matrix" for name, *_ in built)
+
+
+def test_cohomology_above_the_window_is_computed_when_read():
+    # so3 fits at its expected shift only, and every other shift fails
+    # inside the window, so the report takes no rank the sweep did not
+    S, oracle = _fresh("so3"), _fresh("so3")
+    report = duality_report(S, max_weight=7)
+    homology_dims(oracle, "omega", max_weight=7)
+    swept = oracle.term_tables().ranks
+    assert S.term_tables().ranks == swept
+    assert isinstance(report.cohomology, Mapping)
+    with pytest.raises(TypeError):
+        report.cohomology[(0, 0)] = 1
+    assert dict(report.cohomology) == cohomology_dims(_fresh("so3"), max_weight=7)
+    (key, read), = S.term_tables().ranks.items()
+    assert len(read) > len(swept[key])
