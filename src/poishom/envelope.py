@@ -31,20 +31,23 @@ polynomial atoms remove none, so a normal-form term with q symbols reached
 from inputs with at most Q symbols carries exactly D^(Q - q).  Each input
 part with q0 symbols is therefore scaled by D^(Q - q0) on entry, the fold
 adds only ints, and each output term is one Fraction(v, E * D^(Q - q)).
-The sampled checks stay in ints: their sampler stores a coefficient p/q
-(q = 1 or 2) as 2p/q, and they build Fractions only to report a failure.
+The checks of ``poishom pbw`` stay in ints: the sampler stores a
+coefficient p/q (q = 1 or 2) as 2p/q, the twist check reduces the twist
+images of the relations as int words, and Fractions are built only at the
+public API and to report a failure.
 
 The module also reduces elements against right ideals generated by
 h(i) - t_i for prescribed polynomials t_i, which realizes both the plain
 right action on the algebra (t = 0) and the trace-twisted module (t = the
-modular traces), and checks the weight-grading automorphism that
-log-canonical structures carry.
+modular traces), checks the weight-grading automorphism that
+log-canonical structures carry, and compares the bigraded counts of normal
+forms with those of a symmetric algebra, which it counts without
+enumerating them.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -298,10 +301,14 @@ def reduce_combination(S: PoissonStructure,
     agenda = [(num * (common // den) * d ** (top - q), w)
               for num, den, q, w in entered]
     terms = _reduce(tables, len(vt), agenda, strategy == "rightmost")
-    return EnvelopeElement(vt, {
-        key: Fraction(v, common * d ** (top - sum(key[1])))
-        for key, v in terms.items()
-    })
+    return _element(vt, terms, common, d, top)
+
+
+def _element(vt: VarTable, terms: dict, scale: int, d: int,
+             top: int) -> EnvelopeElement:
+    """The normal form whose int terms carry scale * D^(top - q) at q symbols."""
+    return EnvelopeElement(vt, {key: Fraction(v, scale * d ** (top - sum(key[1])))
+                                for key, v in terms.items()})
 
 
 def reduce_word(S: PoissonStructure, word: "Sequence[tuple]",
@@ -408,13 +415,25 @@ class GrMismatch(AssertionError):
         self.table = table
 
 
-def _fresh_symbol_table(vt: VarTable) -> VarTable:
-    suffix = "_y"
-    while any(n + suffix in vt.names for n in vt.names):
-        suffix += "_"
-    return VarTable(
-        vt.names + tuple(n + suffix for n in vt.names), vt.weights + vt.weights
-    )
+def _symmetric_counts(vt: VarTable, max_filtration: int,
+                      max_weight: int) -> "list[list[int]]":
+    """count[p][w]: monomials of weight w in the variables and one fresh copy
+    of each, of degree p in the copies, for p <= max_filtration.
+
+    One unbounded-knapsack pass over the weights for the variables, then one
+    for the copies, whose pass also adds 1 to the filtration.
+    """
+    count = [[0] * (max_weight + 1) for _ in range(max_filtration + 1)]
+    count[0][0] = 1
+    plain = count[0]
+    for wi in vt.weights:
+        for w in range(wi, max_weight + 1):
+            plain[w] += plain[w - wi]
+    for wi in vt.weights:
+        for below, row in zip(count, count[1:]):
+            for w in range(wi, max_weight + 1):
+                row[w] += below[w - wi]
+    return count
 
 
 def gr_dimension_check(S: PoissonStructure, max_filtration: int = 3,
@@ -423,27 +442,25 @@ def gr_dimension_check(S: PoissonStructure, max_filtration: int = 3,
 
     The envelope side enumerates normal forms x^a h^b with b summing to the
     filtration degree (each h symbol carrying the weight of its variable);
-    the symmetric side enumerates monomials of a polynomial ring with one
+    the symmetric side counts monomials of a polynomial ring with one
     fresh generator per variable.  The counts must agree in every bigrade:
     that equality is the combinatorial shadow of the normal form being a
-    basis.
+    basis.  Refuses either bound below 0 with ``ValueError``.
     """
+    _at_least("max_filtration", max_filtration, 0)
+    _at_least("max_weight", max_weight, 0)
     vt = S.vars
-    doubled = _fresh_symbol_table(vt)
     n = len(vt)
     weights = range(max_weight + 1)
     plain = [len(monomials_of_weight(vt, w)) for w in weights]
-    by_filtration = [
-        Counter(sum(exps[n:]) for exps in monomials_of_weight(doubled, w))
-        for w in weights
-    ]
+    by_filtration = _symmetric_counts(vt, max_filtration, max_weight)
     table: dict[tuple[int, int], int] = {}
     seen: dict[tuple[int, int], tuple[int, int]] = {}
     for p in range(max_filtration + 1):
         symbol_weights = [vt.weighted_degree(h) for h in _compositions(p, n)]
         for w in weights:
             normal = sum(plain[w - d] for d in symbol_weights if d <= w)
-            symmetric = by_filtration[w][p]
+            symmetric = by_filtration[p][w]
             seen[(p, w)] = (normal, symmetric)
             if normal != symmetric:
                 raise GrMismatch(p, w, normal, symmetric, seen)
@@ -572,14 +589,63 @@ def _twisted_residue(tables, a, i: int, twist: int) -> dict:
     return _residue(tables.anchor, 1, ((),) * n, _reduce(tables, n, agenda, False))
 
 
+def _relation_forms(S: PoissonStructure, twists: "Sequence[int]"):
+    """(description, symbols, left, right) for each defining relation: the
+    int normal forms of the twist images of its two sides.
+
+    h(i) goes to h(i) + r_i * x_i, with ``twists[i]`` = D * r_i.  A part
+    with q0 of the relation's ``symbols`` derivation symbols enters scaled by
+    D^(symbols - q0), and an h(i) replaced by x_i takes the factor D * r_i,
+    so every word, and every normal-form term, with q symbols carries
+    D^(symbols - q).  The right sides are built from ``S.entry`` and
+    ``partial_derivative``, not from the term tables that the rules read.
+    """
+    vt = S.vars
+    n = len(vt)
+    tables = S.term_tables()
+    d = tables.denominator
+    gens = [((tuple(int(k == i) for k in range(n)), 1),) for i in range(n)]
+    images = [((1, (i,)),) + (((t, (gens[i],)),) if t else ())
+              for i, t in enumerate(twists)]
+
+    def scaled(f: Polynomial) -> tuple:  # the terms of D * f
+        scale, terms = int_terms(f)
+        return tuple((e, c * (d // scale)) for e, c in terms)
+
+    def normal_form(words: "list[tuple]") -> dict:
+        agenda = []
+        for word in words:
+            stack = [(1, ())]
+            for atom in word:
+                options = images[atom] if type(atom) is int else ((1, (atom,)),)
+                stack = [(c * oc, w + ow) for c, w in stack for oc, ow in options]
+            agenda.extend(stack)
+        return _reduce(tables, n, agenda, False)
+
+    for i in range(n):
+        for k in range(n):
+            if i != k:
+                pair = S.entry(i, k)
+                rhs = [(gens[k], i)] + ([(scaled(pair),)] if pair else [])
+                yield (f"h({vt.names[i]}) * {vt.names[k]}", 1,
+                       normal_form([(i, gens[k])]), normal_form(rhs))
+    for j in range(n):
+        for i in range(j):
+            pair = S.entry(j, i)
+            rhs = [(i, j)] + [(scaled(c), k) for k in range(n)
+                              for c in (partial_derivative(pair, k),) if c]
+            yield (f"h({vt.names[j]}) * h({vt.names[i]})", 2,
+                   normal_form([(j, i)]), normal_form(rhs))
+
+
 def nu_check(S: PoissonStructure, samples: int = 20, seed: int = 0) -> NuReport:
     """Verify the twist automorphism of a log-canonical structure.
 
     The map fixes the variables and sends h(i) to h(i) + (row sum i) * x_i.
-    Two facts are checked mechanically: the images of both sides of every
-    rewrite rule reduce to the same normal form, and twisting the plain
-    right quotient action reproduces the trace-twisted module action on
-    random samples, in ints.
+    Two facts are checked mechanically, in ints: the images of both sides
+    of every rewrite rule reduce to the same normal form, and twisting the
+    plain right quotient action reproduces the trace-twisted module action
+    on random samples.
     """
     _at_least("samples", samples, 0)
     mat = log_canonical_matrix(S)
@@ -587,71 +653,21 @@ def nu_check(S: PoissonStructure, samples: int = 20, seed: int = 0) -> NuReport:
         raise ValueError("the twist check needs a log-canonical structure")
     vt = S.vars
     n = len(vt)
-    row_sums = [sum(row, Fraction(0)) for row in mat]
-
-    def nu_expand(parts: "list[tuple[Fraction, Word]]") -> "list[tuple[Fraction, Word]]":
-        out = []
-        for coeff, word in parts:
-            expansions: list[list[tuple[Fraction, Word]]] = []
-            for atom in word:
-                if atom[0] == "h":
-                    i = atom[1]
-                    options = [(Fraction(1), (atom,))]
-                    if row_sums[i]:
-                        options.append((row_sums[i], (poly_atom(vt.gen(i)),)))
-                    expansions.append(options)
-                else:
-                    expansions.append([(Fraction(1), (atom,))])
-            stack: list[tuple[Fraction, Word]] = [(coeff, ())]
-            for options in expansions:
-                stack = [
-                    (c * oc, w + ow) for c, w in stack for oc, ow in options
-                ]
-            out.extend(stack)
-        return out
-
-    def reduced(parts: "list[tuple[Fraction, Word]]") -> EnvelopeElement:
-        return reduce_combination(S, nu_expand(parts))
-
-    relations = 0
-    for i in range(n):
-        for k in range(n):
-            if i == k:
-                continue
-            lhs = [(Fraction(1), (ham(i), poly_atom(vt.gen(k))))]
-            rhs: list[tuple[Fraction, Word]] = [
-                (Fraction(1), (poly_atom(vt.gen(k)), ham(i)))
-            ]
-            pair = S.entry(i, k)
-            if pair:
-                rhs.append((Fraction(1), (poly_atom(pair),)))
-            left, right = reduced(lhs), reduced(rhs)
-            if left != right:
-                raise RelationViolation(
-                    f"h({vt.names[i]}) * {vt.names[k]}", left, right)
-            relations += 1
-    for j in range(n):
-        for i in range(j):
-            lhs = [(Fraction(1), (ham(j), ham(i)))]
-            rhs = [(Fraction(1), (ham(i), ham(j)))]
-            pair = S.entry(j, i)
-            for k in range(n):
-                c = partial_derivative(pair, k)
-                if c:
-                    rhs.append((Fraction(1), (poly_atom(c), ham(k))))
-            left, right = reduced(lhs), reduced(rhs)
-            if left != right:
-                raise RelationViolation(
-                    f"h({vt.names[j]}) * h({vt.names[i]})", left, right)
-            relations += 1
-
     tables = S.term_tables()
     d = tables.denominator
+    twists = [int(d * sum(row, Fraction(0))) for row in mat]
+    relations = 0
+    for description, top, left, right in _relation_forms(S, twists):
+        if left != right:
+            raise RelationViolation(description, _element(vt, left, 1, d, top),
+                                    _element(vt, right, 1, d, top))
+        relations += 1
+
     rng = random.Random(seed)
     for _ in range(samples):
         a = _sample_poly(rng, n, max_degree=3, max_terms=3)
         i = rng.randrange(n)
-        got = _twisted_residue(tables, a, i, int(d * row_sums[i]))
+        got = _twisted_residue(tables, a, i, twists[i])
         want = dict(_peel(a, tables.anchor[i], tables.traces[i], 1))
         if got != want:
             sample = _polynomial(vt, a)

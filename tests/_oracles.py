@@ -15,7 +15,7 @@ from poishom.complexes import (
     cohomology_dims,
     homology_dims,
 )
-from poishom.envelope import EnvelopeElement, ham, poly_atom
+from poishom.envelope import EnvelopeElement, ham, poly_atom, reduce_combination
 from poishom.linalg import SparseMatrix
 from poishom.polycore import (
     Polynomial,
@@ -23,7 +23,7 @@ from poishom.polycore import (
     monomials_of_weight,
     partial_derivative,
 )
-from poishom.structure import OneForm, PoissonStructure
+from poishom.structure import OneForm, PoissonStructure, log_canonical_matrix
 
 
 def naive_rank(rows: "list[list[Fraction]]") -> int:
@@ -412,3 +412,68 @@ def _fold_normal(vt: VarTable, coeff: Fraction, word, terms: dict) -> None:
             terms[key] = s
         else:
             terms.pop(key, None)
+
+
+def doubled_counts(vt: VarTable, max_filtration: int,
+                   max_weight: int) -> "list[list[int]]":
+    """count[p][w] by enumeration: the monomials of weight w of the doubled
+    table (each variable and a fresh copy), by their degree p in the copies."""
+    suffix = "_y"
+    while any(n + suffix in vt.names for n in vt.names):
+        suffix += "_"
+    doubled = VarTable(vt.names + tuple(n + suffix for n in vt.names),
+                       vt.weights + vt.weights)
+    n = len(vt)
+    count = [[0] * (max_weight + 1) for _ in range(max_filtration + 1)]
+    for w in range(max_weight + 1):
+        for exps in monomials_of_weight(doubled, w):
+            if sum(exps[n:]) <= max_filtration:
+                count[sum(exps[n:])][w] += 1
+    return count
+
+
+def fraction_nu_relations(S: PoissonStructure, reduce=reduce_combination):
+    """(description, left, right) per defining relation of a log-canonical
+    structure: the normal forms of the twist images of both sides, built as
+    rational combinations of public words with Polynomial atoms, h(i)
+    expanded to h(i) + (row sum i) * x_i, and reduced by ``reduce``."""
+    vt = S.vars
+    n = len(vt)
+    row_sums = [sum(row, Fraction(0)) for row in log_canonical_matrix(S)]
+
+    def nu_expand(parts):
+        out = []
+        for coeff, word in parts:
+            stack = [(coeff, ())]
+            for atom in word:
+                options = [(Fraction(1), (atom,))]
+                if atom[0] == "h" and row_sums[atom[1]]:
+                    options.append((row_sums[atom[1]], (poly_atom(vt.gen(atom[1])),)))
+                stack = [(c * oc, w + ow) for c, w in stack for oc, ow in options]
+            out.extend(stack)
+        return out
+
+    relations = []
+    for i in range(n):
+        for k in range(n):
+            if i == k:
+                continue
+            lhs = [(Fraction(1), (ham(i), poly_atom(vt.gen(k))))]
+            rhs = [(Fraction(1), (poly_atom(vt.gen(k)), ham(i)))]
+            pair = S.entry(i, k)
+            if pair:
+                rhs.append((Fraction(1), (poly_atom(pair),)))
+            relations.append((f"h({vt.names[i]}) * {vt.names[k]}",
+                              reduce(S, nu_expand(lhs)), reduce(S, nu_expand(rhs))))
+    for j in range(n):
+        for i in range(j):
+            lhs = [(Fraction(1), (ham(j), ham(i)))]
+            rhs = [(Fraction(1), (ham(i), ham(j)))]
+            pair = S.entry(j, i)
+            for k in range(n):
+                c = partial_derivative(pair, k)
+                if c:
+                    rhs.append((Fraction(1), (poly_atom(c), ham(k))))
+            relations.append((f"h({vt.names[j]}) * h({vt.names[i]})",
+                              reduce(S, nu_expand(lhs)), reduce(S, nu_expand(rhs))))
+    return relations

@@ -10,7 +10,11 @@ with ``--nu`` on the log-canonical ones.  ``cli_stdout_digests.json`` and
 exit code.  Record them only from a commit whose output is the reference,
 from the repository root::
 
-    PYTHONPATH=src python tests/cli_stdout.py
+    PYTHONPATH=src python tests/cli_stdout.py [--check]
+
+With ``--check`` it records nothing: it compares every case with both
+digest files, names each case that differs, and exits 1 if any does, 0 if
+all match.
 
 This module needs no pytest, so it runs on any supported interpreter.
 """
@@ -83,6 +87,23 @@ def record(cases, path: Path) -> None:
     print(f"recorded {len(recorded)} cases in {path.name}", file=sys.stderr)
 
 
+def check(cases, path: Path) -> int:
+    """Compare each case with its recorded digest; 1 if any differs."""
+    recorded = json.loads(path.read_text())
+    keys = [key(name, command) for name, _, command in cases]
+    differ = [key(name, command) for name, document, command in cases
+              if list(run(document, command)) != recorded.get(key(name, command))]
+    stale = sorted(set(recorded) - set(keys))
+    for case in differ:
+        print(f"differs: {case!r}")
+    for case in stale:
+        print(f"recorded, not a case: {case!r}")
+    print(f"{path.name}: {len(cases) - len(differ)} of {len(cases)} cases match")
+    return 1 if differ or stale else 0
+
+
 if __name__ == "__main__":
+    if "--check" in sys.argv[1:]:
+        sys.exit(max(check(CASES, DIGESTS), check(PBW_CASES, PBW_DIGESTS)))
     record(CASES, DIGESTS)
     record(PBW_CASES, PBW_DIGESTS)

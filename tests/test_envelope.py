@@ -2,7 +2,6 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +15,7 @@ from poishom.envelope import (
     GrMismatch,
     ModuleMismatch,
     NuReport,
+    RelationViolation,
     confluence_check,
     gr_dimension_check,
     ham,
@@ -31,6 +31,8 @@ from poishom.polycore import Polynomial, VarTable, partial_derivative
 from poishom.structure import PoissonStructure, int_terms, log_canonical_matrix
 
 from _oracles import (
+    doubled_counts,
+    fraction_nu_relations,
     mixed_denominator_log_canonical,
     polynomial_atom_reduce,
     polynomial_module_residue,
@@ -200,8 +202,10 @@ def test_module_mismatch_carries_polynomials():
     (lambda S: confluence_check(S, samples=5, max_len=1), "max_len"),
     (lambda S: confluence_check(S, samples=0, max_len=-2), "max_len"),
     (lambda S: nu_check(S, samples=-1), "samples"),
+    (lambda S: gr_dimension_check(S, max_filtration=-1), "max_filtration"),
+    (lambda S: gr_dimension_check(S, max_weight=-3), "max_weight"),
 ], ids=["confluence-samples", "confluence-max-len", "confluence-no-samples-max-len",
-        "nu-samples"])
+        "nu-samples", "gr-max-filtration", "gr-max-weight"])
 def test_sample_arguments_are_refused(log3, call, name):
     with pytest.raises(ValueError, match=rf"^{name} must be at least"):
         call(log3)
@@ -211,6 +215,7 @@ def test_smallest_sample_arguments(log3):
     assert confluence_check(log3, samples=0) == 0
     assert confluence_check(log3, samples=20, max_len=2) == 20
     assert nu_check(log3, samples=0).module_samples == 0
+    assert gr_dimension_check(log3, max_filtration=0, max_weight=0) == {(0, 0): 1}
 
 
 def test_multiply_is_associative(so3):
@@ -259,6 +264,18 @@ def test_gr_on_catalog(so3, potential, log3u):
         table = gr_dimension_check(S, max_filtration=3, max_weight=5)
         assert all(v >= 0 for v in table.values())
         assert table[(0, 0)] == 1
+
+
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       st.integers(0, 3), st.integers(0, 8))
+@settings(max_examples=40, deadline=None)
+def test_gr_counts_match_the_doubled_enumeration(weights, max_filtration, max_weight):
+    vt = VarTable(tuple(f"x{i}" for i in range(len(weights))), weights)
+    counts = envelope._symmetric_counts(vt, max_filtration, max_weight)
+    assert counts == doubled_counts(vt, max_filtration, max_weight)
+    table = gr_dimension_check(PoissonStructure(vt, {}), max_filtration, max_weight)
+    assert table == {(p, w): counts[p][w] for p in range(max_filtration + 1)
+                     for w in range(max_weight + 1)}
 
 
 def test_gr_weighted_variables():
@@ -446,19 +463,50 @@ def test_term_tables_are_integers_over_one_denominator(build):
     lambda: _rational_log_canonical(random.Random(8), 4),
 ], ids=["log-canonical-3", "log-canonical-3u", "rational-3", "rational-4"])
 def test_nu_combinations_match_polynomial_atoms(build):
+    # the int relation forms against the Fraction words of the twist images,
+    # reduced by the public Fraction boundary and by the Polynomial atoms
     S = build()
-    seen = []
+    d = S.term_tables().denominator
+    twists = [int(d * sum(row, Fraction(0))) for row in log_canonical_matrix(S)]
+    got = [(description, envelope._element(S.vars, left, 1, d, top),
+            envelope._element(S.vars, right, 1, d, top))
+           for description, top, left, right in envelope._relation_forms(S, twists)]
+    assert got == fraction_nu_relations(S)
+    assert got == fraction_nu_relations(S, polynomial_atom_reduce)
+    assert all(left == right for _, left, right in got)
 
-    def checked(S_, parts, strategy="leftmost"):
-        parts = list(parts)
-        got = reduce_combination(S_, parts, strategy)
-        assert got == polynomial_atom_reduce(S_, parts, strategy)
-        seen.append(parts)
-        return got
 
-    with mock.patch.object(envelope, "reduce_combination", checked):
-        nu_check(S, samples=6, seed=2)
-    assert seen
+def _negate_partial(tables):
+    key = min(tables.partials)
+    (k, terms), *rest = tables.partials[key]
+    tables.partials[key] = ((k, tuple((e, -c) for e, c in terms)), *rest)
+
+
+def _drop_partial(tables):
+    key = min(tables.partials)
+    tables.partials[key] = tables.partials[key][1:]
+
+
+def _double_anchor_row(tables):
+    doubled = tuple((a, tuple((e, 2 * c) for e, c in terms))
+                    for a, terms in tables.anchor[0])
+    object.__setattr__(tables, "anchor", (doubled,) + tables.anchor[1:])
+
+
+@pytest.mark.parametrize("mutate", [_negate_partial, _drop_partial, _double_anchor_row],
+                         ids=["negated-partial", "dropped-partial", "doubled-anchor-row"])
+@pytest.mark.parametrize("entry", ["log-canonical-2", "log-canonical-3",
+                                   "log-canonical-3u"])
+def test_nu_relations_see_rule_table_mutations(entry, mutate):
+    # the right sides come from the brackets, not from the tables the rules read
+    S = get_entry(entry).document.to_structure()
+    mutate(S.term_tables())
+    with pytest.raises(RelationViolation) as info:
+        nu_check(S, samples=0)
+    exc = info.value
+    assert type(exc.left) is EnvelopeElement and type(exc.right) is EnvelopeElement
+    assert exc.left.vars == exc.right.vars == S.vars
+    assert exc.left != exc.right
 
 
 # -- the integer sampler and checks against their Polynomial twins -----------------
