@@ -15,11 +15,8 @@ The package computes, over the rationals and without floating point:
 from .catalog import CATALOG, CatalogEntry, catalog_ids, get_entry
 from .complexes import (
     ChainBasis,
-    Cochain,
     DualityReport,
     ShiftNotFound,
-    apply_boundary,
-    apply_coboundary,
     boundary_matrix,
     chain_basis,
     coboundary_matrix,
@@ -39,7 +36,6 @@ from .envelope import (
     confluence_check,
     gr_dimension_check,
     j_quotient_action,
-    multiply,
     nu_check,
     reduce_combination,
     reduce_word,
@@ -56,10 +52,8 @@ from .polycore import (
     monomials_of_weight,
     parse_poly,
     partial_derivative,
-    weight_component,
-    weighted_degree,
 )
-from .specfile import SpecDocument, SpecFileError, document_from_structure
+from .specfile import SpecDocument, SpecFileError
 from .structure import (
     JacobiViolation,
     ModularData,
@@ -77,7 +71,6 @@ __all__ = [
     "CATALOG",
     "CatalogEntry",
     "ChainBasis",
-    "Cochain",
     "ConfluenceFailure",
     "DualityReport",
     "EnvelopeElement",
@@ -98,8 +91,6 @@ __all__ = [
     "SpecFileError",
     "VarTable",
     "VarTableMismatch",
-    "apply_boundary",
-    "apply_coboundary",
     "basis_form",
     "boundary_matrix",
     "catalog_ids",
@@ -110,7 +101,6 @@ __all__ = [
     "confluence_check",
     "differential",
     "dim_table_tsv",
-    "document_from_structure",
     "duality_report",
     "format_poly",
     "get_entry",
@@ -120,13 +110,10 @@ __all__ = [
     "j_quotient_action",
     "log_canonical_matrix",
     "monomials_of_weight",
-    "multiply",
     "nu_check",
     "parse_poly",
     "partial_derivative",
     "reduce_combination",
     "reduce_word",
     "right_module_residue",
-    "weight_component",
-    "weighted_degree",
 ]

@@ -12,13 +12,13 @@ Both differentials shift weight by the same amount d - 2, where d is the
 structure's homogeneity degree, so every computation here is cut out cell
 by cell at fixed (n, w) and ranks are taken exactly over the rationals.
 
-``apply_boundary`` and ``apply_coboundary`` are the readable definitions,
-on polynomials, kept independent of the assembly as its test oracles.
-``boundary_matrix`` and ``coboundary_matrix`` do not call them: they turn
-the structure's exponent tables (``PoissonStructure.term_tables``), which
-hold int coefficients times one structure denominator D, into one plan
-table per distinct differential, built whole by ``_plans``: per
-multi-index, one linear form in the column's exponents for each target.
+``boundary_matrix`` and ``coboundary_matrix`` turn the structure's
+exponent tables (``PoissonStructure.term_tables``), which hold int
+coefficients times one structure denominator D, into one plan table per
+distinct differential, built whole by ``_plans``: per multi-index, one
+linear form in the column's exponents for each target.  The same
+differentials on polynomials, applied column by column, are the test
+oracles in ``tests/_oracles.py``; nothing here calls them.
 A boundary is keyed by its twist table, the terms added to each
 generator's action (``_twist``): zero for "canonical" and the traces for
 "omega", so a unimodular structure has one table for both.  The
@@ -47,17 +47,15 @@ from itertools import combinations
 from operator import add
 
 from .linalg import SparseMatrix
-from .polycore import Polynomial, monomials_of_weight, partial_derivative
+# unused here, but perfbench/tracing.py patches complexes.partial_derivative by name
+from .polycore import monomials_of_weight, partial_derivative  # noqa: F401
 from .structure import PoissonStructure, Terms
 
 __all__ = [
     "ChainBasis",
-    "Cochain",
     "GradedComplexCell",
     "chain_basis",
     "cochain_basis",
-    "apply_boundary",
-    "apply_coboundary",
     "boundary_matrix",
     "coboundary_matrix",
     "homology_dims",
@@ -77,13 +75,6 @@ def _twist(S: PoissonStructure, coeff: str) -> "tuple[Terms, ...]":
     if coeff not in _COEFFS:
         raise ValueError(f"coefficient module must be one of {_COEFFS}, got {coeff!r}")
     return S.term_tables().traces if coeff == "omega" else ((),) * len(S.vars)
-
-
-def _check_index(index: "tuple[int, ...]", ell: int) -> None:
-    """Refuse a multi-index that is not strictly increasing within range(ell)."""
-    if any(not 0 <= i < ell for i in index) or list(index) != sorted(set(index)):
-        raise ValueError(f"bad multi-index {index}: need strictly increasing "
-                         f"indices in range({ell})")
 
 
 class ChainBasis:
@@ -159,141 +150,6 @@ def cochain_basis(S: PoissonStructure, n: int, w: int) -> ChainBasis:
     of all weights).
     """
     return _basis(S, n, w, 1)
-
-
-@dataclass(frozen=True)
-class Cochain:
-    """An alternating n-multiderivation, stored by values on basis wedges.
-
-    ``values`` maps strictly increasing multi-indices of length ``order`` to
-    polynomials; missing indices mean zero, so the map is total.
-    """
-
-    order: int
-    values: "dict[tuple[int, ...], Polynomial]"
-
-    def __post_init__(self):
-        clean = {}
-        for index, poly in self.values.items():
-            if len(index) != self.order or tuple(sorted(set(index))) != tuple(index):
-                raise ValueError(f"bad multi-index {index} for order {self.order}")
-            if not poly.is_zero():
-                clean[index] = poly
-        object.__setattr__(self, "values", clean)
-
-    def value(self, index: "tuple[int, ...]", vt) -> Polynomial:
-        got = self.values.get(tuple(index))
-        return got if got is not None else vt.zero()
-
-    def is_zero(self) -> bool:
-        return not self.values
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Cochain):
-            return NotImplemented
-        return self.order == other.order and self.values == other.values
-
-
-def _contractions(S: PoissonStructure, index: "tuple[int, ...]"):
-    """The slot-pair contractions of dx_index, on polynomials.
-
-    For slots p < q and each k outside the remaining slots, yields (the
-    remaining slots with k merged in, d{x_{i_p}, x_{i_q}}/dx_k, the sign
-    (-1)^(p+q) times that of moving dx_k to its place).
-    """
-    for p in range(len(index)):
-        for q in range(p + 1, len(index)):
-            pair = S.entry(index[p], index[q])
-            if pair.is_zero():
-                continue
-            rest = index[:p] + index[p + 1 : q] + index[q + 1 :]
-            base_sign = 1 if (p + q) % 2 == 0 else -1
-            for k in range(len(S.vars)):
-                c = partial_derivative(pair, k)
-                if c.is_zero() or k in rest:
-                    continue
-                pos = bisect_left(rest, k)
-                yield (rest[:pos] + (k,) + rest[pos:], c,
-                       base_sign if pos % 2 == 0 else -base_sign)
-
-
-def apply_boundary(S: PoissonStructure,
-                   chain: "Mapping[tuple[int, ...], Polynomial]",
-                   coeff: str = "canonical") -> "dict[tuple[int, ...], Polynomial]":
-    """Boundary of sum_I poly_I (.) dx_I, as a map multi-index -> coefficient.
-
-    Each wedge slot acts on the coefficient through the chosen right module
-    with alternating sign, and each pair of slots contracts to the wedge of
-    d{x_i, x_j} with the remaining slots (resorted, duplicates killed).
-    A multi-index that is not strictly increasing within range(ell) is
-    refused with ValueError.
-    """
-    _twist(S, coeff)
-    vt = S.vars
-    xs = vt.gens()
-    if coeff == "canonical":
-        def act(m: Polynomial, i: int) -> Polynomial:
-            return S.bracket(m, xs[i])
-    else:
-        act = S.omega_h_action
-    for index in chain:
-        _check_index(index, len(vt))
-    out: dict[tuple[int, ...], Polynomial] = {}
-
-    def add(index: "tuple[int, ...]", poly: Polynomial) -> None:
-        if poly.is_zero():
-            return
-        cur = out.get(index)
-        total = poly if cur is None else cur + poly
-        if total.is_zero():
-            out.pop(index, None)
-        else:
-            out[index] = total
-
-    for index, poly in chain.items():
-        if poly.is_zero():
-            continue
-        for r, i in enumerate(index):
-            moved = act(poly, i)
-            if moved:
-                rest = index[:r] + index[r + 1 :]
-                add(rest, moved if r % 2 == 0 else -moved)
-        for merged, c, sign in _contractions(S, index):
-            add(merged, (poly * c) * sign)
-    return out
-
-
-def apply_coboundary(S: PoissonStructure, F: Cochain) -> Cochain:
-    """Lie-Rinehart coboundary of an alternating multiderivation.
-
-    (dF)(dx_{i_0}..dx_{i_n}) takes each slot out through the anchor
-    {x_{i_r}, -} with sign (-1)^r, then contracts slot pairs into
-    F(d{x_i, x_j} ^ rest) with sign (-1)^{r+s}; at order 0 this is
-    f |-> ({x_i, f})_i, whose kernel is the Casimirs.  A value at a
-    multi-index outside range(ell) is refused with ValueError.
-    """
-    vt = S.vars
-    xs = vt.gens()
-    n = F.order
-    for index in F.values:
-        _check_index(index, len(vt))
-    out: dict[tuple[int, ...], Polynomial] = {}
-    for index in combinations(range(len(vt)), n + 1):
-        total = vt.zero()
-        for r, i in enumerate(index):
-            inner = F.value(index[:r] + index[r + 1 :], vt)
-            if inner.is_zero():
-                continue
-            moved = S.bracket(xs[i], inner)
-            if moved:
-                total = total + (moved if r % 2 == 0 else -moved)
-        for merged, c, sign in _contractions(S, index):
-            inner = F.value(merged, vt)
-            if not inner.is_zero():
-                total = total + (c * inner) * sign
-        if not total.is_zero():
-            out[index] = total
-    return Cochain(n + 1, out)
 
 
 @dataclass
@@ -444,14 +300,13 @@ def _cell_dims(S: PoissonStructure, coeff: "str | None"):
     window.  Each rank is taken once per structure and differential and
     kept in ``TermTables.ranks``.
     """
+    twist = _twist(S, "canonical" if coeff is None else coeff)
     shift = S.weight_shift()
     ell = len(S.vars)
     if coeff is None:
         step, floor, basis = 1, -sum(S.vars.weights), cochain_basis
-        twist = _twist(S, "canonical")
     else:
         step, floor, basis = -1, 0, chain_basis
-        twist = _twist(S, coeff)
     ranks = S.term_tables().ranks.setdefault((twist, coeff is None), {})
 
     def rank(n: int, w: int) -> int:
@@ -477,8 +332,14 @@ def _cell_dims(S: PoissonStructure, coeff: "str | None"):
 def _dims(S: PoissonStructure, coeff: "str | None", max_weight: int,
           max_degree: "int | None" = None) -> "dict[tuple[int, int], int]":
     """Homology (coeff "canonical" or "omega") or cohomology (coeff None)
-    dimensions per (n, w), w from the lowest weight of any cell."""
+    dimensions per (n, w), w from the lowest weight of any cell.  A
+    window that holds no cell is refused with ValueError, after an unknown
+    coefficient name."""
     dim, floor = _cell_dims(S, coeff)
+    if max_weight < floor:
+        raise ValueError(f"max_weight must be at least {floor}, got {max_weight}")
+    if max_degree is not None and max_degree < 0:
+        raise ValueError(f"max_degree must be at least 0, got {max_degree}")
     return {(n, w): dim(n, w)
             for n in range((len(S.vars) if max_degree is None else max_degree) + 1)
             for w in range(floor, max_weight + 1)}
@@ -488,7 +349,6 @@ def homology_dims(S: PoissonStructure, coeff: str = "canonical",
                   max_weight: int = 8,
                   max_degree: "int | None" = None) -> "dict[tuple[int, int], int]":
     """Homology dimensions per (n, w) over 0 <= w <= max_weight."""
-    _twist(S, coeff)  # refuse an unknown name even when no cell is built
     return _dims(S, coeff, max_weight, max_degree=max_degree)
 
 

@@ -66,11 +66,9 @@ __all__ = [
     "Word",
     "ham",
     "poly_atom",
-    "word_from_monomial",
     "EnvelopeElement",
     "reduce_word",
     "reduce_combination",
-    "multiply",
     "ConfluenceFailure",
     "confluence_check",
     "GrMismatch",
@@ -98,17 +96,6 @@ def poly_atom(f: Polynomial) -> tuple:
     return ("p", f)
 
 
-def word_from_monomial(vt: VarTable, xexp: "tuple[int, ...]",
-                       hexp: "tuple[int, ...]") -> Word:
-    """The word spelling the normal-form monomial x^xexp h^hexp."""
-    atoms: list[tuple] = []
-    if any(xexp):
-        atoms.append(poly_atom(vt.monomial(xexp)))
-    for i, e in enumerate(hexp):
-        atoms.extend(ham(i) for _ in range(e))
-    return tuple(atoms)
-
-
 class EnvelopeElement:
     """Normal-form element: a map (x exponents, h exponents) -> Fraction."""
 
@@ -119,30 +106,8 @@ class EnvelopeElement:
         self.vars = vars
         self.terms = {k: v for k, v in terms.items() if v}
 
-    @classmethod
-    def zero(cls, vars: VarTable) -> "EnvelopeElement":
-        return cls(vars, {})
-
-    @classmethod
-    def from_polynomial(cls, f: Polynomial) -> "EnvelopeElement":
-        hexp = (0,) * len(f.vars)
-        return cls(f.vars, {(e, hexp): c for e, c in f.terms.items()})
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def filtration_degree(self) -> "int | None":
-        """Largest number of derivation symbols in a term; None for zero."""
-        if not self.terms:
-            return None
-        return max(sum(h) for _, h in self.terms)
-
-    def polynomial_part(self) -> Polynomial:
-        """The component with no derivation symbols."""
-        hexp = (0,) * len(self.vars)
-        return Polynomial(
-            self.vars, {x: c for (x, h), c in self.terms.items() if h == hexp}
-        )
 
     def __add__(self, other: "EnvelopeElement") -> "EnvelopeElement":
         if not isinstance(other, EnvelopeElement):
@@ -315,19 +280,6 @@ def reduce_word(S: PoissonStructure, word: "Sequence[tuple]",
                 strategy: str = "leftmost") -> EnvelopeElement:
     """Normal form of a single product of atoms."""
     return reduce_combination(S, [(_ONE, tuple(word))], strategy)
-
-
-def multiply(S: PoissonStructure, a: EnvelopeElement,
-             b: EnvelopeElement) -> EnvelopeElement:
-    """Product of two normal forms, renormalized."""
-    if a.vars != S.vars or b.vars != S.vars:
-        raise ValueError("elements over a different variable table")
-    parts = []
-    for (x1, h1), c1 in a.terms.items():
-        w1 = word_from_monomial(S.vars, x1, h1)
-        for (x2, h2), c2 in b.terms.items():
-            parts.append((c1 * c2, w1 + word_from_monomial(S.vars, x2, h2)))
-    return reduce_combination(S, parts)
 
 
 # -- confluence ---------------------------------------------------------------

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
 
 __all__ = ["SparseMatrix"]
 
@@ -53,18 +52,6 @@ class SparseMatrix:
         m = cls(nrows, ncols)
         m.rows = rows
         m.denominator = denominator
-        return m
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "SparseMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        m = cls(nrows, ncols)
-        for r, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for c, v in enumerate(row):
-                m.add_to(r, c, v)
         return m
 
     def _check_index(self, r: int, c: int) -> None:
@@ -103,12 +90,6 @@ class SparseMatrix:
             row.pop(c, None)
             if not row:
                 del self.rows[r]
-
-    def __getitem__(self, key: "tuple[int, int]") -> "int | Fraction":
-        self._check_index(*key)
-        r, c = key
-        v = self.rows.get(r, {}).get(c, 0)
-        return v if self.denominator == 1 else Fraction(v, self.denominator)
 
     def is_zero(self) -> bool:
         return not self.rows

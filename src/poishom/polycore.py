@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "Scalar",
@@ -26,8 +26,6 @@ __all__ = [
     "parse_poly",
     "format_poly",
     "partial_derivative",
-    "weight_component",
-    "weighted_degree",
     "homogeneous_weight",
     "monomials_of_weight",
 ]
@@ -173,12 +171,6 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exponents), _ZERO)
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.vars), _ZERO)
-
     def sorted_terms(self) -> "list[tuple[tuple[int, ...], Fraction]]":
         """Terms in the canonical printing order (graded lex, descending)."""
         wd = self.vars.weighted_degree
@@ -306,14 +298,6 @@ def partial_derivative(f: Polynomial, i: int) -> Polynomial:
     return Polynomial(f.vars, out)
 
 
-def weighted_degree(f: Polynomial) -> int | None:
-    """Largest weighted degree among the terms of ``f``; None for zero."""
-    if f.is_zero():
-        return None
-    wd = f.vars.weighted_degree
-    return max(wd(e) for e in f.terms)
-
-
 def homogeneous_weight(f: Polynomial) -> int | None:
     """The common weighted degree of the terms of ``f``.
 
@@ -327,12 +311,6 @@ def homogeneous_weight(f: Polynomial) -> int | None:
     if len(degrees) == 1:
         return degrees.pop()
     return None
-
-
-def weight_component(f: Polynomial, w: int) -> Polynomial:
-    """The weight-w homogeneous component of ``f``."""
-    wd = f.vars.weighted_degree
-    return Polynomial(f.vars, {e: c for e, c in f.terms.items() if wd(e) == w})
 
 
 def monomials_of_weight(vars: VarTable, w: int) -> "list[tuple[int, ...]]":

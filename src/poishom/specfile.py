@@ -1,4 +1,4 @@
-"""Reading and writing Poisson structure documents.
+"""Reading Poisson structure documents.
 
 A document is a JSON object with:
 
@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .polycore import PolyParseError, Polynomial, VarTable, format_poly, parse_poly
+from .polycore import PolyParseError, Polynomial, VarTable, parse_poly
 from .structure import PoissonStructure
 
-__all__ = ["SpecFileError", "SpecDocument", "document_from_structure"]
+__all__ = ["SpecFileError", "SpecDocument"]
 
 
 class SpecFileError(ValueError):
@@ -169,34 +169,6 @@ class SpecDocument:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(fh.read())
 
-    def to_dict(self) -> dict:
-        out: dict = {}
-        if self.label is not None:
-            out["label"] = self.label
-        if all(w == 1 for w in self.vars.weights):
-            out["vars"] = list(self.vars.names)
-        else:
-            out["vars"] = [
-                {"name": n, "weight": w}
-                for n, w in zip(self.vars.names, self.vars.weights)
-            ]
-        out["bracket"] = {
-            f"{self.vars.names[i]},{self.vars.names[j]}": format_poly(p)
-            for (i, j), p in sorted(self.bracket.items())
-        }
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
-
     def to_structure(self) -> PoissonStructure:
         return PoissonStructure(self.vars, self.bracket)
 
-
-def document_from_structure(S: PoissonStructure,
-                            label: "str | None" = None) -> SpecDocument:
-    return SpecDocument(S.vars, dict(S.entries), label)

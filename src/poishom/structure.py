@@ -5,10 +5,12 @@ arbitrary polynomials extends as a biderivation,
 
     {f, g} = sum_{i,j} (df/dx_i)(dg/dx_j) {x_i, x_j}.
 
-On top of that this module builds the Lie bracket and anchor on Kaehler
-one-forms, the divergence-style trace of a generator, the modular traces
-that detect unimodularity, and the trace-twisted right action on the
-algebra that the dualizing module carries.
+On top of that this module builds the Lie bracket on Kaehler one-forms,
+the divergence-style traces of the generators, which detect
+unimodularity, and the trace-twisted right action on the algebra that the
+dualizing module carries.  The anchor of a one-form and the trace of an
+arbitrary polynomial are computed only by the tests, as Polynomial-level
+oracles in ``tests/_oracles.py``.
 
 Everything that reads the generator brackets reads them through one store,
 ``PoissonStructure.term_tables()``, built on first use and kept on the
@@ -22,11 +24,10 @@ One integer term kernel reads those tables: ``int_terms`` turns a
 polynomial into (L, int terms of L * f), ``times`` multiplies two int term
 tuples, and ``anchor_action`` gives D * {f, x_j} off one anchor row.
 ``bracket`` computes {f, g} = sum_j (dg/dx_j) {f, x_j} with them in ints
-and divides once, so the Jacobi check, the traces of arbitrary
-polynomials, ``omega_h_action``, ``lr_bracket`` and ``anchor_apply`` all
-go through it; the PBW rules in ``envelope`` use the same kernel, and
-``complexes`` builds its assembly plans from the terms and keeps them in
-the same store.
+and divides once, so the Jacobi check, ``omega_h_action`` and
+``lr_bracket`` all go through it; the PBW rules in ``envelope`` use the
+same kernel, and ``complexes`` builds its assembly plans from the terms
+and keeps them in the same store.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from operator import add
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .polycore import (
     Polynomial,
@@ -375,31 +376,7 @@ class PoissonStructure:
                     out[i] = out[i] - bj * bdv
         return OneForm(self.vars, tuple(out))
 
-    def anchor_apply(self, a: OneForm, f: Polynomial) -> Polynomial:
-        """Action of a one-form as a derivation: sum_i a_i {x_i, f}."""
-        if a.vars != self.vars or f.vars != self.vars:
-            raise ValueError("operands over a different variable table")
-        out = self.vars.zero()
-        for i, ai in enumerate(a.coeffs):
-            if ai.is_zero():
-                continue
-            adv = self.bracket(self.gens[i], f)
-            if adv:
-                out = out + ai * adv
-        return out
-
     # -- traces and the twisted action ---------------------------------------
-
-    def trace(self, y: Polynomial) -> Polynomial:
-        """Divergence of the derivation {y, -}: sum_i d{y, x_i}/dx_i."""
-        if y.vars != self.vars:
-            raise ValueError("operand over a different variable table")
-        out = self.vars.zero()
-        for i in range(len(self.vars)):
-            t = partial_derivative(self.bracket(y, self.gens[i]), i)
-            if t:
-                out = out + t
-        return out
 
     def modular_data(self) -> ModularData:
         traces = self.term_tables().generator_traces

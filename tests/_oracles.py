@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
+from collections import Counter
+from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from operator import add
 
 from poishom.complexes import (
-    Cochain,
     GradedComplexCell,
-    apply_boundary,
-    apply_coboundary,
     chain_basis,
     cochain_basis,
     cohomology_dims,
@@ -20,10 +23,19 @@ from poishom.linalg import SparseMatrix
 from poishom.polycore import (
     Polynomial,
     VarTable,
+    format_poly,
     monomials_of_weight,
     partial_derivative,
 )
+from poishom.specfile import SpecDocument
 from poishom.structure import OneForm, PoissonStructure, log_canonical_matrix
+
+
+def matrix_from_rows(rows) -> SparseMatrix:
+    """The SparseMatrix of a list of equally long rows of rationals."""
+    return SparseMatrix(len(rows), len(rows[0]) if rows else 0,
+                        {(r, c): v for r, row in enumerate(rows)
+                         for c, v in enumerate(row)})
 
 
 def naive_rank(rows: "list[list[Fraction]]") -> int:
@@ -119,6 +131,157 @@ def biderivation_lr_bracket(S: PoissonStructure, a: OneForm,
     return OneForm(S.vars, tuple(out))
 
 
+def anchor_apply(S: PoissonStructure, a: OneForm, f: Polynomial) -> Polynomial:
+    """The anchor of a one-form on a polynomial: sum_i a_i {x_i, f}."""
+    out = S.vars.zero()
+    for i, ai in enumerate(a.coeffs):
+        out = out + ai * S.bracket(S.gens[i], f)
+    return out
+
+
+# -- the chain and cochain differentials on polynomials ------------------------
+
+_COEFFS = ("canonical", "omega")
+
+
+def _check_index(index: "tuple[int, ...]", ell: int) -> None:
+    """Refuse a multi-index that is not strictly increasing within range(ell)."""
+    if any(not 0 <= i < ell for i in index) or list(index) != sorted(set(index)):
+        raise ValueError(f"bad multi-index {index}: need strictly increasing "
+                         f"indices in range({ell})")
+
+
+@dataclass(frozen=True)
+class Cochain:
+    """An alternating n-multiderivation, stored by values on basis wedges.
+
+    ``values`` maps strictly increasing multi-indices of length ``order`` to
+    polynomials; missing indices mean zero, so the map is total.
+    """
+
+    order: int
+    values: "dict[tuple[int, ...], Polynomial]"
+
+    def __post_init__(self):
+        clean = {}
+        for index, poly in self.values.items():
+            if len(index) != self.order or tuple(sorted(set(index))) != tuple(index):
+                raise ValueError(f"bad multi-index {index} for order {self.order}")
+            if not poly.is_zero():
+                clean[index] = poly
+        object.__setattr__(self, "values", clean)
+
+    def value(self, index: "tuple[int, ...]", vt) -> Polynomial:
+        got = self.values.get(tuple(index))
+        return got if got is not None else vt.zero()
+
+    def is_zero(self) -> bool:
+        return not self.values
+
+
+def _contractions(S: PoissonStructure, index: "tuple[int, ...]"):
+    """The slot-pair contractions of dx_index, on polynomials.
+
+    For slots p < q and each k outside the remaining slots, yields (the
+    remaining slots with k merged in, d{x_{i_p}, x_{i_q}}/dx_k, the sign
+    (-1)^(p+q) times that of moving dx_k to its place).
+    """
+    for p in range(len(index)):
+        for q in range(p + 1, len(index)):
+            pair = S.entry(index[p], index[q])
+            if pair.is_zero():
+                continue
+            rest = index[:p] + index[p + 1 : q] + index[q + 1 :]
+            base_sign = 1 if (p + q) % 2 == 0 else -1
+            for k in range(len(S.vars)):
+                c = partial_derivative(pair, k)
+                if c.is_zero() or k in rest:
+                    continue
+                pos = bisect_left(rest, k)
+                yield (rest[:pos] + (k,) + rest[pos:], c,
+                       base_sign if pos % 2 == 0 else -base_sign)
+
+
+def apply_boundary(S: PoissonStructure,
+                   chain: "Mapping[tuple[int, ...], Polynomial]",
+                   coeff: str = "canonical") -> "dict[tuple[int, ...], Polynomial]":
+    """Boundary of sum_I poly_I (.) dx_I, as a map multi-index -> coefficient.
+
+    Each wedge slot acts on the coefficient through the chosen right module
+    with alternating sign, and each pair of slots contracts to the wedge of
+    d{x_i, x_j} with the remaining slots (resorted, duplicates killed).
+    An unknown coefficient name, or a multi-index that is not strictly
+    increasing within range(ell), is refused with ValueError.
+    """
+    if coeff not in _COEFFS:
+        raise ValueError(f"coefficient module must be one of {_COEFFS}, got {coeff!r}")
+    vt = S.vars
+    xs = vt.gens()
+    if coeff == "canonical":
+        def act(m: Polynomial, i: int) -> Polynomial:
+            return S.bracket(m, xs[i])
+    else:
+        act = S.omega_h_action
+    for index in chain:
+        _check_index(index, len(vt))
+    out: dict[tuple[int, ...], Polynomial] = {}
+
+    def add(index: "tuple[int, ...]", poly: Polynomial) -> None:
+        if poly.is_zero():
+            return
+        cur = out.get(index)
+        total = poly if cur is None else cur + poly
+        if total.is_zero():
+            out.pop(index, None)
+        else:
+            out[index] = total
+
+    for index, poly in chain.items():
+        if poly.is_zero():
+            continue
+        for r, i in enumerate(index):
+            moved = act(poly, i)
+            if moved:
+                rest = index[:r] + index[r + 1 :]
+                add(rest, moved if r % 2 == 0 else -moved)
+        for merged, c, sign in _contractions(S, index):
+            add(merged, (poly * c) * sign)
+    return out
+
+
+def apply_coboundary(S: PoissonStructure, F: Cochain) -> Cochain:
+    """Lie-Rinehart coboundary of an alternating multiderivation.
+
+    (dF)(dx_{i_0}..dx_{i_n}) takes each slot out through the anchor
+    {x_{i_r}, -} with sign (-1)^r, then contracts slot pairs into
+    F(d{x_i, x_j} ^ rest) with sign (-1)^{r+s}; at order 0 this is
+    f |-> ({x_i, f})_i, whose kernel is the Casimirs.  A value at a
+    multi-index outside range(ell) is refused with ValueError.
+    """
+    vt = S.vars
+    xs = vt.gens()
+    n = F.order
+    for index in F.values:
+        _check_index(index, len(vt))
+    out: dict[tuple[int, ...], Polynomial] = {}
+    for index in combinations(range(len(vt)), n + 1):
+        total = vt.zero()
+        for r, i in enumerate(index):
+            inner = F.value(index[:r] + index[r + 1 :], vt)
+            if inner.is_zero():
+                continue
+            moved = S.bracket(xs[i], inner)
+            if moved:
+                total = total + (moved if r % 2 == 0 else -moved)
+        for merged, c, sign in _contractions(S, index):
+            inner = F.value(merged, vt)
+            if not inner.is_zero():
+                total = total + (c * inner) * sign
+        if not total.is_zero():
+            out[index] = total
+    return Cochain(n + 1, out)
+
+
 def boundary_matrix_by_columns(S: PoissonStructure, n: int, w: int,
                                coeff: str = "canonical") -> GradedComplexCell:
     """Boundary matrix of the cell (n, w), one apply_boundary per column."""
@@ -160,6 +323,32 @@ def eager_duality(S: PoissonStructure, max_weight: int) -> "tuple[int, ...]":
         s for s in range(sum(S.vars.weights) + 1)
         if all(twisted[(n, w)] == cohomology[(ell - n, w - s)]
                for n in range(ell + 1) for w in range(max_weight + 1)))
+
+
+def plans_square_to_zero(S: PoissonStructure, plans) -> bool:
+    """True when a plan table of ``complexes._plans`` squares to zero at
+    every weight at once.
+
+    On m = x^e, the step I -> J of ``plans[I]`` gives (c0 + c.e) x^(e + t1)
+    (.) dx_J, and the step J -> K of ``plans[J]`` takes that on to
+    (d0 + d.(e + t1)) x^(e + t1 + t2) (.) dx_K.  Summed per (I, K,
+    t1 + t2), the products of the two forms must vanish as quadratic
+    polynomials in e.
+    """
+    total: Counter = Counter()
+    for I, plan in plans.items():
+        for J, t1, c0, first in plan:
+            for K, t2, d0, second in plans[J]:
+                key = (I, K, tuple(map(add, t1, t2)))
+                lead = d0 + sum(d * t1[b] for b, d in second)
+                total[key + ((),)] += c0 * lead
+                for b, d in second:
+                    total[key + ((b,),)] += c0 * d
+                for a, c in first:
+                    total[key + ((a,),)] += c * lead
+                    for b, d in second:
+                        total[key + (tuple(sorted((a, b))),)] += c * d
+    return not any(total.values())
 
 
 def dense_rows(matrix: SparseMatrix) -> "list[list[Fraction]]":
@@ -304,6 +493,17 @@ def random_log_canonical(rng: random.Random, n: int) -> PoissonStructure:
     return PoissonStructure(vt, entries)
 
 
+def document_dict(doc: SpecDocument) -> dict:
+    """A document as the JSON object ``SpecDocument.from_dict`` reads, with
+    the brackets spelled out (never a matrix) by ``format_poly``."""
+    vt = doc.vars
+    out: dict = {} if doc.label is None else {"label": doc.label}
+    out["vars"] = [{"name": n, "weight": w} for n, w in zip(vt.names, vt.weights)]
+    out["bracket"] = {f"{vt.names[i]},{vt.names[j]}": format_poly(p)
+                      for (i, j), p in sorted(doc.bracket.items())}
+    return out
+
+
 def weighted_rational() -> PoissonStructure:
     """{x, y} = 2x^2/3 with weights (1, 2): structure denominator 3."""
     vt = VarTable(("x", "y"), (1, 2))
@@ -317,6 +517,31 @@ def mixed_denominator_log_canonical() -> PoissonStructure:
     return PoissonStructure(vt, {(0, 1): vt.monomial((1, 1, 0), Fraction(1, 2)),
                                  (0, 2): vt.monomial((1, 0, 1)),
                                  (1, 2): vt.monomial((0, 1, 1), Fraction(1, 3))})
+
+
+def polynomial_element(f: Polynomial) -> EnvelopeElement:
+    """f as a normal form with no derivation symbol."""
+    hexp = (0,) * len(f.vars)
+    return EnvelopeElement(f.vars, {(e, hexp): c for e, c in f.terms.items()})
+
+
+def filtration_degree(element: EnvelopeElement) -> int:
+    """The largest number of derivation symbols in a term of a nonzero
+    normal form."""
+    return max(sum(h) for _, h in element.terms)
+
+
+def multiply(S: PoissonStructure, a: EnvelopeElement,
+             b: EnvelopeElement) -> EnvelopeElement:
+    """Product of two normal forms: each pair of terms x^e h^k spelled as
+    a word, the words joined, and the combination reduced."""
+    def word(xexp, hexp):
+        atoms = (poly_atom(S.vars.monomial(xexp)),) if any(xexp) else ()
+        return atoms + tuple(ham(i) for i, e in enumerate(hexp) for _ in range(e))
+
+    return reduce_combination(S, [(c1 * c2, word(*k1) + word(*k2))
+                                  for k1, c1 in a.terms.items()
+                                  for k2, c2 in b.terms.items()])
 
 
 def polynomial_atom_reduce(S: PoissonStructure, parts, strategy: str = "leftmost"):

@@ -12,11 +12,8 @@ from poishom.catalog import CATALOG
 from poishom.cli import main
 from poishom.linalg import SparseMatrix
 from poishom.complexes import (
-    Cochain,
     DualityReport,
     ShiftNotFound,
-    apply_boundary,
-    apply_coboundary,
     boundary_matrix,
     chain_basis,
     coboundary_matrix,
@@ -36,6 +33,9 @@ from poishom.polycore import (
 from poishom.structure import NonHomogeneousError, PoissonStructure
 
 from _oracles import (
+    Cochain,
+    apply_boundary,
+    apply_coboundary,
     boundary_matrix_by_columns,
     casimir_dimension,
     coboundary_matrix_by_columns,
@@ -43,6 +43,8 @@ from _oracles import (
     eager_duality,
     euler_characteristic_matches,
     mixed_denominator_log_canonical,
+    plans_square_to_zero,
+    random_log_canonical,
     random_polynomial,
     weighted_rational,
 )
@@ -251,6 +253,46 @@ def test_one_boundary_table_exactly_when_unimodular(S):
     assert (canonical is omega) == S.modular_data().unimodular
 
 
+# -- d^2 = 0 on the plan tables, at every weight at once ----------------------
+
+
+def _square_to_zero(S):
+    """Per differential, whether its plan table squares to zero."""
+    return {coeff: plans_square_to_zero(S, complexes._plans(S, twist, backwards))
+            for coeff, twist, backwards in _differentials(S)}
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=[e.id for e in CATALOG])
+def test_plans_square_to_zero_on_the_catalog(entry):
+    assert all(_square_to_zero(_fresh(entry.id)).values())
+
+
+@pytest.mark.parametrize("ell", [4, 5, 6])
+def test_plans_square_to_zero_on_random_log_canonical(ell):
+    rng = random.Random(ell)
+    for _ in range(3):
+        assert all(_square_to_zero(random_log_canonical(rng, ell)).values())
+
+
+def _drop_first_anchor_terms(S):
+    # every anchor row loses its first entry, so every plan table built
+    # from the tables shares the fault
+    tables = S.term_tables()
+    S._tables = dataclasses.replace(
+        tables, anchor=tuple(row[1:] for row in tables.anchor),
+        plans={}, bases={}, ranks={})
+
+
+@pytest.mark.parametrize("entry_id", ["so3", "log-canonical-3", "log-canonical-3u"])
+def test_an_anchor_term_dropped_everywhere_fails_only_d_squared(entry_id):
+    # the duality certificate compares two tables with the same fault and
+    # still holds; d^2 = 0 fails on each table
+    S = _fresh(entry_id)
+    _drop_first_anchor_terms(S)
+    assert complexes._duality_certificate(S)
+    assert not any(_square_to_zero(S).values())
+
+
 @pytest.mark.parametrize("entry", CATALOG, ids=[e.id for e in CATALOG])
 def test_duality_keeps_one_plan_table_per_distinct_differential(entry):
     # the certificate reads the coboundary off the zero-twist boundary
@@ -350,16 +392,48 @@ COEFF_REFUSAL = ("coefficient module must be one of ('canonical', 'omega'), "
 
 def test_unknown_coefficient_names_are_refused(so3):
     # the library refuses the name itself, not only the CLI's --coeff choice;
-    # at max_weight -1 no cell is built, so the refusal cannot wait for one
-    x = so3.vars.gen(0)
+    # at max_weight -1 the window is empty too, and the name is refused first
     calls = [lambda: homology_dims(so3, "bad"),
              lambda: homology_dims(so3, "bad", max_weight=-1),
-             lambda: boundary_matrix(so3, 1, 1, "bad"),
-             lambda: apply_boundary(so3, {(0,): x}, coeff="bad")]
+             lambda: boundary_matrix(so3, 1, 1, "bad")]
     for call in calls:
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == COEFF_REFUSAL
+
+
+def test_oracle_boundary_refuses_an_unknown_coefficient(so3):
+    x = so3.vars.gen(0)
+    with pytest.raises(ValueError) as info:
+        apply_boundary(so3, {(0,): x}, coeff="bad")
+    assert str(info.value) == COEFF_REFUSAL
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda S: homology_dims(S, max_weight=-1),
+     "max_weight must be at least 0, got -1"),
+    (lambda S: homology_dims(S, "omega", max_weight=-1),
+     "max_weight must be at least 0, got -1"),
+    (lambda S: cohomology_dims(S, max_weight=-10),
+     "max_weight must be at least -3, got -10"),
+    (lambda S: homology_dims(S, max_degree=-1),
+     "max_degree must be at least 0, got -1"),
+    (lambda S: cohomology_dims(S, max_degree=-1),
+     "max_degree must be at least 0, got -1"),
+], ids=["homology-weight", "omega-weight", "cohomology-weight",
+        "homology-degree", "cohomology-degree"])
+def test_sweeps_refuse_an_empty_window(so3, call, message):
+    # the window holds no cell, so a table would be empty; duality_report
+    # and the CLI refuse the same windows
+    with pytest.raises(ValueError) as info:
+        call(so3)
+    assert str(info.value) == message
+
+
+def test_smallest_windows_are_not_empty(so3):
+    assert homology_dims(so3, max_weight=0, max_degree=0) == {(0, 0): 1}
+    table = cohomology_dims(so3, max_weight=-3, max_degree=0)
+    assert table == {(0, -3): 0}
 
 
 def test_cochain_validation():

@@ -20,7 +20,6 @@ from poishom.envelope import (
     gr_dimension_check,
     ham,
     j_quotient_action,
-    multiply,
     nu_check,
     poly_atom,
     reduce_combination,
@@ -32,9 +31,12 @@ from poishom.structure import PoissonStructure, int_terms, log_canonical_matrix
 
 from _oracles import (
     doubled_counts,
+    filtration_degree,
     fraction_nu_relations,
     mixed_denominator_log_canonical,
+    multiply,
     polynomial_atom_reduce,
+    polynomial_element,
     polynomial_module_residue,
     random_log_canonical,
     random_polynomial,
@@ -53,20 +55,16 @@ def elem(S, *word):
 def test_symplectic_commutation_golden(symplectic):
     x, y = symplectic.vars.gens()
     got = elem(symplectic, ham(1), poly_atom(x))
-    want = elem(symplectic, poly_atom(x), ham(1)) + EnvelopeElement.from_polynomial(
-        -symplectic.vars.one()
-    )
+    want = elem(symplectic, poly_atom(x), ham(1)) + polynomial_element(-symplectic.vars.one())
     assert got == want
-    assert got.filtration_degree() == 1
-    assert got.polynomial_part() == -1
+    assert filtration_degree(got) == 1
+    assert got.terms[((0, 0), (0, 0))] == -1
 
 
 def test_log2_commutation_golden(log2):
     x, y = log2.vars.gens()
     got = elem(log2, ham(0), poly_atom(y))
-    assert got == elem(log2, poly_atom(y), ham(0)) + EnvelopeElement.from_polynomial(
-        x * y
-    )
+    assert got == elem(log2, poly_atom(y), ham(0)) + polynomial_element(x * y)
 
 
 def test_so3_symbol_swap_golden(so3):
@@ -79,12 +77,12 @@ def test_so3_symbol_swap_golden(so3):
 def test_polynomials_merge(so3):
     x, y, z = so3.vars.gens()
     got = elem(so3, poly_atom(x + y), poly_atom(x - y))
-    assert got == EnvelopeElement.from_polynomial(x * x - y * y)
+    assert got == polynomial_element(x * x - y * y)
 
 
 def test_empty_word_is_identity(so3):
     one = reduce_word(so3, ())
-    assert one == EnvelopeElement.from_polynomial(so3.vars.one())
+    assert one == polynomial_element(so3.vars.one())
     e = elem(so3, ham(0))
     assert multiply(so3, one, e) == e
     assert multiply(so3, e, one) == e
@@ -107,16 +105,14 @@ def test_commutator_with_polynomial_is_the_bracket(so3, log3):
                     (Fraction(-1), (poly_atom(f), ham(i))),
                 ],
             )
-            want = EnvelopeElement.from_polynomial(
-                S.bracket(S.vars.gen(i), f)
-            )
+            want = polynomial_element(S.bracket(S.vars.gen(i), f))
             assert left == want
 
 
 def test_str_rendering(log2):
     e = elem(log2, ham(0), poly_atom(log2.vars.gen(1)))
     assert str(e) == "x*y + y*h(x)"
-    assert str(EnvelopeElement.zero(log2.vars)) == "0"
+    assert str(EnvelopeElement(log2.vars, {})) == "0"
 
 
 # -- strategy independence and algebra laws -------------------------------------
@@ -245,7 +241,7 @@ def test_filtration_is_submultiplicative(so3):
         p = multiply(so3, a, b)
         if a.is_zero() or b.is_zero() or p.is_zero():
             continue
-        assert p.filtration_degree() <= a.filtration_degree() + b.filtration_degree()
+        assert filtration_degree(p) <= filtration_degree(a) + filtration_degree(b)
 
 
 # -- graded dimension count ------------------------------------------------------
@@ -306,12 +302,12 @@ def test_residue_refuses_a_trace_list_of_the_wrong_length(so3):
             right_module_residue(so3, e, wrong)
     # also when no term carries the missing symbol
     with pytest.raises(ValueError, match="one trace per variable"):
-        right_module_residue(so3, EnvelopeElement.from_polynomial(so3.vars.one()), [])
+        right_module_residue(so3, polynomial_element(so3.vars.one()), [])
 
 
 def test_residue_of_polynomial_is_itself(so3):
     f = so3.vars.gen(0) ** 2 + 2
-    e = EnvelopeElement.from_polynomial(f)
+    e = polynomial_element(f)
     traces = so3.modular_data().traces
     assert right_module_residue(so3, e, traces) == f
 

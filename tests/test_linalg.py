@@ -15,6 +15,7 @@ from _oracles import (
     coboundary_matrix_by_columns,
     dense_rows,
     fraction_rank,
+    matrix_from_rows,
     mixed_denominator_log_canonical,
     naive_rank,
     weighted_rational,
@@ -22,7 +23,12 @@ from _oracles import (
 
 
 def dense(rows):
-    return SparseMatrix.from_rows([[Fraction(v) for v in row] for row in rows])
+    return matrix_from_rows([[Fraction(v) for v in row] for row in rows])
+
+
+def at(m, r, c):
+    """The value of entry (r, c), zero when it is not stored."""
+    return m.entries.get((r, c), 0)
 
 
 def rank_and_nullity(m):
@@ -39,7 +45,7 @@ def test_rank_goldens():
 
 
 def test_rank_accepts_plain_rows():
-    assert rank_and_nullity(SparseMatrix.from_rows([[1, 2], [3, 4]])) == (2, 0)
+    assert rank_and_nullity(matrix_from_rows([[1, 2], [3, 4]])) == (2, 0)
 
 
 def test_entry_accumulation():
@@ -48,7 +54,7 @@ def test_entry_accumulation():
     m.add_to(0, 0, Fraction(-1, 2))
     assert m.nnz() == 0
     assert m.is_zero()
-    assert m[0, 1] == 0
+    assert at(m, 0, 1) == 0
 
 
 def test_add_to_raises_the_denominator_to_the_lcm():
@@ -57,7 +63,7 @@ def test_add_to_raises_the_denominator_to_the_lcm():
     assert m.denominator == 2 and m.rows == {0: {0: 1}, 1: {1: 10}}
     m.add_to(0, 0, Fraction(1, 3))
     assert m.denominator == 6 and m.rows == {0: {0: 5}, 1: {1: 30}}
-    assert m[0, 0] == Fraction(5, 6) and m[1, 1] == 5
+    assert at(m, 0, 0) == Fraction(5, 6) and at(m, 1, 1) == 5
     m.add_to(0, 0, Fraction(-5, 6))
     m.add_to(1, 1, -5)
     assert m.is_zero() and m.nnz() == 0 and m.rank() == 0
@@ -77,10 +83,10 @@ def test_int_entries_stay_ints():
                             (1, 0): Fraction(4, 1), (1, 1): 2 ** 70})
     assert m.denominator == 2
     assert all(type(v) is Fraction for v in m.entries.values())
-    assert m[1, 0] == 4
+    assert at(m, 1, 0) == 4
     assert (1, 2) not in m.entries
     m.add_to(0, 0, 2)
-    assert type(m.entries[(0, 0)]) is Fraction and m[0, 0] == 5
+    assert type(m.entries[(0, 0)]) is Fraction and at(m, 0, 0) == 5
     # equal to, and hashed like, the same matrix held in Fractions
     same = SparseMatrix(2, 3, {k: Fraction(v) for k, v in m.entries.items()})
     assert m == same
@@ -120,7 +126,7 @@ fraction_rows = st.lists(
 @given(fraction_rows)
 @settings(max_examples=80)
 def test_rank_matches_naive_elimination(rows):
-    rank, nullity = rank_and_nullity(SparseMatrix.from_rows(rows))
+    rank, nullity = rank_and_nullity(matrix_from_rows(rows))
     assert rank == naive_rank(rows)
     assert rank + nullity == 3
 
@@ -233,9 +239,9 @@ def test_denominator_matrix_reads_like_its_fraction_twin():
     m = SparseMatrix.from_int_rows(2, 3, {0: {0: 3, 2: -4}, 1: {1: 6}}, 6)
     assert m == twin and twin == m
     assert m.entries == twin.entries
-    assert [m[r, c] for r in range(2) for c in range(3)] == [
-        twin[r, c] for r in range(2) for c in range(3)]
-    assert type(m[1, 1]) is Fraction and m[1, 1] == 1 and m[1, 0] == 0
+    assert [at(m, r, c) for r in range(2) for c in range(3)] == [
+        at(twin, r, c) for r in range(2) for c in range(3)]
+    assert type(at(m, 1, 1)) is Fraction and at(m, 1, 1) == 1 and at(m, 1, 0) == 0
     assert m.nnz() == twin.nnz() == 3
     assert m != SparseMatrix.from_int_rows(2, 3, {0: {0: 3, 2: -4}, 1: {1: 6}}, 3)
     assert m.rank() == twin.rank() == 2
@@ -259,8 +265,6 @@ def test_denominator_matrix_reads_like_its_fraction_twin():
     m.add_to(1, 2, -5)
     assert m.nnz() == 2 and m.rank() == 1
     with pytest.raises(IndexError):
-        m[2, 0]
-    with pytest.raises(IndexError):
         m.add_to(0, 3, 1)
 
 
@@ -272,7 +276,7 @@ def test_int_rows_over_a_denominator_match_the_fraction_matrix(case):
     assert scaled == matrix
     assert scaled.entries == matrix.entries
     assert scaled.nnz() == matrix.nnz()
-    assert all(scaled[key] == v for key, v in matrix.entries.items())
+    assert all(at(scaled, *key) == v for key, v in matrix.entries.items())
     assert scaled.rank() == matrix.rank()
     transpose = SparseMatrix(matrix.ncols, matrix.nrows,
                              {(c, r): v for (r, c), v in matrix.entries.items()})
@@ -305,7 +309,7 @@ def test_rank_of_low_rank_products(seed, r):
         [sum((u[i][k] * v[k][j] for k in range(r)), Fraction(0)) for j in range(4)]
         for i in range(4)
     ]
-    rank = SparseMatrix.from_rows(prod).rank()
+    rank = matrix_from_rows(prod).rank()
     assert rank <= r
     assert rank == naive_rank(prod)
 
@@ -321,7 +325,7 @@ def test_rank_of_dense_products_of_known_rank(r):
            if j > k else 0) for j in range(30)] for k in range(r)]
     product = SparseMatrix(30, 30)
     if r:
-        product = SparseMatrix.from_rows(u) @ SparseMatrix.from_rows(v)
+        product = matrix_from_rows(u) @ matrix_from_rows(v)
         assert product.nnz() > 450
     assert product.rank() == r
     assert naive_rank(dense_rows(product)) == r

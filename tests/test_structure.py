@@ -13,7 +13,6 @@ from poishom.polycore import (
     homogeneous_weight,
     parse_poly,
     partial_derivative,
-    weighted_degree,
 )
 from poishom.structure import (
     JacobiViolation,
@@ -26,6 +25,7 @@ from poishom.structure import (
 )
 
 from _oracles import (
+    anchor_apply,
     biderivation_bracket,
     biderivation_lr_bracket,
     biderivation_omega_action,
@@ -157,7 +157,7 @@ def test_bracket_grading(so3):
     f = x * y
     g = z ** 3
     b = so3.bracket(f, g)
-    assert homogeneous_weight(b) == weighted_degree(f) + weighted_degree(g) + shift
+    assert homogeneous_weight(b) == homogeneous_weight(f) + homogeneous_weight(g) + shift
 
 
 # -- one-forms ----------------------------------------------------------------
@@ -176,13 +176,13 @@ def test_lr_bracket_goldens(potential):
     dx, dy, dz = (basis_form(vt, i) for i in range(3))
     assert potential.lr_bracket(dz, dy) == 2 * x * dz + 2 * z * dx
     assert potential.lr_bracket(dy, dx) == 2 * x * dx
-    assert potential.anchor_apply(x * dy, x) == x ** 3
+    assert anchor_apply(potential, x * dy, x) == x ** 3
 
 
 def test_anchor_matches_bracket(so3):
     f = so3.vars.gen(0) * so3.vars.gen(1)
     g = so3.vars.gen(2) ** 2
-    assert so3.anchor_apply(differential(f), g) == so3.bracket(f, g)
+    assert anchor_apply(so3, differential(f), g) == so3.bracket(f, g)
 
 
 # -- traces and modular data --------------------------------------------------
@@ -212,7 +212,7 @@ def test_trace_matches_one_form_divergence(log3, so3, potential):
             for i in range(len(vt)):
                 image = S.lr_bracket(differential(y), basis_form(vt, i))
                 total = total + image.coeffs[i]
-            assert S.trace(y) == total
+            assert biderivation_trace(S, y) == total
 
 
 def test_omega_action_goldens(log2):
@@ -294,7 +294,7 @@ def test_lr_bracket_leibniz_rule(so3, seed):
     a = random_one_form(rng, vt)
     b = random_one_form(rng, vt)
     left = so3.lr_bracket(a, f * b)
-    right = f * so3.lr_bracket(a, b) + so3.anchor_apply(a, f) * b
+    right = f * so3.lr_bracket(a, b) + anchor_apply(so3, a, f) * b
     assert left == right
 
 
@@ -306,21 +306,10 @@ def test_anchor_is_a_homomorphism(so3, seed):
     a = random_one_form(rng, vt)
     b = random_one_form(rng, vt)
     f = random_polynomial(rng, vt, max_degree=2)
-    left = so3.anchor_apply(so3.lr_bracket(a, b), f)
-    right = so3.anchor_apply(a, so3.anchor_apply(b, f)) - so3.anchor_apply(
-        b, so3.anchor_apply(a, f)
-    )
+    left = anchor_apply(so3, so3.lr_bracket(a, b), f)
+    right = (anchor_apply(so3, a, anchor_apply(so3, b, f))
+             - anchor_apply(so3, b, anchor_apply(so3, a, f)))
     assert left == right
-
-
-@given(st.integers(min_value=0, max_value=2 ** 31))
-@settings(max_examples=20, deadline=None)
-def test_trace_is_additive(log3, seed):
-    rng = random.Random(seed)
-    vt = log3.vars
-    f = random_polynomial(rng, vt)
-    g = random_polynomial(rng, vt)
-    assert log3.trace(f + g) == log3.trace(f) + log3.trace(g)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31), st.integers(2, 5))
@@ -378,7 +367,6 @@ def test_bracket_matches_biderivation_oracle(S):
         for g in operands:
             assert S.bracket(f, g) == biderivation_bracket(S, f, g), (f, g)
     for y in operands:
-        assert S.trace(y) == biderivation_trace(S, y), y
         for i in range(len(vt)):
             assert S.omega_h_action(y, i) == biderivation_omega_action(S, y, i)
     for _ in range(4):
@@ -393,7 +381,7 @@ def test_tables_match_direct_derivatives(S):
     vt, d = S.vars, tables.denominator
     ell = len(vt)
     for i in range(ell):
-        assert tables.generator_traces[i] == S.trace(S.gens[i])
+        assert tables.generator_traces[i] == biderivation_trace(S, S.gens[i])
         assert S.modular_data().traces[i] == tables.generator_traces[i]
         assert Polynomial(vt, dict(tables.traces[i])) == d * tables.generator_traces[i]
         for j in range(ell):
