@@ -16,7 +16,6 @@ from .catalog import CATALOG, CatalogEntry, catalog_ids, get_entry
 from .complexes import (
     ChainBasis,
     DualityReport,
-    ShiftNotFound,
     boundary_matrix,
     chain_basis,
     coboundary_matrix,
@@ -85,7 +84,6 @@ __all__ = [
     "PolyParseError",
     "Polynomial",
     "RelationViolation",
-    "ShiftNotFound",
     "SparseMatrix",
     "SpecDocument",
     "SpecFileError",

@@ -62,7 +62,6 @@ __all__ = [
     "cohomology_dims",
     "dim_table_tsv",
     "DualityReport",
-    "ShiftNotFound",
     "duality_report",
 ]
 
@@ -264,7 +263,7 @@ def _assemble(S: PoissonStructure, src: ChainBasis, tgt: ChainBasis,
                     rows[r] = {col: v}
                 else:
                     row[col] = v
-    return GradedComplexCell(src, tgt, SparseMatrix.from_int_rows(
+    return GradedComplexCell(src, tgt, SparseMatrix(
         len(tgt), len(src), rows, S.term_tables().denominator))
 
 
@@ -332,16 +331,17 @@ def _cell_dims(S: PoissonStructure, coeff: "str | None"):
 def _dims(S: PoissonStructure, coeff: "str | None", max_weight: int,
           max_degree: "int | None" = None) -> "dict[tuple[int, int], int]":
     """Homology (coeff "canonical" or "omega") or cohomology (coeff None)
-    dimensions per (n, w), w from the lowest weight of any cell.  A
-    window that holds no cell is refused with ValueError, after an unknown
-    coefficient name."""
+    dimensions per (n, w), w from the lowest weight of any cell and n up
+    to the number of variables: no cell lies above it.  A window that
+    holds no cell is refused with ValueError, after an unknown coefficient
+    name."""
     dim, floor = _cell_dims(S, coeff)
     if max_weight < floor:
         raise ValueError(f"max_weight must be at least {floor}, got {max_weight}")
     if max_degree is not None and max_degree < 0:
         raise ValueError(f"max_degree must be at least 0, got {max_degree}")
-    return {(n, w): dim(n, w)
-            for n in range((len(S.vars) if max_degree is None else max_degree) + 1)
+    top = len(S.vars) if max_degree is None else min(max_degree, len(S.vars))
+    return {(n, w): dim(n, w) for n in range(top + 1)
             for w in range(floor, max_weight + 1)}
 
 
@@ -484,24 +484,13 @@ class DualityReport:
         return "\n".join(rows)
 
 
-class ShiftNotFound(ValueError):
-    """No uniform weight shift aligns twisted homology with cohomology."""
-
-    def __init__(self, report: DualityReport):
-        super().__init__(
-            "no uniform weight shift aligns the twisted homology table with "
-            "the cohomology table; see the attached report"
-        )
-        self.report = report
-
-
 def duality_report(S: PoissonStructure, max_weight: int = 8) -> DualityReport:
     """Check dim HP_n(twisted)_w == dim HP^{ell-n}_{w-s} over a weight window.
 
     The expected shift s is the sum of the variable weights.  All shifts in
-    0..s are tried; the report fails (or raises ShiftNotFound when nothing
-    fits) rather than ever papering over a mismatch.  A max_weight below 0
-    leaves no cell and is refused with ValueError.
+    0..s are tried, and the report fails rather than ever papering over a
+    mismatch; ``fitting_shifts`` is empty when nothing fits.  A max_weight
+    below 0 leaves no cell and is refused with ValueError.
 
     The verdict needs ``_duality_certificate`` to hold; then each
     cohomology cell (k, v) is read off the twisted cell (ell - k, v + s),
@@ -540,7 +529,7 @@ def duality_report(S: PoissonStructure, max_weight: int = 8) -> DualityReport:
         for n in range(ell + 1)
         for w in range(max_weight + 1)
     ]
-    report = DualityReport(
+    return DualityReport(
         ell=ell,
         max_weight=max_weight,
         expected_shift=expected,
@@ -552,6 +541,3 @@ def duality_report(S: PoissonStructure, max_weight: int = 8) -> DualityReport:
         certified=certified,
         passed=certified and expected in fitting,
     )
-    if not fitting:
-        raise ShiftNotFound(report)
-    return report

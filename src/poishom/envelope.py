@@ -109,28 +109,6 @@ class EnvelopeElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "EnvelopeElement") -> "EnvelopeElement":
-        if not isinstance(other, EnvelopeElement):
-            return NotImplemented
-        if self.vars != other.vars:
-            raise ValueError("elements over different variable tables")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return EnvelopeElement(self.vars, out)
-
-    def __neg__(self) -> "EnvelopeElement":
-        return EnvelopeElement(self.vars, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "EnvelopeElement") -> "EnvelopeElement":
-        if not isinstance(other, EnvelopeElement):
-            return NotImplemented
-        return self + (-other)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, EnvelopeElement):
             return NotImplemented
@@ -402,14 +380,15 @@ def gr_dimension_check(S: PoissonStructure, max_filtration: int = 3,
     _at_least("max_filtration", max_filtration, 0)
     _at_least("max_weight", max_weight, 0)
     vt = S.vars
-    n = len(vt)
     weights = range(max_weight + 1)
     plain = [len(monomials_of_weight(vt, w)) for w in weights]
     by_filtration = _symmetric_counts(vt, max_filtration, max_weight)
     table: dict[tuple[int, int], int] = {}
     seen: dict[tuple[int, int], tuple[int, int]] = {}
+    unweighted = VarTable(vt.names)
     for p in range(max_filtration + 1):
-        symbol_weights = [vt.weighted_degree(h) for h in _compositions(p, n)]
+        symbol_weights = [vt.weighted_degree(h)
+                          for h in monomials_of_weight(unweighted, p)]
         for w in weights:
             normal = sum(plain[w - d] for d in symbol_weights if d <= w)
             symmetric = by_filtration[p][w]
@@ -418,16 +397,6 @@ def gr_dimension_check(S: PoissonStructure, max_filtration: int = 3,
                 raise GrMismatch(p, w, normal, symmetric, seen)
             table[(p, w)] = normal
     return table
-
-
-def _compositions(total: int, parts: int) -> "list[tuple[int, ...]]":
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
 
 
 # -- right-quotient reductions ------------------------------------------------

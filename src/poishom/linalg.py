@@ -3,9 +3,8 @@
 A matrix is stored in one format: sparse int rows, row -> {col: value},
 over one positive int denominator, so the matrix it stands for is
 rows / denominator.  The complexes hand over their int rows with the
-structure denominator D as they are; rational values given entry by entry
-are cleared into the same format, the denominator rising to the lcm of
-theirs.  Readers see rational values: ints over denominator 1, and
+structure denominator D, and the constructor takes them as they are.
+Readers see rational values: ints over denominator 1, and
 ``Fraction(value, denominator)`` otherwise.  Rank is computed by
 fraction-free Gaussian elimination on copies of the stored rows, since
 scaling by the denominator does not change it.  Only nonzero entries are
@@ -26,37 +25,22 @@ class SparseMatrix:
     one denominator.
 
     ``rows`` maps a row index to {col: int} and holds no zero value and no
-    empty row; ``denominator`` is a positive int, 1 unless some value
-    needed more.
+    empty row; ``denominator`` is a positive int.
     """
 
     __slots__ = ("nrows", "ncols", "rows", "denominator")
 
     def __init__(self, nrows: int, ncols: int,
-                 entries: "dict[tuple[int, int], int | Fraction] | None" = None):
+                 rows: "dict[int, dict[int, int]] | None" = None,
+                 denominator: int = 1):
+        """The matrix rows / denominator, taking ``rows`` as they are: int
+        values, no zero value, no empty row, indices inside the shape."""
         if nrows < 0 or ncols < 0:
             raise ValueError("matrix shape must be non-negative")
         self.nrows = nrows
         self.ncols = ncols
-        self.rows: dict[int, dict[int, int]] = {}
-        self.denominator = 1
-        for (r, c), v in (entries or {}).items():
-            self.add_to(r, c, v)
-
-    @classmethod
-    def from_int_rows(cls, nrows: int, ncols: int,
-                      rows: "dict[int, dict[int, int]]",
-                      denominator: int) -> "SparseMatrix":
-        """The matrix rows / denominator, taking ``rows`` as they are: int
-        values, no zero value, no empty row, indices inside the shape."""
-        m = cls(nrows, ncols)
-        m.rows = rows
-        m.denominator = denominator
-        return m
-
-    def _check_index(self, r: int, c: int) -> None:
-        if not (0 <= r < self.nrows and 0 <= c < self.ncols):
-            raise IndexError(f"entry ({r}, {c}) outside {self.nrows}x{self.ncols}")
+        self.rows = {} if rows is None else rows
+        self.denominator = denominator
 
     @property
     def entries(self) -> "dict[tuple[int, int], int | Fraction]":
@@ -68,28 +52,6 @@ class SparseMatrix:
             return {(r, c): v for r, row in self.rows.items() for c, v in row.items()}
         return {(r, c): Fraction(v, d)
                 for r, row in self.rows.items() for c, v in row.items()}
-
-    def add_to(self, r: int, c: int, value) -> None:
-        """Accumulate into one entry, dropping it if the sum is zero.  A
-        value whose denominator does not divide the stored one raises that
-        to their lcm, scaling every stored row."""
-        self._check_index(r, c)
-        if type(value) is not int:
-            value = Fraction(value)
-        d, q = self.denominator, value.denominator
-        if d % q:
-            k = q // gcd(d, q)
-            self.rows = {i: {j: v * k for j, v in row.items()}
-                         for i, row in self.rows.items()}
-            self.denominator = d = d * k
-        row = self.rows.setdefault(r, {})
-        v = row.get(c, 0) + value.numerator * (d // q)
-        if v:
-            row[c] = v
-        else:
-            row.pop(c, None)
-            if not row:
-                del self.rows[r]
 
     def is_zero(self) -> bool:
         return not self.rows
@@ -113,8 +75,8 @@ class SparseMatrix:
             out = {c: v for c, v in out.items() if v}
             if out:
                 rows[r] = out
-        return SparseMatrix.from_int_rows(self.nrows, other.ncols, rows,
-                                          self.denominator * other.denominator)
+        return SparseMatrix(self.nrows, other.ncols, rows,
+                            self.denominator * other.denominator)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):

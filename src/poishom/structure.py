@@ -24,10 +24,12 @@ One integer term kernel reads those tables: ``int_terms`` turns a
 polynomial into (L, int terms of L * f), ``times`` multiplies two int term
 tuples, and ``anchor_action`` gives D * {f, x_j} off one anchor row.
 ``bracket`` computes {f, g} = sum_j (dg/dx_j) {f, x_j} with them in ints
-and divides once, so the Jacobi check, ``omega_h_action`` and
-``lr_bracket`` all go through it; the PBW rules in ``envelope`` use the
-same kernel, and ``complexes`` builds its assembly plans from the terms
-and keeps them in the same store.
+and divides once, and ``omega_h_action`` and ``lr_bracket`` go through
+it.  The Jacobi check sums D^2 times the jacobiator of each generator
+triple with ``anchor_action`` alone and builds a Polynomial only to report
+a violation.  The PBW rules in ``envelope`` use the same kernel, and
+``complexes`` builds its assembly plans from the terms and keeps them in
+the same store.
 """
 
 from __future__ import annotations
@@ -285,7 +287,8 @@ class PoissonStructure:
 
     def _check_jacobi(self) -> None:
         """Check D^2 * sum_cyclic {{x_j, x_k}, x_i} = 0 on int terms, off the
-        anchor table; the Polynomial jacobiator only words a violation."""
+        anchor table; a violation carries the jacobiator, minus that sum
+        over D^2."""
         tables = self.term_tables()
         d = tables.denominator
         for a, b, c in combinations(range(len(self.vars)), 3):
@@ -295,7 +298,8 @@ class PoissonStructure:
                 for e, v in anchor_action(tables.anchor[i], pair):
                     out[e] = out.get(e, 0) + v
             if any(out.values()):
-                raise JacobiViolation(a, b, c, self.jacobiator(a, b, c))
+                raise JacobiViolation(a, b, c, Polynomial(
+                    self.vars, {e: Fraction(-v, d * d) for e, v in out.items()}))
 
     # -- basic bracket data ------------------------------------------------
 
@@ -331,15 +335,6 @@ class PoissonStructure:
         if scale != 1:
             out = {key: Fraction(v, scale) for key, v in out.items()}
         return Polynomial(self.vars, out)
-
-    def jacobiator(self, i: int, j: int, k: int) -> Polynomial:
-        """{x_i,{x_j,x_k}} + {x_j,{x_k,x_i}} + {x_k,{x_i,x_j}}."""
-        xs = self.gens
-        return (
-            self.bracket(xs[i], self.entry(j, k))
-            + self.bracket(xs[j], self.entry(k, i))
-            + self.bracket(xs[k], self.entry(i, j))
-        )
 
     # -- one-forms: Lie bracket and anchor ----------------------------------
 

@@ -6,9 +6,10 @@ import random
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from operator import add
 
 from poishom.complexes import (
@@ -31,11 +32,22 @@ from poishom.specfile import SpecDocument
 from poishom.structure import OneForm, PoissonStructure, log_canonical_matrix
 
 
+def sparse_matrix(nrows: int, ncols: int, entries) -> SparseMatrix:
+    """The SparseMatrix of {(r, c): rational}, cleared to int rows over the
+    lcm of the denominators; zero values are dropped."""
+    entries = {key: Fraction(v) for key, v in entries.items() if v}
+    d = lcm(1, *(v.denominator for v in entries.values()))
+    rows: dict = {}
+    for (r, c), v in entries.items():
+        rows.setdefault(r, {})[c] = v.numerator * (d // v.denominator)
+    return SparseMatrix(nrows, ncols, rows, d)
+
+
 def matrix_from_rows(rows) -> SparseMatrix:
     """The SparseMatrix of a list of equally long rows of rationals."""
-    return SparseMatrix(len(rows), len(rows[0]) if rows else 0,
-                        {(r, c): v for r, row in enumerate(rows)
-                         for c, v in enumerate(row)})
+    return sparse_matrix(len(rows), len(rows[0]) if rows else 0,
+                         {(r, c): v for r, row in enumerate(rows)
+                          for c, v in enumerate(row)})
 
 
 def naive_rank(rows: "list[list[Fraction]]") -> int:
@@ -98,6 +110,16 @@ def biderivation_bracket(S: PoissonStructure, f: Polynomial,
         if term:
             out = out + term * p
     return out
+
+
+def biderivation_jacobiator(S: PoissonStructure, i: int, j: int,
+                            k: int) -> Polynomial:
+    """{x_i, {x_j, x_k}} + {x_j, {x_k, x_i}} + {x_k, {x_i, x_j}}, with the
+    biderivation bracket."""
+    xs = S.vars.gens()
+    return (biderivation_bracket(S, xs[i], S.entry(j, k))
+            + biderivation_bracket(S, xs[j], S.entry(k, i))
+            + biderivation_bracket(S, xs[k], S.entry(i, j)))
 
 
 def biderivation_trace(S: PoissonStructure, y: Polynomial) -> Polynomial:
@@ -287,14 +309,14 @@ def boundary_matrix_by_columns(S: PoissonStructure, n: int, w: int,
     """Boundary matrix of the cell (n, w), one apply_boundary per column."""
     src = chain_basis(S, n, w)
     tgt = chain_basis(S, n - 1, w + S.weight_shift())
-    matrix = SparseMatrix(len(tgt), len(src))
+    entries = {}
     vt = S.vars
     for col, (exps, index) in enumerate(src.elements):
         image = apply_boundary(S, {index: vt.monomial(exps)}, coeff)
         for index2, poly in image.items():
             for exps2, c in poly.terms.items():
-                matrix.add_to(tgt.position(exps2, index2), col, c)
-    return GradedComplexCell(src, tgt, matrix)
+                entries[(tgt.position(exps2, index2), col)] = c
+    return GradedComplexCell(src, tgt, sparse_matrix(len(tgt), len(src), entries))
 
 
 def coboundary_matrix_by_columns(S: PoissonStructure, n: int,
@@ -302,14 +324,14 @@ def coboundary_matrix_by_columns(S: PoissonStructure, n: int,
     """Coboundary matrix of the cell (n, w), one apply_coboundary per column."""
     src = cochain_basis(S, n, w)
     tgt = cochain_basis(S, n + 1, w + S.weight_shift())
-    matrix = SparseMatrix(len(tgt), len(src))
+    entries = {}
     vt = S.vars
     for col, (exps, index) in enumerate(src.elements):
         image = apply_coboundary(S, Cochain(n, {index: vt.monomial(exps)}))
         for index2, poly in image.values.items():
             for exps2, c in poly.terms.items():
-                matrix.add_to(tgt.position(exps2, index2), col, c)
-    return GradedComplexCell(src, tgt, matrix)
+                entries[(tgt.position(exps2, index2), col)] = c
+    return GradedComplexCell(src, tgt, sparse_matrix(len(tgt), len(src), entries))
 
 
 def eager_duality(S: PoissonStructure, max_weight: int) -> "tuple[int, ...]":
@@ -323,6 +345,15 @@ def eager_duality(S: PoissonStructure, max_weight: int) -> "tuple[int, ...]":
         s for s in range(sum(S.vars.weights) + 1)
         if all(twisted[(n, w)] == cohomology[(ell - n, w - s)]
                for n in range(ell + 1) for w in range(max_weight + 1)))
+
+
+def scale_traces(S: PoissonStructure, scale: int) -> None:
+    """Multiply the int trace terms of S's tables by ``scale`` in place, and
+    drop every plan, basis and rank built from them: a twist fault the
+    duality certificate must see."""
+    tables = S.term_tables()
+    traces = tuple(tuple((t, scale * c) for t, c in terms) for terms in tables.traces)
+    S._tables = replace(tables, traces=traces, plans={}, bases={}, ranks={})
 
 
 def plans_square_to_zero(S: PoissonStructure, plans) -> bool:
@@ -437,6 +468,53 @@ def euler_characteristic_matches(S: PoissonStructure,
         basis = chain_basis(S, n, w) if kind == "chain" else cochain_basis(S, n, w)
         b_sum += (-1) ** n * len(basis)
     return h_sum == b_sum
+
+
+def jacobian_cohomology(weights: "tuple[int, int, int]", d: int,
+                        max_weight: int) -> "dict[tuple[int, int], int]":
+    """Closed-form HP^k_v, 0 <= k <= 3 and -|w| <= v <= max_weight, of the
+    Jacobian structure {x, y} = d_z phi, {y, z} = d_x phi, {z, x} = d_y phi
+    of a potential phi of weighted degree d with an isolated singularity,
+    in variables of the given weights w (Pichereau 2006).  It reads only
+    counts of monomials, made here by a knapsack over the weights:
+
+    * HP^0_v = [t^v] 1/(1 - t^d), the Casimirs C[phi];
+    * HP^1_v = HP^0_v when d = |w| (the Euler field times C[phi]), else 0;
+    * HP^3_v = [t^(v + |w|)] J(t)/(1 - t^d), where J(t) =
+      prod_i (1 - t^(d - w_i))/(1 - t^(w_i)) is the Hilbert series of
+      the Milnor algebra;
+    * HP^2_v from the Euler characteristic of the diagonal of cochain
+      cells (k, v + (k - 2) s), k = 0..3, where s = d - |w| is the shift of
+      the coboundary and C^k_u counts m dx_I with deg m = u + sum_I w_i.
+    """
+    total = sum(weights)
+    s = d - total
+    top = max_weight + total + 3 * abs(s) + d
+    monomials = [1] + [0] * top
+    for wi in weights:
+        for v in range(wi, top + 1):
+            monomials[v] += monomials[v - wi]
+    milnor = list(monomials)  # J(t)/(1 - t^d), one factor at a time
+    for wi in weights:
+        milnor = [c - (milnor[v - d + wi] if v >= d - wi else 0)
+                  for v, c in enumerate(milnor)]
+    for v in range(d, top + 1):
+        milnor[v] += milnor[v - d]
+
+    def at(series: "list[int]", v: int) -> int:
+        return series[v] if 0 <= v <= top else 0
+
+    def hp(k: int, v: int) -> int:
+        if k in (0, 1):
+            return int(v >= 0 and v % d == 0 and (k == 0 or s == 0))
+        if k == 3:
+            return at(milnor, v + total)
+        chi = sum((-1) ** j * at(monomials, v + (j - 2) * s + sum(I))
+                  for j in range(4) for I in combinations(weights, j))
+        return chi - hp(0, v - 2 * s) + hp(1, v - s) + hp(3, v + s)
+
+    return {(k, v): hp(k, v) for k in range(4)
+            for v in range(-total, max_weight + 1)}
 
 
 def random_polynomial(rng: random.Random, vt: VarTable, max_degree: int = 3,

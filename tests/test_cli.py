@@ -4,7 +4,10 @@ from pathlib import Path
 
 import pytest
 
+import poishom.cli as cli
 from poishom.cli import main
+
+from _oracles import scale_traces
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -220,3 +223,54 @@ def test_output_is_deterministic(capsys):
                  "--max-weight", "4")
     assert first == second
     assert first[0] == 0
+
+
+# log-canonical-3 with its traces doubled: the certificate fails, and from
+# weight 3 on no shift aligns the swept cohomology with the twisted table
+NO_SHIFT_REPORT = """\
+duality window: 0 <= n <= 3, 0 <= w <= 3
+expected shift: 3; fitting shifts: none
+unimodular: no
+  n   w  twisted  cohom  ok
+  0   0        1      1  yes
+  0   1        1      1  yes
+  0   2        1      1  yes
+  0   3        1      2  NO
+  1   0        0      0  yes
+  1   1        1      1  yes
+  1   2        1      1  yes
+  1   3        1      4  NO
+  2   0        0      0  yes
+  2   1        0      0  yes
+  2   2        0      0  yes
+  2   3        0      3  NO
+  3   0        0      0  yes
+  3   1        0      0  yes
+  3   2        0      0  yes
+  3   3        0      1  NO
+certificate: FAIL (the omega boundary plans are not the coboundary's under m dx_I -> (m, I^c))
+result: FAIL
+"""
+
+
+@pytest.mark.parametrize("tsv", [False, True], ids=["text", "tsv"])
+def test_duality_with_no_fitting_shift(capsys, monkeypatch, tsv):
+    real = cli.duality_report
+
+    def doubled_traces(S, max_weight=8):
+        scale_traces(S, 2)
+        return real(S, max_weight=max_weight)
+
+    monkeypatch.setattr(cli, "duality_report", doubled_traces)
+    code, out, err = run(capsys, "catalog", "run", "log-canonical-3", "duality",
+                         "--max-weight", "3", *(["--tsv"] if tsv else []))
+    if tsv:
+        cells = [line.split() for line in NO_SHIFT_REPORT.splitlines()[4:-2]]
+        expected = "".join(f"{n}\t{w}\t{t}\t{c}\t{'ok' if ok == 'yes' else 'mismatch'}\n"
+                           for n, w, t, c, ok in cells)
+    else:
+        expected = NO_SHIFT_REPORT
+    assert out == expected
+    assert err == ("error: no uniform weight shift aligns the twisted homology "
+                   "table with the cohomology table; see the attached report\n")
+    assert code == 1

@@ -2,6 +2,7 @@ import dataclasses
 import random
 from collections.abc import Mapping
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from poishom.cli import main
 from poishom.linalg import SparseMatrix
 from poishom.complexes import (
     DualityReport,
-    ShiftNotFound,
     boundary_matrix,
     chain_basis,
     coboundary_matrix,
@@ -42,10 +42,12 @@ from _oracles import (
     coinvariant_dimension,
     eager_duality,
     euler_characteristic_matches,
+    jacobian_cohomology,
     mixed_denominator_log_canonical,
     plans_square_to_zero,
     random_log_canonical,
     random_polynomial,
+    scale_traces,
     weighted_rational,
 )
 
@@ -436,6 +438,20 @@ def test_smallest_windows_are_not_empty(so3):
     assert table == {(0, -3): 0}
 
 
+def test_sweeps_stop_at_the_top_degree(so3):
+    # so3 has three variables, so no cell lies above n = 3: a max_degree
+    # above it gives the full table, and one below it cuts the table
+    for coeff in ("canonical", "omega"):
+        table = homology_dims(so3, coeff, max_weight=1, max_degree=6)
+        assert sorted(table) == [(n, w) for n in range(4) for w in range(2)]
+        assert table == homology_dims(so3, coeff, max_weight=1)
+    table = cohomology_dims(so3, max_weight=-2, max_degree=5)
+    assert sorted(table) == [(n, w) for n in range(4) for w in (-3, -2)]
+    assert table == cohomology_dims(so3, max_weight=-2)
+    assert sorted(homology_dims(so3, max_weight=1, max_degree=1)) == [
+        (n, w) for n in range(2) for w in range(2)]
+
+
 def test_cochain_validation():
     vt = VarTable(("x", "y"))
     with pytest.raises(ValueError):
@@ -537,6 +553,81 @@ def test_euler_characteristic_along_diagonals():
             assert euler_characteristic_matches(S, C, "cochain", diag, lo, 8)
 
 
+# -- the closed form of l = 3 Jacobian structures with an isolated singularity ---
+
+
+def _brieskorn_pham(exponents, coeffs):
+    """The Jacobian structure of phi = sum_i c_i x_i^(a_i), weights L / a_i
+    with L the lcm, so phi has degree L and an isolated singularity."""
+    d = lcm(*exponents)
+    vt = VarTable(("x", "y", "z"), tuple(d // a for a in exponents))
+    phi = vt.zero()
+    for i, (a, c) in enumerate(zip(exponents, coeffs)):
+        phi = phi + vt.monomial(tuple(a if k == i else 0 for k in range(3)), c)
+    dx, dy, dz = (partial_derivative(phi, k) for k in range(3))
+    return PoissonStructure(vt, {(0, 1): dz, (1, 2): dx, (2, 0): dy})
+
+
+def _closed_form_mismatches(exponents, coeffs, max_weight):
+    """The cells where the tables of fresh structures differ from
+    ``jacobian_cohomology``: the cohomology, both homology names and the
+    duality report's twisted table, each at HP^(3 - n)_(w - |w|)."""
+    def make():
+        return _brieskorn_pham(exponents, coeffs)
+
+    weights = make().vars.weights
+    want = jacobian_cohomology(weights, lcm(*exponents), max_weight)
+    dual = {(n, w): want[(3 - n, w - sum(weights))]
+            for n in range(4) for w in range(max_weight + 1)}
+    tables = [("cohomology", cohomology_dims(make(), max_weight=max_weight), want)]
+    tables += [(coeff, homology_dims(make(), coeff, max_weight), dual)
+               for coeff in ("canonical", "omega")]
+    tables.append(("twisted", duality_report(make(), max_weight).twisted, dual))
+    return [(name, key, got.get(key), table[key])
+            for name, got, table in tables for key in table
+            if got.get(key) != table[key]] + [
+        (name, "keys") for name, got, table in tables if set(got) != set(table)]
+
+
+nonzero_rationals = st.fractions(min_value=-3, max_value=3,
+                                 max_denominator=5).filter(bool)
+
+
+@given(st.tuples(*[st.integers(2, 7)] * 3),
+       st.tuples(*[nonzero_rationals] * 3), st.integers(0, 2))
+@settings(max_examples=30, deadline=None)
+def test_brieskorn_pham_tables_match_the_closed_form(exponents, coeffs, periods):
+    # the window reaches 1 to 3 periods d of the Casimirs C[phi]
+    max_weight = (periods + 1) * lcm(*exponents)
+    assert _closed_form_mismatches(exponents, coeffs, max_weight) == []
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_a_rank_off_by_one_fails_the_closed_form(monkeypatch, delta):
+    # every map between cells of the sizes of the first map of nonzero rank
+    # gets a rank off by one: a cohomology cell and the twisted cell dual to
+    # it alike, so the duality verdict still passes and only the closed
+    # form sees the fault
+    real = SparseMatrix.rank
+    faulty = []
+
+    def off(self):
+        rank = real(self)
+        if not rank:
+            return rank
+        if not faulty:
+            faulty.append({self.nrows, self.ncols})
+        return rank + delta if {self.nrows, self.ncols} == faulty[0] else rank
+
+    exponents, coeffs = (3, 3, 3), (1, 1, 1)
+    assert _closed_form_mismatches(exponents, coeffs, 6) == []
+    monkeypatch.setattr(SparseMatrix, "rank", off)
+    mismatches = _closed_form_mismatches(exponents, coeffs, 6)
+    assert {name for name, *_ in mismatches} == {
+        "cohomology", "canonical", "omega", "twisted"}
+    assert duality_report(_brieskorn_pham(exponents, coeffs), 6).passed
+
+
 def test_dim_table_tsv_golden():
     table = {(0, 0): 1, (1, 2): 3}
     assert dim_table_tsv(table) == "n\tw\tdim\n0\t0\t1\n1\t2\t3"
@@ -610,9 +701,7 @@ def test_shift_not_found(monkeypatch, symplectic):
         return table
 
     monkeypatch.setattr(complexes, "homology_dims", tampered)
-    with pytest.raises(ShiftNotFound) as info:
-        duality_report(symplectic, max_weight=4)
-    report = info.value.report
+    report = duality_report(symplectic, max_weight=4)
     assert report.fitting_shifts == ()
     assert not report.passed
     assert "result: FAIL" in report.render_text()
@@ -677,20 +766,6 @@ def test_certificate_and_oracles_on_random_structures(S):
     _oracles_agree(lambda: PoissonStructure(*document), 3)
 
 
-def _verdict(S, max_weight=4):
-    try:
-        return duality_report(S, max_weight=max_weight)
-    except ShiftNotFound as exc:
-        return exc.report
-
-
-def _scaled_traces(S, scale):
-    tables = S.term_tables()
-    traces = tuple(tuple((t, scale * c) for t, c in terms) for terms in tables.traces)
-    S._tables = dataclasses.replace(tables, traces=traces, plans={}, bases={},
-                                    ranks={})
-
-
 def _drop_anchor_term(S):
     # the first step of the built omega table with an anchor part loses
     # one anchor term; a fault shared by every table is the d^2
@@ -713,8 +788,8 @@ def _drop_step(S):
 
 
 MUTATIONS = {
-    "negated-traces": lambda S, monkeypatch: _scaled_traces(S, -1),
-    "doubled-traces": lambda S, monkeypatch: _scaled_traces(S, 2),
+    "negated-traces": lambda S, monkeypatch: scale_traces(S, -1),
+    "doubled-traces": lambda S, monkeypatch: scale_traces(S, 2),
     "dropped-anchor-term": lambda S, monkeypatch: _drop_anchor_term(S),
     "dropped-step": lambda S, monkeypatch: _drop_step(S),
     "flipped-shuffle-sign": lambda S, monkeypatch: monkeypatch.setattr(
@@ -732,7 +807,7 @@ def test_mutations_fail_the_certificate_and_the_verdict(entry_id, mutation,
     assert complexes._duality_certificate(S)
     MUTATIONS[mutation](S, monkeypatch)
     assert not complexes._duality_certificate(S)
-    report = _verdict(S)
+    report = duality_report(S, max_weight=4)
     assert not report.certified and not report.passed
     text = report.render_text()
     assert "certificate: FAIL" in text and text.endswith("result: FAIL")
@@ -754,10 +829,10 @@ def test_a_failing_certificate_fails_even_when_the_tables_fit(monkeypatch):
 @pytest.mark.parametrize("scale", [-1, 2])
 def test_wrong_traces_find_no_shift(scale):
     S = _fresh("log-canonical-3")
-    _scaled_traces(S, scale)
-    with pytest.raises(ShiftNotFound) as info:
-        duality_report(S, max_weight=4)
-    assert not info.value.report.certified
+    scale_traces(S, scale)
+    report = duality_report(S, max_weight=4)
+    assert report.fitting_shifts == ()
+    assert not report.certified and not report.passed
 
 
 @pytest.mark.parametrize("entry", CATALOG, ids=[e.id for e in CATALOG])

@@ -3,7 +3,10 @@
 Every name a module lists in ``__all__`` must resolve, and the names that
 left the public API, with no caller in the package, must stay gone: the
 Polynomial-level differentials are test oracles in ``_oracles.py`` now,
-and the rest had no caller but their own tests.
+the rest had no caller but their own tests, and the second paths beside
+the ones that decide (a duality exception beside the report's verdict, a
+Polynomial jacobiator beside the int Jacobi check, a rational entry path
+beside the int rows) were deleted.
 """
 
 import importlib
@@ -17,18 +20,20 @@ MODULES = ["catalog", "cli", "complexes", "envelope", "linalg", "polycore",
 
 REMOVED = {
     "poishom": ["Cochain", "apply_boundary", "apply_coboundary", "multiply",
-                "weight_component", "weighted_degree", "document_from_structure"],
+                "weight_component", "weighted_degree", "document_from_structure",
+                "ShiftNotFound"],
     "complexes": ["Cochain", "apply_boundary", "apply_coboundary",
-                  "_contractions", "_check_index"],
-    "envelope": ["multiply", "word_from_monomial"],
+                  "_contractions", "_check_index", "ShiftNotFound"],
+    "envelope": ["multiply", "word_from_monomial", "_compositions"],
     "envelope.EnvelopeElement": ["zero", "from_polynomial", "filtration_degree",
-                                 "polynomial_part"],
+                                 "polynomial_part", "__add__", "__neg__", "__sub__"],
     "polycore": ["weight_component", "weighted_degree"],
     "polycore.Polynomial": ["coefficient", "constant_term"],
     "specfile": ["document_from_structure"],
     "specfile.SpecDocument": ["to_dict", "to_json", "save"],
-    "structure.PoissonStructure": ["trace", "anchor_apply"],
-    "linalg.SparseMatrix": ["from_rows", "__getitem__"],
+    "structure.PoissonStructure": ["trace", "anchor_apply", "jacobiator"],
+    "linalg.SparseMatrix": ["from_rows", "__getitem__", "from_int_rows", "add_to",
+                            "_check_index"],
 }
 
 
