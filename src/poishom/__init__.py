@@ -9,7 +9,8 @@ The package computes, over the rationals and without floating point:
     with canonical or trace-twisted coefficients;
   * the duality comparison between twisted homology and cohomology;
   * a rewriting model of the enveloping algebra, with confluence,
-    graded-dimension, quotient-module, and twist-automorphism checks.
+    quotient-module and twist-automorphism checks, and the bigraded
+    dimensions of its associated graded algebra.
 """
 
 from .catalog import CATALOG, CatalogEntry, catalog_ids, get_entry
@@ -28,7 +29,6 @@ from .complexes import (
 from .envelope import (
     ConfluenceFailure,
     EnvelopeElement,
-    GrMismatch,
     ModuleMismatch,
     NuReport,
     RelationViolation,
@@ -73,7 +73,6 @@ __all__ = [
     "ConfluenceFailure",
     "DualityReport",
     "EnvelopeElement",
-    "GrMismatch",
     "JacobiViolation",
     "ModularData",
     "ModuleMismatch",

@@ -102,11 +102,6 @@ class ChainBasis:
                 f"({exps}, {index}) is not a basis element of cell (n={self.n}, w={self.w})"
             ) from None
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ChainBasis):
-            return NotImplemented
-        return (self.n, self.w, self.elements) == (other.n, other.w, other.elements)
-
     def __repr__(self) -> str:
         return f"<ChainBasis n={self.n} w={self.w} dim={len(self.elements)}>"
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 __all__ = [
     "Scalar",
@@ -175,9 +175,6 @@ class Polynomial:
         """Terms in the canonical printing order (graded lex, descending)."""
         wd = self.vars.weighted_degree
         return sorted(self.terms.items(), key=lambda kv: (wd(kv[0]), kv[0]), reverse=True)
-
-    def __iter__(self) -> Iterator["tuple[tuple[int, ...], Fraction]"]:
-        return iter(self.sorted_terms())
 
     # -- arithmetic ----------------------------------------------------------
 

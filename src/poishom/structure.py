@@ -99,14 +99,6 @@ class OneForm:
             return NotImplemented
         return OneForm(self.vars, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __sub__(self, other: "OneForm") -> "OneForm":
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        return OneForm(self.vars, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "OneForm":
-        return OneForm(self.vars, tuple(-a for a in self.coeffs))
-
     def __rmul__(self, other) -> "OneForm":
         # module action of A (and of scalars) on forms
         if isinstance(other, (int, Fraction, Polynomial)):
@@ -114,12 +106,6 @@ class OneForm:
         return NotImplemented
 
     __mul__ = __rmul__
-
-    def __str__(self) -> str:
-        parts = [
-            f"({c})*d({n})" for n, c in zip(self.vars.names, self.coeffs) if not c.is_zero()
-        ]
-        return " + ".join(parts) if parts else "0"
 
 
 def basis_form(vars: VarTable, i: int) -> OneForm:

@@ -119,6 +119,15 @@ def test_pbw_nu_refused_off_log_canonical(capsys):
     assert "log-canonical" in err
 
 
+def test_pbw_nu_refused_on_a_bracket_with_two_terms(tmp_path, capsys):
+    # {x, y} = x*y + x^2 is not a multiple of x*y, so there is no twist to check
+    path = tmp_path / "two-terms.json"
+    path.write_text(json.dumps({"vars": ["x", "y"], "bracket": {"x,y": "x*y + x^2"}}))
+    code, out, err = run(capsys, "pbw", str(path), "--samples", "5", "--nu")
+    assert (code, out) == (2, "")
+    assert err == "error: --nu needs a log-canonical structure\n"
+
+
 def test_catalog_listing(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0
@@ -167,6 +176,14 @@ def test_malformed_document(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(bad))
     assert code == 2
     assert "unknown variable" in err
+
+
+def test_float_matrix_entry_refused(tmp_path, capsys):
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps({"vars": ["x", "y"], "matrix": [[0, 0.5], [-0.5, 0]]}))
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: matrix entry 0.5 is not a rational scalar\n"
 
 
 def test_parse_blowup_refused(tmp_path, capsys):
@@ -272,5 +289,5 @@ def test_duality_with_no_fitting_shift(capsys, monkeypatch, tsv):
         expected = NO_SHIFT_REPORT
     assert out == expected
     assert err == ("error: no uniform weight shift aligns the twisted homology "
-                   "table with the cohomology table; see the attached report\n")
+                   "table with the cohomology table\n")
     assert code == 1

@@ -276,6 +276,27 @@ def test_plans_square_to_zero_on_random_log_canonical(ell):
         assert all(_square_to_zero(random_log_canonical(rng, ell)).values())
 
 
+def _unit(n, i):
+    return tuple(int(k == i) for k in range(n))
+
+
+@pytest.mark.parametrize("entry_id", ["log-canonical-2", "log-canonical-3",
+                                      "log-canonical-3u"])
+def test_plans_square_to_zero_only_for_a_poisson_vector_field(entry_id):
+    # a diagonal field sum c_i x_i d_i preserves a log-canonical bracket;
+    # X_0 = x_1 sends {x_0, x_1} = a x_0 x_1 to a x_1^2 but {X x_0, x_1} +
+    # {x_0, X x_1} = {x_1, x_1} = 0, so it is no Poisson vector field
+    S = _fresh(entry_id)
+    n, d = len(S.vars), S.term_tables().denominator
+    rng = random.Random(7)
+    for _ in range(6):
+        cs = [rng.randint(-3, 3) for _ in range(n)]
+        twist = tuple(((_unit(n, i), c * d),) if c else () for i, c in enumerate(cs))
+        assert plans_square_to_zero(S, complexes._plans(S, twist)), cs
+    shear = (((_unit(n, 1), d),),) + ((),) * (n - 1)
+    assert not plans_square_to_zero(S, complexes._plans(S, shear))
+
+
 def _drop_first_anchor_terms(S):
     # every anchor row loses its first entry, so every plan table built
     # from the tables shares the fault
@@ -864,5 +885,7 @@ def test_cohomology_above_the_window_is_computed_when_read():
     with pytest.raises(TypeError):
         report.cohomology[(0, 0)] = 1
     assert dict(report.cohomology) == cohomology_dims(_fresh("so3"), max_weight=7)
+    for outside in ((4, 0), (-1, 0), (0, 8), (0, -4)):
+        assert outside not in report.cohomology
     (key, read), = S.term_tables().ranks.items()
     assert len(read) > len(swept[key])

@@ -12,7 +12,6 @@ from poishom.catalog import CATALOG, catalog_ids, get_entry
 from poishom.envelope import (
     ConfluenceFailure,
     EnvelopeElement,
-    GrMismatch,
     ModuleMismatch,
     NuReport,
     RelationViolation,
@@ -198,21 +197,22 @@ def test_module_mismatch_carries_polynomials():
 
 @pytest.mark.parametrize("call, name", [
     (lambda S: confluence_check(S, samples=-3), "samples"),
-    (lambda S: confluence_check(S, samples=5, max_len=1), "max_len"),
-    (lambda S: confluence_check(S, samples=0, max_len=-2), "max_len"),
     (lambda S: nu_check(S, samples=-1), "samples"),
     (lambda S: gr_dimension_check(S, max_filtration=-1), "max_filtration"),
     (lambda S: gr_dimension_check(S, max_weight=-3), "max_weight"),
-], ids=["confluence-samples", "confluence-max-len", "confluence-no-samples-max-len",
-        "nu-samples", "gr-max-filtration", "gr-max-weight"])
+], ids=["confluence-samples", "nu-samples", "gr-max-filtration", "gr-max-weight"])
 def test_sample_arguments_are_refused(log3, call, name):
     with pytest.raises(ValueError, match=rf"^{name} must be at least"):
         call(log3)
 
 
+def test_confluence_words_have_no_length_knob(log3):
+    with pytest.raises(TypeError, match="max_len"):
+        confluence_check(log3, samples=5, max_len=3)
+
+
 def test_smallest_sample_arguments(log3):
     assert confluence_check(log3, samples=0) == 0
-    assert confluence_check(log3, samples=20, max_len=2) == 20
     assert nu_check(log3, samples=0).module_samples == 0
     assert gr_dimension_check(log3, max_filtration=0, max_weight=0) == {(0, 0): 1}
 
@@ -270,8 +270,7 @@ def test_gr_on_catalog(so3, potential, log3u):
 @settings(max_examples=40, deadline=None)
 def test_gr_counts_match_the_doubled_enumeration(weights, max_filtration, max_weight):
     vt = VarTable(tuple(f"x{i}" for i in range(len(weights))), weights)
-    counts = envelope._symmetric_counts(vt, max_filtration, max_weight)
-    assert counts == doubled_counts(vt, max_filtration, max_weight)
+    counts = doubled_counts(vt, max_filtration, max_weight)
     table = gr_dimension_check(PoissonStructure(vt, {}), max_filtration, max_weight)
     assert table == {(p, w): counts[p][w] for p in range(max_filtration + 1)
                      for w in range(max_weight + 1)}
@@ -306,6 +305,12 @@ def test_residue_refuses_a_trace_list_of_the_wrong_length(so3):
     # also when no term carries the missing symbol
     with pytest.raises(ValueError, match="one trace per variable"):
         right_module_residue(so3, polynomial_element(so3.vars.one()), [])
+
+
+def test_residue_refuses_an_element_over_another_table(so3, log2):
+    e = reduce_word(log2, (poly_atom(log2.vars.gen(0)), ham(1)))
+    with pytest.raises(ValueError, match=r"^element over a different variable table$"):
+        right_module_residue(so3, e, so3.modular_data().traces)
 
 
 def test_residue_of_polynomial_is_itself(so3):
@@ -520,7 +525,7 @@ def test_integer_words_are_the_oracle_words(build):
     for seed in range(6):
         rng, oracle = random.Random(seed), random.Random(seed)
         for _ in range(12):
-            word = envelope._sample_word(rng, n, 5)
+            word = envelope._sample_word(rng, n)
             public = sample_word(oracle, vt, 5)
             assert rng.getstate() == oracle.getstate()
             assert len(word) == len(public)

@@ -92,6 +92,8 @@ def test_matmul():
     a = dense([[1, 2], [0, 1]])
     b = dense([[1, 0], [3, 1]])
     assert a @ b == dense([[7, 2], [3, 1]])
+    with pytest.raises(ValueError, match=r"^shape mismatch: 1x2 @ 1x2$"):
+        dense([[1, 2]]) @ dense([[1, 2]])
 
 
 fraction_rows = st.lists(

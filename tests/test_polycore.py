@@ -47,9 +47,28 @@ def test_vartable_rejects_bad_input():
         VarTable(("x", "y"), (1,))
 
 
+def test_refusal_messages():
+    with pytest.raises(ValueError, match=r"^variable table needs at least one variable$"):
+        VarTable(())
+    with pytest.raises(IndexError, match=r"^variable index 2 out of range$"):
+        XY.gen(2)
+    with pytest.raises(ValueError, match=r"^bad exponent vector \(1,\)$"):
+        XY.monomial((1,))
+    with pytest.raises(ValueError, match=r"^bad exponent vector \(1, -1\)$"):
+        XY.monomial((1, -1))
+
+
 def test_vartable_is_immutable():
     with pytest.raises(AttributeError):
         XY.names = ("a", "b")
+
+
+def test_polynomial_is_immutable_and_takes_only_rational_operands():
+    x = XY.gen(0)
+    with pytest.raises(AttributeError, match="^Polynomial is immutable$"):
+        x.terms = {}
+    with pytest.raises(TypeError):
+        x + 0.5
 
 
 # -- arithmetic ---------------------------------------------------------------
@@ -176,6 +195,17 @@ def test_term_bound_admits_what_it_bounds():
     assert len(poly("(a+b+c+d)^16", WIDE).terms) == 969
     assert len(poly("(a+b+c+d+e+f)^4*(a+b+c+d+e+f)^4", WIDE).terms) == 1287
     assert poly("(a*b*c*d)^2*x^8", WIDE) == poly("a^2*b^2*c^2*d^2*x^8", WIDE)
+
+
+@pytest.mark.parametrize("src, message", [
+    ("1/x", "expected integer denominator (at position 2)"),
+    ("x y", "unexpected 'y' (at position 2)"),  # after a whole expression
+    ("*x", "unexpected '*' (at position 0)"),  # where a factor should start
+])
+def test_parse_error_messages(src, message):
+    with pytest.raises(PolyParseError) as info:
+        poly(src)
+    assert str(info.value) == message
 
 
 def test_parse_error_position():

@@ -78,6 +78,28 @@ def test_malformed_documents(data):
         SpecDocument.from_dict(data)
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"vars": ["x", "y"], "matrix": [[0, 1.5], [-1.5, 0]]},
+     "matrix entry 1.5 is not a rational scalar"),
+    ({"vars": ["x", "y"], "matrix": [[0, None], [None, 0]]},
+     "matrix entry None is not a rational scalar"),
+    (["x", "y"], "document must be a JSON object"),
+    ({"vars": [{"name": "x", "color": "red"}], "bracket": {}},
+     "unknown variable keys: ['color']"),
+    ({"vars": [{"name": 3}], "bracket": {}}, "variable 'name' must be a string"),
+    ({"vars": ["x", 7], "bracket": {}}, "bad variable entry 7"),
+    ({"vars": ["x", "y"], "bracket": ["x,y", "1"]}, "'bracket' must be an object"),
+    ({"vars": ["x", "y"], "matrix": [[0, 1], [-1]]},
+     "every matrix row must have 2 entries"),
+], ids=["float-entry", "null-entry", "not-an-object", "unknown-variable-key",
+        "non-string-name", "bad-variable-entry", "bracket-not-an-object",
+        "short-matrix-row"])
+def test_refusal_messages(data, message):
+    with pytest.raises(SpecFileError) as info:
+        SpecDocument.from_dict(data)
+    assert str(info.value) == message
+
+
 def test_invalid_json_text():
     with pytest.raises(SpecFileError):
         SpecDocument.from_json("{not json")

@@ -101,6 +101,22 @@ def test_duplicate_and_diagonal_pairs_rejected():
         )
 
 
+def test_refusal_messages(so3):
+    ab = VarTable(("a", "b"))
+    with pytest.raises(ValueError, match=r"^need one coefficient per variable$"):
+        OneForm(XYZ, (XYZ.one(),))
+    with pytest.raises(IndexError, match=r"^bracket key \(0, 3\) out of range$"):
+        PoissonStructure(XYZ, {(0, 3): XYZ.gen(1)})
+    with pytest.raises(ValueError, match=r"^bracket entry over a different variable table$"):
+        PoissonStructure(XYZ, {(0, 1): ab.gen(0)})
+    with pytest.raises(ValueError, match=r"^operands over a different variable table$"):
+        so3.bracket(ab.gen(0), so3.vars.gen(0))
+    with pytest.raises(ValueError, match=r"^forms over a different variable table$"):
+        so3.lr_bracket(basis_form(ab, 0), basis_form(so3.vars, 0))
+    with pytest.raises(IndexError, match=r"^variable index 3 out of range$"):
+        so3.omega_h_action(so3.vars.gen(0), 3)
+
+
 # -- bracket goldens ----------------------------------------------------------
 
 
@@ -238,6 +254,10 @@ def test_log_canonical_matrix(log2, log3u, so3, trivial2):
     mat = log_canonical_matrix(log3u)
     assert [sum(row, Fraction(0)) for row in mat] == [0, 0, 0]
     assert log_canonical_matrix(so3) is None
+    vt = VarTable(("x", "y"))
+    x, y = vt.gens()
+    assert log_canonical_matrix(PoissonStructure(vt, {(0, 1): x * y + x ** 2})) is None
+    assert log_canonical_matrix(PoissonStructure(vt, {(0, 1): 3 * x ** 2})) is None
     assert log_canonical_matrix(trivial2) == [
         [Fraction(0), Fraction(0)],
         [Fraction(0), Fraction(0)],
