@@ -25,23 +25,23 @@ generator's action (``_twist``): zero for "canonical" and the traces for
 coboundary's table is the zero twist's read backwards.  One small kernel,
 ``_assemble``, evaluates a plan table on the exponent tuple of each column
 into int rows and hands them to ``SparseMatrix`` as they are, over D.  One
-sweep, ``_dims``, takes homology and cohomology tables alike, and each rank
-is taken once per structure and differential.
+sweep, ``_dims``, reads homology and cohomology tables alike off a
+``_Table``, and each rank is taken once per structure and differential.
 
 ``duality_report`` decides duality on the plan tables, for every weight at
 once: ``_duality_certificate`` checks that m (.) dx_I -> (m, I^c) carries
 the omega boundary's steps onto the coboundary's, up to sign.  When it
 holds, the cohomology table is the twisted homology table moved by the sum
 of the weights, so the report runs one twisted sweep over the window and
-its ``cohomology`` table computes each cell when it is read, above the
-window only when a shift's comparison reaches that far.  When it fails,
-the cohomology is swept on its own and the verdict is FAIL.
+its ``cohomology`` is a ``_Table`` computing each cell when it is read,
+above the window only when a shift's comparison reaches that far.  When
+it fails, the cohomology is swept on its own and the verdict is FAIL.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from itertools import combinations
 from operator import add
@@ -83,27 +83,14 @@ class ChainBasis:
     multi-index, so matrix layouts are reproducible run to run.
     """
 
-    __slots__ = ("n", "w", "elements", "_position")
+    __slots__ = ("elements", "_position")
 
-    def __init__(self, n: int, w: int, elements: "tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]"):
-        self.n = n
-        self.w = w
+    def __init__(self, elements: "tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]"):
         self.elements = elements
         self._position = {el: k for k, el in enumerate(elements)}
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def position(self, exps: "tuple[int, ...]", index: "tuple[int, ...]") -> int:
-        try:
-            return self._position[(exps, index)]
-        except KeyError:
-            raise KeyError(
-                f"({exps}, {index}) is not a basis element of cell (n={self.n}, w={self.w})"
-            ) from None
-
-    def __repr__(self) -> str:
-        return f"<ChainBasis n={self.n} w={self.w} dim={len(self.elements)}>"
 
 
 def _basis(S: PoissonStructure, n: int, w: int, sign: int) -> ChainBasis:
@@ -123,7 +110,7 @@ def _basis(S: PoissonStructure, n: int, w: int, sign: int) -> ChainBasis:
                     monomials[deg] = monomials_of_weight(vt, deg)
                 elements.extend((exps, index) for exps in monomials[deg])
         elements.sort()
-        bases[key] = ChainBasis(n, w, tuple(elements))
+        bases[key] = ChainBasis(tuple(elements))
     return bases[key]
 
 
@@ -323,8 +310,32 @@ def _cell_dims(S: PoissonStructure, coeff: "str | None"):
     return dim, floor
 
 
-def _dims(S: PoissonStructure, coeff: "str | None", max_weight: int,
-          max_degree: "int | None" = None) -> "dict[tuple[int, int], int]":
+@dataclass(eq=False)
+class _Table(Mapping):
+    """The read-only table of dim(n, w) over 0 <= n <= ell and floor <= w
+    <= max_weight, each cell computed when read."""
+
+    dim: "Callable[[int, int], int]"
+    ell: int
+    floor: int
+    max_weight: int
+
+    def __getitem__(self, key: "tuple[int, int]") -> int:
+        n, w = key
+        if not (0 <= n <= self.ell and self.floor <= w <= self.max_weight):
+            raise KeyError(key)
+        return self.dim(n, w)
+
+    def __iter__(self):
+        return ((n, w) for n in range(self.ell + 1)
+                for w in range(self.floor, self.max_weight + 1))
+
+    def __len__(self) -> int:
+        return (self.ell + 1) * (self.max_weight - self.floor + 1)
+
+
+def _dims(S: PoissonStructure, coeff: "str | None",
+          max_weight: int) -> "dict[tuple[int, int], int]":
     """Homology (coeff "canonical" or "omega") or cohomology (coeff None)
     dimensions per (n, w), w from the lowest weight of any cell and n up
     to the number of variables: no cell lies above it.  A window that
@@ -333,28 +344,23 @@ def _dims(S: PoissonStructure, coeff: "str | None", max_weight: int,
     dim, floor = _cell_dims(S, coeff)
     if max_weight < floor:
         raise ValueError(f"max_weight must be at least {floor}, got {max_weight}")
-    if max_degree is not None and max_degree < 0:
-        raise ValueError(f"max_degree must be at least 0, got {max_degree}")
-    top = len(S.vars) if max_degree is None else min(max_degree, len(S.vars))
-    return {(n, w): dim(n, w) for n in range(top + 1)
-            for w in range(floor, max_weight + 1)}
+    return dict(_Table(dim, len(S.vars), floor, max_weight))
 
 
 def homology_dims(S: PoissonStructure, coeff: str = "canonical",
-                  max_weight: int = 8,
-                  max_degree: "int | None" = None) -> "dict[tuple[int, int], int]":
+                  max_weight: int = 8) -> "dict[tuple[int, int], int]":
     """Homology dimensions per (n, w) over 0 <= w <= max_weight."""
-    return _dims(S, coeff, max_weight, max_degree=max_degree)
+    return _dims(S, coeff, max_weight)
 
 
-def cohomology_dims(S: PoissonStructure, max_weight: int = 8,
-                    max_degree: "int | None" = None) -> "dict[tuple[int, int], int]":
+def cohomology_dims(S: PoissonStructure,
+                    max_weight: int = 8) -> "dict[tuple[int, int], int]":
     """Cohomology dimensions per (n, w).
 
     The window starts at minus the sum of the variable weights, the lowest
     weight any cochain can carry.
     """
-    return _dims(S, None, max_weight, max_degree)
+    return _dims(S, None, max_weight)
 
 
 def dim_table_tsv(table: "dict[tuple[int, int], int]") -> str:
@@ -402,31 +408,6 @@ def _duality_certificate(S: PoissonStructure) -> bool:
     return steps == sum(map(len, boundary.values()))
 
 
-class _Dual(Mapping):
-    """The cohomology table read off the twisted cells: (k, v), for
-    0 <= k <= ell and -s <= v <= max_weight, holds the twisted homology at
-    (ell - k, v + s), computed when read."""
-
-    def __init__(self, dim, ell: int, s: int, max_weight: int):
-        self._dim = dim
-        self._ell = ell
-        self._s = s
-        self._max_weight = max_weight
-
-    def __getitem__(self, key: "tuple[int, int]") -> int:
-        k, v = key
-        if not (0 <= k <= self._ell and -self._s <= v <= self._max_weight):
-            raise KeyError(key)
-        return self._dim(self._ell - k, v + self._s)
-
-    def __iter__(self):
-        return ((k, v) for k in range(self._ell + 1)
-                for v in range(-self._s, self._max_weight + 1))
-
-    def __len__(self) -> int:
-        return (self._ell + 1) * (self._max_weight + self._s + 1)
-
-
 @dataclass
 class DualityReport:
     """Cell-by-cell comparison of twisted homology with cohomology.
@@ -435,11 +416,12 @@ class DualityReport:
     (ell - n, w - expected_shift), match); ``fitting_shifts`` lists every
     uniform shift that makes all cells agree.  ``certified`` says whether
     the duality certificate held on the plan tables; ``cohomology`` is a
-    read-only table with the keys of ``cohomology_dims``, whose values are
-    computed when read when it did.  On unimodular structures the
-    canonical homology table is the twisted one, since every trace
-    vanishes, so the omega twist table is the zero one and both names
-    assemble from one plan table.
+    read-only table with the keys of ``cohomology_dims``: when it held, a
+    ``_Table`` that reads each cell (k, v) off the twisted cell
+    (ell - k, v + expected_shift) when it is read.  On unimodular
+    structures the canonical homology table is the twisted one, since
+    every trace vanishes, so the omega twist table is the zero one and
+    both names assemble from one plan table.
     """
 
     ell: int
@@ -504,16 +486,15 @@ def duality_report(S: PoissonStructure, max_weight: int = 8) -> DualityReport:
     twisted = homology_dims(S, "omega", max_weight)
     certified = _duality_certificate(S)
     if certified:
-        cohomology: Mapping = _Dual(_cell_dims(S, "omega")[0], ell, expected,
-                                    max_weight)
+        dim = _cell_dims(S, "omega")[0]
+        cohomology: Mapping = _Table(lambda k, v: dim(ell - k, v + expected),
+                                     ell, -expected, max_weight)
     else:
         cohomology = cohomology_dims(S, max_weight=max_weight)
 
     def fits(s: int) -> bool:
         # the pairs whose cohomology cell lies above the window come last
-        pairs = sorted(((n, w) for n in range(ell + 1)
-                        for w in range(max_weight + 1)),
-                       key=lambda p: p[1] + expected - s > max_weight)
+        pairs = sorted(twisted, key=lambda p: p[1] + expected - s > max_weight)
         return all(twisted[(n, w)] == cohomology[(ell - n, w - s)]
                    for n, w in pairs)
 
@@ -521,8 +502,7 @@ def duality_report(S: PoissonStructure, max_weight: int = 8) -> DualityReport:
     cells = [
         (n, w, twisted[(n, w)], cohomology[(ell - n, w - expected)],
          twisted[(n, w)] == cohomology[(ell - n, w - expected)])
-        for n in range(ell + 1)
-        for w in range(max_weight + 1)
+        for n, w in twisted
     ]
     return DualityReport(
         ell=ell,

@@ -427,7 +427,11 @@ class _Parser:
         return tok
 
     def parse(self) -> Polynomial:
-        poly = self.expression()
+        try:
+            poly = self.expression()
+        except RecursionError:
+            raise PolyParseError("expression nested too deeply",
+                                 self.peek()[2]) from None
         kind, text, at = self.peek()
         if kind != "end":
             raise PolyParseError(f"unexpected {text!r}", at)
@@ -474,7 +478,7 @@ class _Parser:
         self.advance()
         if self.peek()[0] == "/":
             raise PolyParseError("exponent must be an integer", self.peek()[2])
-        k = int(text)
+        k = _int_literal(text, at)
         degree = _total_degree(base) * k
         _check_degree(degree, at)
         count = comb(len(base.terms) + k - 1, k) if base.terms else 0
@@ -487,16 +491,17 @@ class _Parser:
         kind, text, at = self.peek()
         if kind == "num":
             self.advance()
-            numerator = int(text)
+            numerator = _int_literal(text, at)
             if self.peek()[0] == "/":
                 self.advance()
                 dkind, dtext, dat = self.peek()
                 if dkind != "num":
                     raise PolyParseError("expected integer denominator", dat)
                 self.advance()
-                if int(dtext) == 0:
+                denominator = _int_literal(dtext, dat)
+                if denominator == 0:
                     raise PolyParseError("zero denominator", dat)
-                return self.vars.const(Fraction(numerator, int(dtext)))
+                return self.vars.const(Fraction(numerator, denominator))
             return self.vars.const(numerator)
         if kind == "name":
             self.advance()
@@ -515,6 +520,14 @@ class _Parser:
         if kind == "end":
             raise PolyParseError("unexpected end of input", at)
         raise PolyParseError(f"unexpected {text!r}", at)
+
+
+def _int_literal(text: str, at: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # longer than sys.get_int_max_str_digits() allows
+        raise PolyParseError(f"integer literal of {len(text)} digits is too long",
+                             at) from None
 
 
 def _total_degree(f: Polynomial) -> int:

@@ -162,12 +162,20 @@ class SpecDocument:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SpecFileError(f"invalid JSON: {exc}") from None
+        except ValueError:  # an int longer than sys.get_int_max_str_digits() allows
+            raise SpecFileError("invalid JSON: an integer has too many digits") from None
+        except RecursionError:
+            raise SpecFileError("invalid JSON: nested too deeply") from None
         return cls.from_dict(data)
 
     @classmethod
     def load(cls, path) -> "SpecDocument":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise SpecFileError(f"document is not UTF-8 text: {exc}") from None
+        return cls.from_json(text)
 
     def to_structure(self) -> PoissonStructure:
         return PoissonStructure(self.vars, self.bracket)

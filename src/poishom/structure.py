@@ -407,17 +407,14 @@ class PoissonStructure:
 
     # -- grading -----------------------------------------------------------
 
-    def require_homogeneous(self) -> int:
+    def weight_shift(self) -> int:
+        """How much the bracket (and both differentials) shift weight."""
         if self.homogeneity_degree is None:
             raise NonHomogeneousError(
                 "bracket entries are not weighted-homogeneous of a uniform degree; "
                 "graded computations are unavailable"
             )
-        return self.homogeneity_degree
-
-    def weight_shift(self) -> int:
-        """How much the bracket (and both differentials) shift weight."""
-        return self.require_homogeneous() - 2
+        return self.homogeneity_degree - 2
 
     # -- misc ----------------------------------------------------------------
 

@@ -309,13 +309,14 @@ def boundary_matrix_by_columns(S: PoissonStructure, n: int, w: int,
     """Boundary matrix of the cell (n, w), one apply_boundary per column."""
     src = chain_basis(S, n, w)
     tgt = chain_basis(S, n - 1, w + S.weight_shift())
+    position = {el: k for k, el in enumerate(tgt.elements)}
     entries = {}
     vt = S.vars
     for col, (exps, index) in enumerate(src.elements):
         image = apply_boundary(S, {index: vt.monomial(exps)}, coeff)
         for index2, poly in image.items():
             for exps2, c in poly.terms.items():
-                entries[(tgt.position(exps2, index2), col)] = c
+                entries[(position[(exps2, index2)], col)] = c
     return GradedComplexCell(src, tgt, sparse_matrix(len(tgt), len(src), entries))
 
 
@@ -324,13 +325,14 @@ def coboundary_matrix_by_columns(S: PoissonStructure, n: int,
     """Coboundary matrix of the cell (n, w), one apply_coboundary per column."""
     src = cochain_basis(S, n, w)
     tgt = cochain_basis(S, n + 1, w + S.weight_shift())
+    position = {el: k for k, el in enumerate(tgt.elements)}
     entries = {}
     vt = S.vars
     for col, (exps, index) in enumerate(src.elements):
         image = apply_coboundary(S, Cochain(n, {index: vt.monomial(exps)}))
         for index2, poly in image.values.items():
             for exps2, c in poly.terms.items():
-                entries[(tgt.position(exps2, index2), col)] = c
+                entries[(position[(exps2, index2)], col)] = c
     return GradedComplexCell(src, tgt, sparse_matrix(len(tgt), len(src), entries))
 
 

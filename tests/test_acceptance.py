@@ -121,8 +121,8 @@ def test_criterion_06_degree_zero_oracles():
     from poishom.complexes import cohomology_dims, homology_dims
 
     for entry, S in STRUCTURES:
-        C = cohomology_dims(S, max_weight=8, max_degree=1)
-        H = homology_dims(S, max_weight=8, max_degree=1)
+        C = cohomology_dims(S, max_weight=8)
+        H = homology_dims(S, max_weight=8)
         for w in range(9):
             assert C[(0, w)] == casimir_dimension(S, w), (entry.id, w)
             assert H[(0, w)] == coinvariant_dimension(S, w), (entry.id, w)

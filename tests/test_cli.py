@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -184,6 +185,53 @@ def test_float_matrix_entry_refused(tmp_path, capsys):
     code, out, err = run(capsys, "check", str(path))
     assert (code, out) == (2, "")
     assert err == "error: matrix entry 0.5 is not a rational scalar\n"
+
+
+# an int literal one digit longer than Python converts, where it has a limit
+DIGITS = "1" * (getattr(sys, "get_int_max_str_digits", lambda: 0)() + 1)
+TOO_LONG = f"bracket value for 'x,y': integer literal of {len(DIGITS)} digits is too long"
+NESTED = "bracket value for 'x,y': expression nested too deeply (at position "
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"vars": ["x", "y"], "bracket": {"x,y": "%s*x*y"}}' % DIGITS,
+     f"{TOO_LONG} (at position 0)"),
+    ('{"vars": ["x", "y"], "bracket": {"x,y": "x^%s"}}' % DIGITS,
+     f"{TOO_LONG} (at position 2)"),
+    ('{"vars": ["x", "y"], "bracket": {"x,y": "1/%s*x*y"}}' % DIGITS,
+     f"{TOO_LONG} (at position 2)"),
+    ('{"vars": [{"name": "x", "weight": %s}, "y"]}' % DIGITS,
+     "invalid JSON: an integer has too many digits"),
+    ('{"vars": ["x", "y"], "matrix": [[0, %s], [-1, 0]]}' % DIGITS,
+     "invalid JSON: an integer has too many digits"),
+], ids=["coefficient", "exponent", "denominator", "weight", "matrix-entry"])
+@pytest.mark.skipif(len(DIGITS) == 1, reason="this Python converts ints of any length")
+def test_overlong_integer_refused(tmp_path, capsys, text, message):
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("content, message", [
+    # the position is where the recursion limit was hit, so it is not pinned
+    (json.dumps({"vars": ["x", "y"], "bracket": {"x,y": "(" * 200 + "x*y" + ")" * 200}}),
+     NESTED),
+    (json.dumps({"vars": ["x", "y"], "bracket": {"x,y": "-" * 1000 + "x"}}), NESTED),
+    ("[" * 100000 + "]" * 100000, "invalid JSON: nested too deeply\n"),
+    ('{"vars": ["x"], "label": "caf\xe9"}'.encode("latin-1"),
+     "document is not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 "
+     "in position 29: invalid continuation byte\n"),
+], ids=["parentheses", "unary-minus", "document", "not-utf-8"])
+def test_unreadable_document_refused(tmp_path, capsys, content, message):
+    path = tmp_path / "bad.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_parse_blowup_refused(tmp_path, capsys):

@@ -7,9 +7,12 @@ the rest had no caller but their own tests, and the second paths beside
 the ones that decide (a duality exception beside the report's verdict, a
 Polynomial jacobiator beside the int Jacobi check, a rational entry path
 beside the int rows) were deleted, and so was the graded-count exception,
-which compared two counts of one set and could not be raised.  Dunder
-methods that nothing called are listed where ``hasattr`` can see them
-gone; ``ChainBasis.__eq__`` and ``OneForm.__str__`` resolve to inherited
+which compared two counts of one set and could not be raised.  So were
+a public alias with one caller (``require_homogeneous``, now inside
+``weight_shift``) and the parts of a cell basis that only tests read (its
+degree, weight and position lookup).  Dunder methods that nothing called
+are listed where ``hasattr`` can see them gone; ``ChainBasis.__eq__``,
+``ChainBasis.__repr__`` and ``OneForm.__str__`` resolve to inherited
 defaults and are not listed.
 """
 
@@ -36,7 +39,9 @@ REMOVED = {
     "polycore.Polynomial": ["coefficient", "constant_term", "__iter__"],
     "specfile": ["document_from_structure"],
     "specfile.SpecDocument": ["to_dict", "to_json", "save"],
-    "structure.PoissonStructure": ["trace", "anchor_apply", "jacobiator"],
+    "structure.PoissonStructure": ["trace", "anchor_apply", "jacobiator",
+                                   "require_homogeneous"],
+    "complexes.ChainBasis": ["position", "n", "w"],
     "structure.OneForm": ["__sub__", "__neg__"],
     "linalg.SparseMatrix": ["from_rows", "__getitem__", "from_int_rows", "add_to",
                             "_check_index"],
