@@ -11,106 +11,14 @@ The package computes, over the rationals and without floating point:
   * a rewriting model of the enveloping algebra, with confluence,
     quotient-module and twist-automorphism checks, and the bigraded
     dimensions of its associated graded algebra.
+
+The package root exports four names: the three of the library sketch in
+the README, and ``get_entry``.  Everything else is imported from its
+module.
 """
 
-from .catalog import CATALOG, CatalogEntry, catalog_ids, get_entry
-from .complexes import (
-    ChainBasis,
-    DualityReport,
-    boundary_matrix,
-    chain_basis,
-    coboundary_matrix,
-    cochain_basis,
-    cohomology_dims,
-    dim_table_tsv,
-    duality_report,
-    homology_dims,
-)
-from .envelope import (
-    ConfluenceFailure,
-    EnvelopeElement,
-    ModuleMismatch,
-    NuReport,
-    RelationViolation,
-    confluence_check,
-    gr_dimension_check,
-    j_quotient_action,
-    nu_check,
-    reduce_combination,
-    reduce_word,
-    right_module_residue,
-)
-from .linalg import SparseMatrix
-from .polycore import (
-    PolyParseError,
-    Polynomial,
-    VarTable,
-    VarTableMismatch,
-    format_poly,
-    homogeneous_weight,
-    monomials_of_weight,
-    parse_poly,
-    partial_derivative,
-)
-from .specfile import SpecDocument, SpecFileError
-from .structure import (
-    JacobiViolation,
-    ModularData,
-    NonHomogeneousError,
-    OneForm,
-    PoissonStructure,
-    basis_form,
-    differential,
-    log_canonical_matrix,
-)
+from .catalog import get_entry
+from .complexes import duality_report, homology_dims
+from .specfile import SpecDocument
 
-__version__ = "0.1.0"
-
-__all__ = [
-    "CATALOG",
-    "CatalogEntry",
-    "ChainBasis",
-    "ConfluenceFailure",
-    "DualityReport",
-    "EnvelopeElement",
-    "JacobiViolation",
-    "ModularData",
-    "ModuleMismatch",
-    "NonHomogeneousError",
-    "NuReport",
-    "OneForm",
-    "PoissonStructure",
-    "PolyParseError",
-    "Polynomial",
-    "RelationViolation",
-    "SparseMatrix",
-    "SpecDocument",
-    "SpecFileError",
-    "VarTable",
-    "VarTableMismatch",
-    "basis_form",
-    "boundary_matrix",
-    "catalog_ids",
-    "chain_basis",
-    "coboundary_matrix",
-    "cochain_basis",
-    "cohomology_dims",
-    "confluence_check",
-    "differential",
-    "dim_table_tsv",
-    "duality_report",
-    "format_poly",
-    "get_entry",
-    "gr_dimension_check",
-    "homogeneous_weight",
-    "homology_dims",
-    "j_quotient_action",
-    "log_canonical_matrix",
-    "monomials_of_weight",
-    "nu_check",
-    "parse_poly",
-    "partial_derivative",
-    "reduce_combination",
-    "reduce_word",
-    "right_module_residue",
-]
+__all__ = ["SpecDocument", "duality_report", "get_entry", "homology_dims"]

@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 a mathematical check failed, 2 bad usage or input.
 
 There is one parser tree, but a subcommand's parser is built only when
 argparse dispatches a command line to it (``_Command``), so a call builds
-the parsers on its path, not all ten.  Building costs more than parsing,
+the parsers on its path, not all nine.  Building costs more than parsing,
 and each call pays it anew: a command line runs in a new process, and the
 benchmark imports the package afresh for each job.
 """
@@ -95,14 +95,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_command(sub, "pbw", "check the rewriting engine on this structure", file,
                  _arg("--samples", type=int, default=200,
                       help="random words per strategy comparison"),
-                 _arg("--max-weight", type=int, default=6,
-                      help="weight bound for the graded dimension count"),
                  _arg("--nu", action="store_true",
                       help="also check the log-canonical twist automorphism"))
 
     def catalog(p: argparse.ArgumentParser) -> None:
         catalog_sub = p.add_subparsers(dest="catalog_command")
-        _add_command(catalog_sub, "list", "list built-in structures")
         _add_command(catalog_sub, "run", "run a command on a built-in structure",
                      _arg("id", help="catalog entry id"),
                      _arg("rest", nargs=argparse.REMAINDER,
@@ -117,10 +114,6 @@ def _load_document(path: str) -> SpecDocument:
     if path.startswith(_CATALOG_SCHEME):
         return get_entry(path[len(_CATALOG_SCHEME):]).document
     return SpecDocument.load(path)
-
-
-def _weight_range(lo: int, hi: int) -> "list[int]":
-    return list(range(lo, hi + 1))
 
 
 def _grid(table: "dict[tuple[int, int], int]", degrees: "list[int]",
@@ -171,34 +164,26 @@ def _cmd_trace(doc: SpecDocument, args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_homology(doc: SpecDocument, args, out) -> int:
-    if _below("--max-weight", args.max_weight, 0):
-        return EXIT_USAGE
-    S = doc.to_structure()
-    table = homology_dims(S, coeff=args.coeff, max_weight=args.max_weight)
-    if args.tsv:
-        print(dim_table_tsv(table), file=out)
-        return EXIT_OK
-    print(f"homology dimensions ({args.coeff}), weights 0..{args.max_weight}",
-          file=out)
-    print(_grid(table, list(range(len(S.vars) + 1)),
-                _weight_range(0, args.max_weight)), file=out)
-    return EXIT_OK
-
-
-def _cmd_cohomology(doc: SpecDocument, args, out) -> int:
-    S = doc.to_structure()
-    low = -sum(S.vars.weights)
+def _cmd_dims(doc: SpecDocument, args, out) -> int:
+    """``homology``, or ``cohomology`` from minus the sum of the weights."""
+    cochains = args.command == "cohomology"
+    low = -sum(doc.vars.weights) if cochains else 0
     if _below("--max-weight", args.max_weight, low,
-              " (the lowest cochain weight)"):
+              " (the lowest cochain weight)" if cochains else ""):
         return EXIT_USAGE
-    table = cohomology_dims(S, max_weight=args.max_weight)
+    S = doc.to_structure()
+    if cochains:
+        table = cohomology_dims(S, max_weight=args.max_weight)
+        title = "cohomology dimensions"
+    else:
+        table = homology_dims(S, coeff=args.coeff, max_weight=args.max_weight)
+        title = f"homology dimensions ({args.coeff})"
     if args.tsv:
         print(dim_table_tsv(table), file=out)
         return EXIT_OK
-    print(f"cohomology dimensions, weights {low}..{args.max_weight}", file=out)
+    print(f"{title}, weights {low}..{args.max_weight}", file=out)
     print(_grid(table, list(range(len(S.vars) + 1)),
-                _weight_range(low, args.max_weight)), file=out)
+                list(range(low, args.max_weight + 1))), file=out)
     return EXIT_OK
 
 
@@ -214,8 +199,7 @@ def _cmd_duality(doc: SpecDocument, args, out) -> int:
 
 
 def _cmd_pbw(doc: SpecDocument, args, out) -> int:
-    if (_below("--samples", args.samples, 1)
-            or _below("--max-weight", args.max_weight, 0)):
+    if _below("--samples", args.samples, 1):
         return EXIT_USAGE
     S = doc.to_structure()
     if args.nu and log_canonical_matrix(S) is None:
@@ -224,9 +208,10 @@ def _cmd_pbw(doc: SpecDocument, args, out) -> int:
     try:
         words = confluence_check(S, samples=args.samples)
         print(f"confluence: ok ({words} words)", file=out)
-        gr_dimension_check(S, max_weight=args.max_weight)
-        print(f"graded dimensions: ok (filtration <= 3, "
-              f"weight <= {args.max_weight})", file=out)
+        # the table's largest key is its pair of bounds
+        filtration, weight = max(gr_dimension_check(S))
+        print(f"graded dimensions: ok (filtration <= {filtration}, "
+              f"weight <= {weight})", file=out)
         if args.nu:
             report = nu_check(S)
             print(f"twist: ok ({report.relations_checked} relations, "
@@ -240,15 +225,15 @@ def _cmd_pbw(doc: SpecDocument, args, out) -> int:
 _HANDLERS = {
     "check": _cmd_check,
     "trace": _cmd_trace,
-    "homology": _cmd_homology,
-    "cohomology": _cmd_cohomology,
+    "homology": _cmd_dims,
+    "cohomology": _cmd_dims,
     "duality": _cmd_duality,
     "pbw": _cmd_pbw,
 }
 
 
 def _cmd_catalog(parser: argparse.ArgumentParser, args, out) -> int:
-    if args.catalog_command in (None, "list"):
+    if args.catalog_command is None:
         width = max(len(entry.id) for entry in CATALOG)
         for entry in CATALOG:
             print(f"{entry.id.ljust(width)}  {entry.description}", file=out)

@@ -20,6 +20,7 @@ __all__ = [
     "PolyParseError",
     "MAX_PARSE_DEGREE",
     "MAX_PARSE_TERMS",
+    "MAX_PARSE_WEIGHT",
     "VarTableMismatch",
     "VarTable",
     "Polynomial",
@@ -373,6 +374,10 @@ _OPERATOR_CHARS = set("+-*^/()")
 # and with the number of variables.
 MAX_PARSE_DEGREE = 16
 MAX_PARSE_TERMS = 2000
+
+# Largest weight a document may give a variable: cochains start at minus the
+# sum of the weights, and a window's sweep and shift scan grow with that sum.
+MAX_PARSE_WEIGHT = 1000
 
 
 def _tokenize(src: str) -> "list[tuple[str, str, int]]":

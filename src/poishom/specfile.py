@@ -15,11 +15,14 @@ the zero bracket only when matrix is also absent).
 from __future__ import annotations
 
 import json
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .polycore import PolyParseError, Polynomial, VarTable, parse_poly
+from .polycore import (MAX_PARSE_WEIGHT, PolyParseError, Polynomial, VarTable,
+                       parse_poly)
 from .structure import PoissonStructure
 
 __all__ = ["SpecFileError", "SpecDocument"]
@@ -38,6 +41,12 @@ def _parse_scalar(value) -> Fraction:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
+            # an int longer than sys.get_int_max_str_digits() allows, if set
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            digits = max(map(len, re.findall(r"\d+", value)), default=0)
+            if 0 < limit < digits:
+                raise SpecFileError(f"bad matrix entry: integer literal of "
+                                    f"{digits} digits is too long") from None
             raise SpecFileError(f"bad matrix entry {value!r}: {exc}") from None
     raise SpecFileError(f"matrix entry {value!r} is not a rational scalar")
 
@@ -75,6 +84,9 @@ class SpecDocument:
                 weight = item.get("weight", 1)
                 if isinstance(weight, bool) or not isinstance(weight, int):
                     raise SpecFileError(f"weight of {name!r} must be an integer")
+                if weight > MAX_PARSE_WEIGHT:
+                    raise SpecFileError(f"weight of {name!r} exceeds the bound "
+                                        f"{MAX_PARSE_WEIGHT}")
                 names.append(name)
                 weights.append(weight)
             else:

@@ -81,7 +81,6 @@ def test_duality_trivial_window_zero(capsys):
 @pytest.mark.parametrize("argv, flag", [
     (("homology", "--max-weight", "-1"), "--max-weight"),
     (("duality", "--max-weight", "-1"), "--max-weight"),
-    (("pbw", "--max-weight", "-1"), "--max-weight"),
     (("pbw", "--samples", "0"), "--samples"),
     (("pbw", "--samples", "-5"), "--samples"),
 ])
@@ -103,6 +102,32 @@ def test_cohomology_window_below_lowest_weight_refused(capsys):
                        "cohomology", "--max-weight", "-3", "--tsv")
     assert code == 0
     assert out.splitlines()[1:] == [f"{n}\t-3\t{int(n == 3)}" for n in range(4)]
+
+
+def test_empty_cohomology_window_refused_before_the_jacobi_check(tmp_path, capsys):
+    # the window is checked before the structure is built, as for homology
+    path = tmp_path / "not-jacobi.json"
+    path.write_text(json.dumps({"vars": ["x", "y", "z"],
+                                "bracket": {"x,y": "y", "y,z": "z", "z,x": "x"}}))
+    code, out, err = run(capsys, "cohomology", str(path), "--max-weight", "-4")
+    assert (code, out) == (2, "")
+    assert err == ("error: --max-weight must be at least -3 "
+                   "(the lowest cochain weight), got -4\n")
+    code, out, err = run(capsys, "cohomology", str(path), "--max-weight", "-3")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: jacobi")
+
+
+@pytest.mark.parametrize("command", ["cohomology", "duality"])
+def test_huge_weight_refused(tmp_path, capsys, command):
+    # cochains would start at weight -10^12 - 1: the sweep and the shift scan
+    # grow with the sum of the weights, and would not end
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps({"vars": [{"name": "x", "weight": 10**12}, "y"],
+                                "bracket": {}}))
+    code, out, err = run(capsys, command, str(path), "--max-weight", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: weight of 'x' exceeds the bound 1000\n"
 
 
 def test_pbw_command(capsys):
@@ -135,9 +160,11 @@ def test_catalog_listing(capsys):
     ids = [line.split()[0] for line in out.splitlines()]
     assert "so3" in ids
     assert "potential-x2z" in ids
-    code2, out2, _ = run(capsys, "catalog", "list")
-    assert code2 == 0
-    assert out2 == out
+    # a bare ``catalog`` lists; there is no ``list`` subcommand
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "list"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'list'" in capsys.readouterr().err
 
 
 def test_catalog_run_unknown_id(capsys):
@@ -204,7 +231,10 @@ NESTED = "bracket value for 'x,y': expression nested too deeply (at position "
      "invalid JSON: an integer has too many digits"),
     ('{"vars": ["x", "y"], "matrix": [[0, %s], [-1, 0]]}' % DIGITS,
      "invalid JSON: an integer has too many digits"),
-], ids=["coefficient", "exponent", "denominator", "weight", "matrix-entry"])
+    ('{"vars": ["x", "y"], "matrix": [[0, "%s"], [-1, 0]]}' % DIGITS,
+     f"bad matrix entry: integer literal of {len(DIGITS)} digits is too long"),
+], ids=["coefficient", "exponent", "denominator", "weight", "matrix-entry",
+        "matrix-string"])
 @pytest.mark.skipif(len(DIGITS) == 1, reason="this Python converts ints of any length")
 def test_overlong_integer_refused(tmp_path, capsys, text, message):
     path = tmp_path / "long.json"

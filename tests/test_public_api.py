@@ -13,14 +13,20 @@ a public alias with one caller (``require_homogeneous``, now inside
 degree, weight and position lookup).  Dunder methods that nothing called
 are listed where ``hasattr`` can see them gone; ``ChainBasis.__eq__``,
 ``ChainBasis.__repr__`` and ``OneForm.__str__`` resolve to inherited
-defaults and are not listed.
+defaults and are not listed.  The package root re-exports only the names
+read from it: those of the README's library sketch, and ``get_entry``;
+every other name is imported from its module.
 """
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
 import poishom
+
+ROOT = Path(__file__).resolve().parent.parent
 
 MODULES = ["catalog", "cli", "complexes", "envelope", "linalg", "polycore",
            "specfile", "structure"]
@@ -28,7 +34,19 @@ MODULES = ["catalog", "cli", "complexes", "envelope", "linalg", "polycore",
 REMOVED = {
     "poishom": ["Cochain", "apply_boundary", "apply_coboundary", "multiply",
                 "weight_component", "weighted_degree", "document_from_structure",
-                "ShiftNotFound", "GrMismatch"],
+                "ShiftNotFound", "GrMismatch",
+                "CATALOG", "CatalogEntry", "ChainBasis", "ConfluenceFailure",
+                "DualityReport", "EnvelopeElement", "JacobiViolation", "ModularData",
+                "ModuleMismatch", "NonHomogeneousError", "NuReport", "OneForm",
+                "PoissonStructure", "PolyParseError", "Polynomial", "RelationViolation",
+                "SparseMatrix", "SpecFileError", "VarTable", "VarTableMismatch",
+                "basis_form", "boundary_matrix", "catalog_ids", "chain_basis",
+                "coboundary_matrix", "cochain_basis", "cohomology_dims",
+                "confluence_check", "differential", "dim_table_tsv", "format_poly",
+                "gr_dimension_check", "homogeneous_weight", "j_quotient_action",
+                "log_canonical_matrix", "monomials_of_weight", "nu_check", "parse_poly",
+                "partial_derivative", "reduce_combination", "reduce_word",
+                "right_module_residue", "__version__"],
     "complexes": ["Cochain", "apply_boundary", "apply_coboundary",
                   "_contractions", "_check_index", "ShiftNotFound"],
     "envelope": ["multiply", "word_from_monomial", "_compositions", "GrMismatch",
@@ -75,3 +93,18 @@ def test_removed_names_stay_gone(path, name):
     assert not hasattr(owner, name)
     assert name not in getattr(owner, "__all__", ())
 
+
+def test_the_package_root_exports_four_names():
+    assert sorted(poishom.__all__) == ["SpecDocument", "duality_report",
+                                       "get_entry", "homology_dims"]
+
+
+def test_readme_library_sketch_runs(monkeypatch, capsys):
+    # the sketch imports from the package root, so its names must suffice
+    [sketch] = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(),
+                          re.S)
+    monkeypatch.chdir(ROOT)
+    exec(compile(sketch, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert out.startswith("False\n1\nduality window: ")
+    assert out.endswith("result: PASS\n")

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from poishom.polycore import parse_poly
+from poishom.polycore import MAX_PARSE_WEIGHT, parse_poly
 from poishom.specfile import SpecDocument, SpecFileError
 
 from _oracles import document_dict
@@ -30,6 +30,12 @@ def test_weighted_vars():
          "bracket": {}}
     )
     assert doc.vars.weights == (1, 3)
+
+
+def test_weight_at_the_bound_is_accepted():
+    doc = SpecDocument.from_dict(
+        {"vars": [{"name": "x", "weight": MAX_PARSE_WEIGHT}, "y"], "bracket": {}})
+    assert doc.vars.weights == (MAX_PARSE_WEIGHT, 1)
 
 
 def test_bracket_keys_normalize_order():
@@ -91,9 +97,11 @@ def test_malformed_documents(data):
     ({"vars": ["x", "y"], "bracket": ["x,y", "1"]}, "'bracket' must be an object"),
     ({"vars": ["x", "y"], "matrix": [[0, 1], [-1]]},
      "every matrix row must have 2 entries"),
+    ({"vars": ["x", {"name": "y", "weight": MAX_PARSE_WEIGHT + 1}]},
+     f"weight of 'y' exceeds the bound {MAX_PARSE_WEIGHT}"),
 ], ids=["float-entry", "null-entry", "not-an-object", "unknown-variable-key",
         "non-string-name", "bad-variable-entry", "bracket-not-an-object",
-        "short-matrix-row"])
+        "short-matrix-row", "weight-above-bound"])
 def test_refusal_messages(data, message):
     with pytest.raises(SpecFileError) as info:
         SpecDocument.from_dict(data)
