@@ -81,6 +81,7 @@ def test_duality_trivial_window_zero(capsys):
 @pytest.mark.parametrize("argv, flag", [
     (("homology", "--max-weight", "-1"), "--max-weight"),
     (("duality", "--max-weight", "-1"), "--max-weight"),
+    (("cohomology", "--max-weight", "-4"), "--max-weight"),
     (("pbw", "--samples", "0"), "--samples"),
     (("pbw", "--samples", "-5"), "--samples"),
 ])
