@@ -1,18 +1,19 @@
-"""Stdout digests of the table commands and of ``pbw``, for
-``test_cli_stdout.py``, and their recorder.
+"""Stdout digests of the table commands, of ``pbw`` and of ``check`` and
+``trace``, for ``test_cli_stdout.py``, and their recorder.
 
 Each table case runs ``homology`` (canonical and ``--coeff omega``),
 ``cohomology``, ``duality`` and ``duality --tsv`` at ``--max-weight 6`` on
 every catalog entry and every shipped document under ``docs/``.  Each
 ``pbw`` case runs ``pbw --samples 60`` on the same documents, and again
-with ``--nu`` on the log-canonical ones.  ``cli_stdout_digests.json`` and
-``cli_pbw_digests.json`` hold the sha256 of each case's stdout and its
-exit code.  Record them only from a commit whose output is the reference,
+with ``--nu`` on the log-canonical ones.  Each info case runs ``check``
+and ``trace`` on the same documents.  ``cli_stdout_digests.json``,
+``cli_pbw_digests.json`` and ``cli_info_digests.json`` hold the sha256 of
+each case's stdout and its exit code.  Record them only from a commit whose output is the reference,
 from the repository root::
 
     PYTHONPATH=src python tests/cli_stdout.py [--check]
 
-With ``--check`` it records nothing: it compares every case with both
+With ``--check`` it records nothing: it compares every case with the three
 digest files, names each case that differs, and exits 1 if any does, 0 if
 all match.
 
@@ -34,6 +35,7 @@ from poishom.catalog import catalog_ids
 HERE = Path(__file__).resolve().parent
 DIGESTS = HERE / "cli_stdout_digests.json"
 PBW_DIGESTS = HERE / "cli_pbw_digests.json"
+INFO_DIGESTS = HERE / "cli_info_digests.json"
 DOCS = HERE.parent / "docs"
 
 COMMANDS = (
@@ -46,6 +48,8 @@ COMMANDS = (
 
 PBW = ("pbw", "--samples", "60")
 PBW_NU = PBW + ("--nu",)
+
+INFO = (("check",), ("trace",))
 
 # (name, document argument); documents are named by their path under the
 # repository root, so the digests do not depend on where it is checked out
@@ -64,9 +68,12 @@ PBW_CASES = tuple(
     for command in ((PBW, PBW_NU) if "log-canonical" in name else (PBW,))
 )
 
+INFO_CASES = tuple((name, document, command)
+                   for name, document in SOURCES for command in INFO)
+
 
 def key(name: str, command) -> str:
-    return f"{command[0]} {name} {' '.join(command[1:])}"
+    return " ".join((command[0], name) + tuple(command[1:]))
 
 
 def run(document: str, command) -> "tuple[int, str]":
@@ -104,6 +111,8 @@ def check(cases, path: Path) -> int:
 
 if __name__ == "__main__":
     if "--check" in sys.argv[1:]:
-        sys.exit(max(check(CASES, DIGESTS), check(PBW_CASES, PBW_DIGESTS)))
+        sys.exit(max(check(CASES, DIGESTS), check(PBW_CASES, PBW_DIGESTS),
+                     check(INFO_CASES, INFO_DIGESTS)))
     record(CASES, DIGESTS)
     record(PBW_CASES, PBW_DIGESTS)
+    record(INFO_CASES, INFO_DIGESTS)

@@ -1,14 +1,16 @@
-"""The stdout of the table commands and of ``pbw``, pinned by digest (see
-``cli_stdout.py``)."""
+"""The stdout of the table commands, of ``pbw`` and of ``check`` and
+``trace``, pinned by digest (see ``cli_stdout.py``)."""
 
 import json
 
 import pytest
 
-from cli_stdout import CASES, DIGESTS, PBW_CASES, PBW_DIGESTS, check, key, run
+from cli_stdout import (CASES, DIGESTS, INFO_CASES, INFO_DIGESTS, PBW_CASES,
+                        PBW_DIGESTS, check, key, run)
 
 RECORDED = json.loads(DIGESTS.read_text())
 PBW_RECORDED = json.loads(PBW_DIGESTS.read_text())
+INFO_RECORDED = json.loads(INFO_DIGESTS.read_text())
 
 
 def test_every_case_is_recorded():
@@ -33,6 +35,18 @@ def test_every_pbw_case_is_recorded():
                          ids=[key(name, command) for name, _, command in PBW_CASES])
 def test_pbw_stdout_digest(name, document, command):
     assert list(run(document, command)) == PBW_RECORDED[key(name, command)]
+
+
+def test_every_info_case_is_recorded():
+    assert len(INFO_CASES) == 24
+    assert sorted(INFO_RECORDED) == sorted(key(name, command)
+                                           for name, _, command in INFO_CASES)
+
+
+@pytest.mark.parametrize("name, document, command", INFO_CASES,
+                         ids=[key(name, command) for name, _, command in INFO_CASES])
+def test_info_stdout_digest(name, document, command):
+    assert list(run(document, command)) == INFO_RECORDED[key(name, command)]
 
 
 def test_check_names_each_case_that_differs(tmp_path, capsys):
