@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .polycore import _shown
 from .specfile import SpecDocument
 
 __all__ = ["CatalogEntry", "CATALOG", "catalog_ids", "get_entry"]
@@ -107,4 +108,4 @@ def get_entry(entry_id: str) -> CatalogEntry:
     for entry in CATALOG:
         if entry.id == entry_id:
             return entry
-    raise KeyError(f"no catalog entry named {entry_id!r}")
+    raise KeyError(f"no catalog entry named {_shown(entry_id)}")

@@ -50,6 +50,16 @@ class VarTableMismatch(ValueError):
     """Operands belong to different variable tables."""
 
 
+def _shown(value) -> str:
+    """repr(value) for an error message; past 32 characters, its start and
+    its length, so that outside input is echoed on one short line."""
+    text = repr(value)
+    if len(text) <= 32:
+        return text
+    size = len(value) if isinstance(value, str) else len(text)
+    return f"{text[:32]}... ({size} characters)"
+
+
 def _is_identifier(name: str) -> bool:
     if not name or (not name[0].isalpha() and name[0] != "_"):
         return False
@@ -72,7 +82,7 @@ class VarTable:
             raise ValueError("variable table needs at least one variable")
         for name in names:
             if not _is_identifier(name):
-                raise ValueError(f"invalid variable name {name!r}")
+                raise ValueError(f"invalid variable name {_shown(name)}")
         if len(set(names)) != len(names):
             raise ValueError("variable names must be pairwise distinct")
         if weights is None:
@@ -108,7 +118,7 @@ class VarTable:
         try:
             return self._index[name]
         except KeyError:
-            raise KeyError(f"unknown variable {name!r}") from None
+            raise KeyError(f"unknown variable {_shown(name)}") from None
 
     def weighted_degree(self, exponents: Sequence[int]) -> int:
         return sum(e * w for e, w in zip(exponents, self.weights))
@@ -439,7 +449,7 @@ class _Parser:
                                  self.peek()[2]) from None
         kind, text, at = self.peek()
         if kind != "end":
-            raise PolyParseError(f"unexpected {text!r}", at)
+            raise PolyParseError(f"unexpected {_shown(text)}", at)
         return poly
 
     def expression(self) -> Polynomial:
@@ -513,7 +523,7 @@ class _Parser:
             try:
                 return self.vars.gen(self.vars.index(text))
             except KeyError:
-                raise PolyParseError(f"unknown variable {text!r}", at) from None
+                raise PolyParseError(f"unknown variable {_shown(text)}", at) from None
         if kind == "(":
             self.advance()
             node = self.expression()
@@ -524,7 +534,7 @@ class _Parser:
             return node
         if kind == "end":
             raise PolyParseError("unexpected end of input", at)
-        raise PolyParseError(f"unexpected {text!r}", at)
+        raise PolyParseError(f"unexpected {_shown(text)}", at)
 
 
 def _int_literal(text: str, at: int) -> int:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .polycore import (MAX_PARSE_WEIGHT, PolyParseError, Polynomial, VarTable,
-                       parse_poly)
+                       _shown, parse_poly)
 from .structure import PoissonStructure
 
 __all__ = ["SpecFileError", "SpecDocument"]
@@ -34,7 +34,7 @@ class SpecFileError(ValueError):
 
 def _parse_scalar(value) -> Fraction:
     if isinstance(value, bool):
-        raise SpecFileError(f"matrix entry {value!r} is not a rational scalar")
+        raise SpecFileError(f"matrix entry {_shown(value)} is not a rational scalar")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -47,8 +47,11 @@ def _parse_scalar(value) -> Fraction:
             if 0 < limit < digits:
                 raise SpecFileError(f"bad matrix entry: integer literal of "
                                     f"{digits} digits is too long") from None
-            raise SpecFileError(f"bad matrix entry {value!r}: {exc}") from None
-    raise SpecFileError(f"matrix entry {value!r} is not a rational scalar")
+            # Fraction's own message repeats the string, so a cut one drops it
+            shown = _shown(value)
+            reason = exc if shown == repr(value) else "not a rational literal"
+            raise SpecFileError(f"bad matrix entry {shown}: {reason}") from None
+    raise SpecFileError(f"matrix entry {_shown(value)} is not a rational scalar")
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,7 @@ class SpecDocument:
             raise SpecFileError("document must be a JSON object")
         unknown = set(data) - {"vars", "bracket", "matrix", "label"}
         if unknown:
-            raise SpecFileError(f"unknown keys: {sorted(unknown)}")
+            raise SpecFileError(f"unknown keys: {_shown(sorted(unknown))}")
         raw_vars = data.get("vars")
         if not isinstance(raw_vars, list) or not raw_vars:
             raise SpecFileError("'vars' must be a non-empty list")
@@ -77,20 +80,21 @@ class SpecDocument:
             elif isinstance(item, Mapping):
                 extra = set(item) - {"name", "weight"}
                 if extra:
-                    raise SpecFileError(f"unknown variable keys: {sorted(extra)}")
+                    raise SpecFileError(
+                        f"unknown variable keys: {_shown(sorted(extra))}")
                 name = item.get("name")
                 if not isinstance(name, str):
                     raise SpecFileError("variable 'name' must be a string")
                 weight = item.get("weight", 1)
                 if isinstance(weight, bool) or not isinstance(weight, int):
-                    raise SpecFileError(f"weight of {name!r} must be an integer")
+                    raise SpecFileError(f"weight of {_shown(name)} must be an integer")
                 if weight > MAX_PARSE_WEIGHT:
-                    raise SpecFileError(f"weight of {name!r} exceeds the bound "
+                    raise SpecFileError(f"weight of {_shown(name)} exceeds the bound "
                                         f"{MAX_PARSE_WEIGHT}")
                 names.append(name)
                 weights.append(weight)
             else:
-                raise SpecFileError(f"bad variable entry {item!r}")
+                raise SpecFileError(f"bad variable entry {_shown(item)}")
         try:
             vt = VarTable(tuple(names), tuple(weights))
         except ValueError as exc:
@@ -120,23 +124,24 @@ class SpecDocument:
         for key, expr in raw.items():
             parts = [p.strip() for p in key.split(",")]
             if len(parts) != 2:
-                raise SpecFileError(f"bracket key {key!r} must name two variables")
+                raise SpecFileError(f"bracket key {_shown(key)} must name two variables")
             try:
                 i, j = vt.index(parts[0]), vt.index(parts[1])
             except KeyError as exc:
-                raise SpecFileError(f"bracket key {key!r}: unknown variable {exc}") from None
+                raise SpecFileError(
+                    f"bracket key {_shown(key)}: unknown variable {exc}") from None
             if i == j:
-                raise SpecFileError(f"bracket key {key!r} repeats a variable")
+                raise SpecFileError(f"bracket key {_shown(key)} repeats a variable")
             pair = frozenset((i, j))
             if pair in seen:
-                raise SpecFileError(f"bracket pair {key!r} given twice")
+                raise SpecFileError(f"bracket pair {_shown(key)} given twice")
             seen.add(pair)
             if not isinstance(expr, str):
-                raise SpecFileError(f"bracket value for {key!r} must be a string")
+                raise SpecFileError(f"bracket value for {_shown(key)} must be a string")
             try:
                 poly = parse_poly(expr, vt)
             except PolyParseError as exc:
-                raise SpecFileError(f"bracket value for {key!r}: {exc}") from None
+                raise SpecFileError(f"bracket value for {_shown(key)}: {exc}") from None
             if poly:
                 entries[(i, j)] = poly
         return entries

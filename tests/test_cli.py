@@ -244,6 +244,56 @@ def test_overlong_integer_refused(tmp_path, capsys, text, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+LONG = "y" * 5000
+
+
+@pytest.mark.parametrize("data, start", [
+    ({"vars": ["x", "y"], "matrix": [[0, LONG], [-1, 0]]},
+     "bad matrix entry 'yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy... (5000 characters): "
+     "not a rational literal"),
+    ({"vars": ["x", "y"], "bracket": {"x,y": "x*" + LONG}},
+     "bracket value for 'x,y': unknown variable 'yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy... "
+     "(5000 characters) (at position 2)"),
+    ({"vars": ["x", "y"], "bracket": {"x,y": "x " + LONG}}, "bracket value for 'x,y': "),
+    ({"vars": ["x", "y"], "bracket": {"x," + LONG: "1"}}, "bracket key 'x,yyy"),
+    ({"vars": ["x", "y"], "bracket": {LONG: "1"}}, "bracket key 'yyy"),
+    ({"vars": ["x", "9" + LONG]}, "invalid variable name '9yyy"),
+    ({"vars": ["x", {"name": LONG, "weight": "2"}]}, "weight of 'yyy"),
+    ({"vars": ["x", [LONG]]}, "bad variable entry ['yyy"),
+    ({"vars": ["x"], LONG: 1}, "unknown keys: ['yyy"),
+    ({"vars": ["x", "y"], "matrix": [[0, [LONG]], [-1, 0]]}, "matrix entry ['yyy"),
+], ids=["matrix-string", "bracket-name", "bracket-token", "bracket-key-name",
+        "bracket-key", "variable-name", "weight-name", "variable-entry",
+        "document-key", "matrix-entry"])
+def test_overlong_input_is_echoed_cut(tmp_path, capsys, data, start):
+    # one short line, naming the input by its start and its length once
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {start}")
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    assert err.count("characters)") == 1 + ("bracket key 'x," in start)
+
+
+def test_normal_length_input_is_echoed_whole(tmp_path, capsys):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"vars": ["x", "y"], "matrix": [[0, "1/x"], ["-1/x", 0]]}))
+    code, _, err = run(capsys, "check", str(path))
+    assert (code, err) == (2, "error: bad matrix entry '1/x': "
+                              "Invalid literal for Fraction: '1/x'\n")
+    path.write_text(json.dumps({"vars": ["x", "y"], "bracket": {"x,y": "x*q"}}))
+    code, _, err = run(capsys, "check", str(path))
+    assert (code, err) == (2, "error: bracket value for 'x,y': unknown variable 'q' "
+                              "(at position 2)\n")
+
+
+def test_overlong_catalog_id_is_echoed_cut(capsys):
+    code, _, err = run(capsys, "check", "catalog:" + LONG)
+    assert (code, err) == (2, "error: no catalog entry named "
+                              "'yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy... (5000 characters)\n")
+
+
 @pytest.mark.parametrize("content, message", [
     # the position is where the recursion limit was hit, so it is not pinned
     (json.dumps({"vars": ["x", "y"], "bracket": {"x,y": "(" * 200 + "x*y" + ")" * 200}}),
