@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import add
 from typing import Mapping, Sequence, Union
 
 __all__ = [
     "Scalar",
-    "Monomial",
     "PolyParseError",
     "MAX_PARSE_DEGREE",
     "MAX_PARSE_TERMS",
@@ -32,10 +32,6 @@ __all__ = [
 ]
 
 Scalar = Union[int, Fraction]
-Monomial = "tuple[int, ...]"
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class PolyParseError(ValueError):
@@ -139,7 +135,7 @@ class VarTable:
         if not 0 <= i < len(self):
             raise IndexError(f"variable index {i} out of range")
         exps = tuple(1 if j == i else 0 for j in range(len(self)))
-        return Polynomial(self, {exps: _ONE})
+        return Polynomial(self, {exps: 1})
 
     def gens(self) -> "tuple[Polynomial, ...]":
         return tuple(self.gen(i) for i in range(len(self)))
@@ -164,7 +160,7 @@ class Polynomial:
     def __init__(self, vars: VarTable, terms: Mapping["tuple[int, ...]", Scalar]):
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in terms.items():
-            c = Fraction(coeff)
+            c = coeff if type(coeff) is Fraction else Fraction(coeff)
             if c:
                 clean[tuple(exps)] = c
         object.__setattr__(self, "vars", vars)
@@ -182,22 +178,13 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def sorted_terms(self) -> "list[tuple[tuple[int, ...], Fraction]]":
-        """Terms in the canonical printing order (graded lex, descending)."""
-        wd = self.vars.weighted_degree
-        return sorted(self.terms.items(), key=lambda kv: (wd(kv[0]), kv[0]), reverse=True)
-
     # -- arithmetic ----------------------------------------------------------
-
-    def _check(self, other: "Polynomial") -> None:
-        if self.vars != other.vars:
-            raise VarTableMismatch(
-                f"cannot mix polynomials over {self.vars!r} and {other.vars!r}"
-            )
 
     def _coerce(self, other) -> "Polynomial | None":
         if isinstance(other, Polynomial):
-            self._check(other)
+            if self.vars != other.vars:
+                raise VarTableMismatch(
+                    f"cannot mix polynomials over {self.vars!r} and {other.vars!r}")
             return other
         if isinstance(other, (int, Fraction)):
             return self.vars.const(other)
@@ -207,14 +194,7 @@ class Polynomial:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out = dict(self.terms)
-        for exps, c in rhs.terms.items():
-            s = out.get(exps, _ZERO) + c
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
-        return Polynomial(self.vars, out)
+        return Polynomial(self.vars, _plus(dict(self.terms), rhs.terms.items()))
 
     __radd__ = __add__
 
@@ -225,49 +205,26 @@ class Polynomial:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        return Polynomial(self.vars, _plus(dict(self.terms), rhs.terms.items(), -1))
 
     def __rsub__(self, other) -> "Polynomial":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return rhs + (-self)
+        return Polynomial(self.vars, _plus(dict(rhs.terms), self.terms.items(), -1))
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return self.vars.zero()
-            return Polynomial(self.vars, {e: k * c for e, k in self.terms.items()})
-        if not isinstance(other, Polynomial):
+        rhs = self._coerce(other)
+        if rhs is None:
             return NotImplemented
-        self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(key, _ZERO) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return Polynomial(self.vars, out)
+        return Polynomial(self.vars, _times(self.terms, rhs.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers take non-negative integer exponents")
-        result = self.vars.one()
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return Polynomial(self.vars, _power(self.terms, exponent, len(self.vars)))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -290,6 +247,51 @@ class Polynomial:
         return f"<poly {format_poly(self)}>"
 
 
+# -- term dicts ----------------------------------------------------------------
+# The parser and Polynomial arithmetic work on {exponents: coefficient} dicts
+# with nonzero int or Fraction coefficients.  A sum that cancels drops its
+# key, so a key that comes back later is placed last.
+
+
+def _plus(f: dict, g, sign: int = 1) -> dict:
+    """f + sign * g, summed into f; g is any iterable of (exponents,
+    coefficient) pairs."""
+    for e, c in g:
+        s = f.get(e, 0) + sign * c
+        if s:
+            f[e] = s
+        else:
+            del f[e]
+    return f
+
+
+def _times(f: Mapping, g: Mapping) -> dict:
+    """Product of two term dicts."""
+    out: dict = {}
+    get = out.get
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            key = tuple(map(add, e1, e2))
+            s = get(key, 0) + c1 * c2
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out
+
+
+def _power(f: Mapping, k: int, n: int) -> dict:
+    """f ** k for a term dict in n variables, by square-and-multiply."""
+    result: dict = {(0,) * n: 1}
+    while k:
+        if k & 1:
+            result = _times(result, f)
+        k >>= 1
+        if k:
+            f = _times(f, f)
+    return result
+
+
 # -- calculus and grading ---------------------------------------------------
 
 
@@ -302,7 +304,7 @@ def partial_derivative(f: Polynomial, i: int) -> Polynomial:
         e = exps[i]
         if e:
             key = exps[:i] + (e - 1,) + exps[i + 1 :]
-            out[key] = out.get(key, _ZERO) + coeff * e
+            out[key] = out.get(key, 0) + coeff * e
     return Polynomial(f.vars, out)
 
 
@@ -312,13 +314,8 @@ def homogeneous_weight(f: Polynomial) -> int | None:
     Returns None when ``f`` is zero or mixes degrees; zero is homogeneous of
     every weight, so callers that care must special-case it.
     """
-    if f.is_zero():
-        return None
-    wd = f.vars.weighted_degree
-    degrees = {wd(e) for e in f.terms}
-    if len(degrees) == 1:
-        return degrees.pop()
-    return None
+    degrees = set(map(f.vars.weighted_degree, f.terms))
+    return degrees.pop() if len(degrees) == 1 else None
 
 
 def monomials_of_weight(vars: VarTable, w: int) -> "list[tuple[int, ...]]":
@@ -364,7 +361,10 @@ def format_poly(f: Polynomial) -> str:
     if f.is_zero():
         return "0"
     chunks: list[str] = []
-    for exps, coeff in f.sorted_terms():
+    wd = f.vars.weighted_degree
+    # graded lex, descending
+    for exps, coeff in sorted(f.terms.items(), key=lambda kv: (wd(kv[0]), kv[0]),
+                              reverse=True):
         body = _format_magnitude(f.vars, exps, abs(coeff))
         if not chunks:
             chunks.append(f"-{body}" if coeff < 0 else body)
@@ -394,29 +394,24 @@ def _tokenize(src: str) -> "list[tuple[str, str, int]]":
     tokens: list[tuple[str, str, int]] = []
     i, n = 0, len(src)
     while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
+        ch, j = src[i], i + 1
         if ch.isdigit():
-            j = i
+            kind = "num"
             while j < n and src[j].isdigit():
                 j += 1
-            tokens.append(("num", src[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+        elif ch.isalpha() or ch == "_":
+            kind = "name"
             while j < n and (src[j].isalnum() or src[j] == "_"):
                 j += 1
-            tokens.append(("name", src[i:j], i))
+        elif ch in _OPERATOR_CHARS:
+            kind = ch
+        elif not ch.isspace():
+            raise PolyParseError(f"unexpected character {ch!r}", i)
+        else:
             i = j
             continue
-        if ch in _OPERATOR_CHARS:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise PolyParseError(f"unexpected character {ch!r}", i)
+        tokens.append((kind, src[i:j], i))
+        i = j
     tokens.append(("end", "", n))
     return tokens
 
@@ -425,13 +420,15 @@ class _Parser:
     """Recursive descent over: literals, variables, + - * ^, unary minus.
 
     Multiplication is never implicit and '^' takes a literal non-negative
-    integer on the right.  '/' occurs only inside a rational literal.
+    integer on the right.  '/' occurs only inside a rational literal.  Each
+    rule returns a term dict; ``parse`` builds the one Polynomial.
     """
 
     def __init__(self, tokens: "list[tuple[str, str, int]]", vars: VarTable):
         self.tokens = tokens
         self.pos = 0
         self.vars = vars
+        self.constant = (0,) * len(vars)
 
     def peek(self) -> "tuple[str, str, int]":
         return self.tokens[self.pos]
@@ -443,44 +440,44 @@ class _Parser:
 
     def parse(self) -> Polynomial:
         try:
-            poly = self.expression()
+            terms = self.expression()
         except RecursionError:
             raise PolyParseError("expression nested too deeply",
                                  self.peek()[2]) from None
         kind, text, at = self.peek()
         if kind != "end":
             raise PolyParseError(f"unexpected {_shown(text)}", at)
-        return poly
+        return Polynomial(self.vars, terms)
 
-    def expression(self) -> Polynomial:
+    def expression(self) -> dict:
         node = self.term()
         while self.peek()[0] in "+-":
             op = self.advance()[0]
             rhs = self.term()
-            node = node + rhs if op == "+" else node - rhs
+            node = _plus(node, rhs.items(), 1 if op == "+" else -1)
         return node
 
-    def term(self) -> Polynomial:
+    def term(self) -> dict:
         node = self.factor()
         while self.peek()[0] == "*":
             at = self.advance()[2]
             rhs = self.factor()
             degree = _total_degree(node) + _total_degree(rhs)
             _check_degree(degree, at)
-            count = len(node.terms) * len(rhs.terms)
+            count = len(node) * len(rhs)
             if count > MAX_PARSE_TERMS:
                 lowest = _lowest_degree(node) + _lowest_degree(rhs)
                 _check_terms(min(count, _monomial_bound(lowest, degree, node, rhs)), at)
-            node = node * rhs
+            node = _times(node, rhs)
         return node
 
-    def factor(self) -> Polynomial:
+    def factor(self) -> dict:
         if self.peek()[0] == "-":
             self.advance()
-            return -self.factor()
+            return {e: -c for e, c in self.factor().items()}
         return self.power()
 
-    def power(self) -> Polynomial:
+    def power(self) -> dict:
         base = self.atom()
         if self.peek()[0] != "^":
             return base
@@ -496,17 +493,17 @@ class _Parser:
         k = _int_literal(text, at)
         degree = _total_degree(base) * k
         _check_degree(degree, at)
-        count = comb(len(base.terms) + k - 1, k) if base.terms else 0
+        count = comb(len(base) + k - 1, k) if base else 0
         if count > MAX_PARSE_TERMS:
             lowest = _lowest_degree(base) * k
             _check_terms(min(count, _monomial_bound(lowest, degree, base)), at)
-        return base ** k
+        return _power(base, k, len(self.constant))
 
-    def atom(self) -> Polynomial:
+    def atom(self) -> dict:
         kind, text, at = self.peek()
         if kind == "num":
             self.advance()
-            numerator = _int_literal(text, at)
+            value = _int_literal(text, at)
             if self.peek()[0] == "/":
                 self.advance()
                 dkind, dtext, dat = self.peek()
@@ -516,14 +513,15 @@ class _Parser:
                 denominator = _int_literal(dtext, dat)
                 if denominator == 0:
                     raise PolyParseError("zero denominator", dat)
-                return self.vars.const(Fraction(numerator, denominator))
-            return self.vars.const(numerator)
+                value = Fraction(value, denominator)
+            return {self.constant: value} if value else {}
         if kind == "name":
             self.advance()
             try:
-                return self.vars.gen(self.vars.index(text))
+                i = self.vars.index(text)
             except KeyError:
                 raise PolyParseError(f"unknown variable {_shown(text)}", at) from None
+            return {self.constant[:i] + (1,) + self.constant[i + 1:]: 1}
         if kind == "(":
             self.advance()
             node = self.expression()
@@ -545,8 +543,8 @@ def _int_literal(text: str, at: int) -> int:
                              at) from None
 
 
-def _total_degree(f: Polynomial) -> int:
-    return max((sum(exps) for exps in f.terms), default=0)
+def _total_degree(f: dict) -> int:
+    return max(map(sum, f), default=0)
 
 
 def _check_degree(degree: int, at: int) -> None:
@@ -556,15 +554,15 @@ def _check_degree(degree: int, at: int) -> None:
             f"{MAX_PARSE_DEGREE}", at)
 
 
-def _lowest_degree(f: Polynomial) -> int:
-    return min(sum(exps) for exps in f.terms)
+def _lowest_degree(f: dict) -> int:
+    return min(map(sum, f))
 
 
-def _monomial_bound(lowest: int, degree: int, *factors: Polynomial) -> int:
+def _monomial_bound(lowest: int, degree: int, *factors: dict) -> int:
     """Number of monomials of total degree from ``lowest`` to ``degree`` in
-    the variables that occur in the factors: a bound on the terms of their
-    product."""
-    v = len({i for f in factors for exps in f.terms
+    the variables that occur in the factors' terms: a bound on the terms of
+    their product."""
+    v = len({i for f in factors for exps in f
              for i, e in enumerate(exps) if e})
     return comb(v + degree, v) - (comb(v + lowest - 1, v) if lowest else 0)
 

@@ -16,9 +16,12 @@ Everything that reads the generator brackets reads them through one store,
 ``PoissonStructure.term_tables()``, built on first use and kept on the
 structure.  It fixes one denominator D, the lcm of the denominators of the
 generator brackets (1 on an integral structure), and holds, as exponent
-terms with int coefficients times D, the anchor table {x_a, x_i} / x_a,
-the partials d{x_i, x_j}/dx_k and the generator traces read off those
-partials.
+terms with int coefficients times D, the generator brackets themselves,
+the anchor table {x_a, x_i} / x_a, the partials d{x_i, x_j}/dx_k and the
+generator traces read off those partials.  All of it is built in ints
+from the int terms of D * {x_i, x_j}, one tuple per stored entry: the
+anchor rows by lowering one exponent, the partials by differentiating,
+and the traces by summing partials.
 
 One integer term kernel reads those tables: ``int_terms`` turns a
 polynomial into (L, int terms of L * f), ``times`` multiplies two int term
@@ -26,10 +29,10 @@ tuples, and ``anchor_action`` gives D * {f, x_j} off one anchor row.
 ``bracket`` computes {f, g} = sum_j (dg/dx_j) {f, x_j} with them in ints
 and divides once, and ``omega_h_action`` and ``lr_bracket`` go through
 it.  The Jacobi check sums D^2 times the jacobiator of each generator
-triple with ``anchor_action`` alone and builds a Polynomial only to report
-a violation.  The PBW rules in ``envelope`` use the same kernel, and
-``complexes`` builds its assembly plans from the terms and keeps them in
-the same store.
+triple with ``anchor_action`` on the entry terms and builds a Polynomial
+only to report a violation.  The PBW rules in ``envelope`` use the same
+kernel, and ``complexes`` builds its assembly plans from the terms and
+keeps them in the same store.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from typing import Mapping
 from .polycore import (
     Polynomial,
     VarTable,
+    _plus,
     homogeneous_weight,
     partial_derivative,
 )
@@ -131,17 +135,22 @@ class ModularData:
 Terms = "tuple[tuple[tuple[int, ...], int], ...]"
 
 
-def _terms(f: Polynomial, scale: int = 1, lowered: "int | None" = None) -> Terms:
+def _terms(f: Polynomial, scale: int = 1) -> Terms:
     """Terms of scale * f as (exponents, int) pairs; ``scale`` must clear
-    every denominator of f.  With ``lowered`` set, that variable's exponent
-    is reduced by one (it may become -1).
-    """
-    out = []
-    for exps, c in f.terms.items():
-        if lowered is not None:
-            exps = exps[:lowered] + (exps[lowered] - 1,) + exps[lowered + 1:]
-        out.append((exps, c.numerator * (scale // c.denominator)))
-    return tuple(out)
+    every denominator of f."""
+    return tuple((e, c.numerator * (scale // c.denominator))
+                 for e, c in f.terms.items())
+
+
+def _lowered(f: Terms, k: int) -> Terms:
+    """f / x_k: the terms with the exponent of x_k reduced by one (it may
+    become -1)."""
+    return tuple((e[:k] + (e[k] - 1,) + e[k + 1:], c) for e, c in f)
+
+
+def _derivative(f: Terms, k: int) -> Terms:
+    """df/dx_k of int terms."""
+    return tuple((e[:k] + (e[k] - 1,) + e[k + 1:], c * e[k]) for e, c in f if e[k])
 
 
 def int_terms(f: Polynomial) -> "tuple[int, Terms]":
@@ -177,12 +186,22 @@ def anchor_action(row: "tuple[tuple[int, Terms], ...]", f: Terms) -> Terms:
     return tuple((e, c) for e, c in out.items() if c)
 
 
+def _pair(entries: "dict[tuple[int, int], Terms]", i: int, j: int) -> Terms:
+    """The terms of D * {x_i, x_j} for any index pair, off the entry terms."""
+    if i < j:
+        return entries.get((i, j), ())
+    return tuple((e, -c) for e, c in entries.get((j, i), ()))
+
+
 @dataclass(frozen=True)
 class TermTables:
-    """The bracket data of a structure, built from the generator brackets.
+    """The bracket data of a structure, built in ints from the int terms of
+    D * {x_i, x_j}.
 
     * ``denominator`` is D, the lcm of the denominators of the generator
       brackets' coefficients (1 on an integral structure);
+    * ``entries[(i, j)]`` (i < j) holds the terms of D * {x_i, x_j}, one
+      tuple per stored entry; every other field is read off these;
     * ``anchor[i]`` lists (a, terms of D * {x_a, x_i} / x_a), so that for a
       monomial m = x^e, D * {m, x_i} = sum_a e_a * x^e * (those terms);
     * ``partials[(i, j)]`` (i < j) lists (k, terms of D * d{x_i, x_j}/dx_k);
@@ -201,12 +220,13 @@ class TermTables:
     * ``ranks`` keeps the rank of each differential ``complexes`` has
       taken, keyed like ``plans``, then by the cell (n, w) it leaves.
 
-    Every coefficient in ``anchor``, ``partials`` and ``traces`` is an int.
-    Only nonzero polynomials are listed, and pairs with a zero bracket have
-    no ``partials`` key.
+    Every coefficient in ``entries``, ``anchor``, ``partials`` and
+    ``traces`` is an int.  Only nonzero polynomials are listed, and pairs
+    with a zero bracket have no ``entries`` or ``partials`` key.
     """
 
     denominator: int
+    entries: "dict[tuple[int, int], Terms]"
     anchor: "tuple[tuple[tuple[int, Terms], ...], ...]"
     partials: "dict[tuple[int, int], tuple[tuple[int, Terms], ...]]"
     generator_traces: "tuple[Polynomial, ...]"
@@ -273,14 +293,14 @@ class PoissonStructure:
 
     def _check_jacobi(self) -> None:
         """Check D^2 * sum_cyclic {{x_j, x_k}, x_i} = 0 on int terms, off the
-        anchor table; a violation carries the jacobiator, minus that sum
-        over D^2."""
+        entry terms and the anchor table; a violation carries the
+        jacobiator, minus that sum over D^2."""
         tables = self.term_tables()
         d = tables.denominator
         for a, b, c in combinations(range(len(self.vars)), 3):
             out: dict = {}
             for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
-                pair = _terms(self.entry(j, k), d)
+                pair = _pair(tables.entries, j, k)
                 for e, v in anchor_action(tables.anchor[i], pair):
                     out[e] = out.get(e, 0) + v
             if any(out.values()):
@@ -311,8 +331,7 @@ class PoissonStructure:
         lg, g_terms = int_terms(g)
         out: dict = {}
         for j, row in enumerate(tables.anchor):
-            dg = tuple((e[:j] + (e[j] - 1,) + e[j + 1:], c * e[j])
-                       for e, c in g_terms if e[j])
+            dg = _derivative(g_terms, j)
             if not (row and dg):
                 continue
             for key, c in times(dg, anchor_action(row, f_terms)):
@@ -366,31 +385,35 @@ class PoissonStructure:
     def term_tables(self) -> TermTables:
         """Exponent-tuple tables of the brackets, their partials and traces.
 
-        Built on first use and kept.  The build calls no bracket, since the
-        bracket reads the anchor table; the generator traces are read off
-        the partials, one ``partial_derivative`` per entry and variable.
+        Built on first use and kept, in ints from the entry terms: the
+        build calls no bracket, since the bracket reads the anchor table,
+        and the generator traces are summed off the int partials and become
+        Polynomials once, at the end.
         """
         if self._tables is None:
             ell = len(self.vars)
             d = lcm(*(c.denominator for p in self.entries.values()
                       for c in p.terms.values()))
+            entries = {key: _terms(p, d) for key, p in self.entries.items()}
             anchor = tuple(
-                tuple((a, _terms(self.entry(a, i), d, lowered=a))
-                      for a in range(ell) if self.entry(a, i))
+                tuple((a, _lowered(pair, a)) for a in range(ell)
+                      for pair in (_pair(entries, a, i),) if pair)
                 for i in range(ell)
             )
             partials = {}
-            generator_traces = [self.vars.zero()] * ell
-            for (i, j), p in self.entries.items():
-                derivs = [partial_derivative(p, k) for k in range(ell)]
-                partials[(i, j)] = tuple(
-                    (k, _terms(dk, d)) for k, dk in enumerate(derivs) if dk)
+            sums: "list[dict]" = [{} for _ in range(ell)]
+            for (i, j), terms in entries.items():
+                derivs = [_derivative(terms, k) for k in range(ell)]
+                partials[(i, j)] = tuple((k, dk) for k, dk in enumerate(derivs) if dk)
                 # d{x_i, x_j}/dx_j joins trace(x_i), d{x_j, x_i}/dx_i trace(x_j)
-                generator_traces[i] = generator_traces[i] + derivs[j]
-                generator_traces[j] = generator_traces[j] - derivs[i]
+                _plus(sums[i], derivs[j])
+                _plus(sums[j], derivs[i], -1)
+            traces = tuple(tuple(t.items()) for t in sums)
             self._tables = TermTables(
-                d, anchor, partials, tuple(generator_traces),
-                tuple(_terms(t, d) for t in generator_traces))
+                d, entries, anchor, partials,
+                tuple(Polynomial(self.vars, {e: Fraction(c, d) for e, c in t})
+                      for t in traces),
+                traces)
         return self._tables
 
     def omega_h_action(self, m: Polynomial, i: int) -> Polynomial:

@@ -9,7 +9,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 from operator import add
 
 from poishom.complexes import (
@@ -22,14 +22,31 @@ from poishom.complexes import (
 from poishom.envelope import EnvelopeElement, ham, poly_atom, reduce_combination
 from poishom.linalg import SparseMatrix
 from poishom.polycore import (
+    MAX_PARSE_TERMS,
+    PolyParseError,
     Polynomial,
     VarTable,
+    _check_degree,
+    _check_terms,
+    _int_literal,
+    _lowest_degree,
+    _monomial_bound,
+    _Parser,
+    _shown,
+    _tokenize,
+    _total_degree,
     format_poly,
     monomials_of_weight,
     partial_derivative,
 )
 from poishom.specfile import SpecDocument
-from poishom.structure import OneForm, PoissonStructure, log_canonical_matrix
+from poishom.structure import (
+    OneForm,
+    PoissonStructure,
+    TermTables,
+    anchor_action,
+    log_canonical_matrix,
+)
 
 
 def sparse_matrix(nrows: int, ncols: int, entries) -> SparseMatrix:
@@ -782,3 +799,235 @@ def fraction_nu_relations(S: PoissonStructure, reduce=reduce_combination):
             relations.append((f"h({vt.names[j]}) * h({vt.names[i]})",
                               reduce(S, nu_expand(lhs)), reduce(S, nu_expand(rhs))))
     return relations
+
+
+# -- set-up in Polynomial arithmetic ------------------------------------------
+#
+# Documents were parsed, and term tables built, through Polynomial
+# arithmetic before both moved to plain term dicts and int terms.  These are
+# those paths, on a sum and a product loop of their own, so the fast paths
+# are compared with code that shares no arithmetic with them.
+
+
+def polynomial_sum(f: Polynomial, g: Polynomial, sign: int = 1) -> Polynomial:
+    """f + sign * g; a sum that cancels drops its key."""
+    out = dict(f.terms)
+    for exps, c in g.terms.items():
+        s = out.get(exps, Fraction(0)) + sign * c
+        if s:
+            out[exps] = s
+        else:
+            out.pop(exps, None)
+    return Polynomial(f.vars, out)
+
+
+def polynomial_product(f: Polynomial, g: Polynomial) -> Polynomial:
+    """f * g, term by term; a sum that cancels drops its key."""
+    out: dict = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            s = out.get(key, Fraction(0)) + c1 * c2
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return Polynomial(f.vars, out)
+
+
+def polynomial_power(f: Polynomial, k: int) -> Polynomial:
+    """f ** k by square-and-multiply with ``polynomial_product``."""
+    result, base = f.vars.one(), f
+    while k:
+        if k & 1:
+            result = polynomial_product(result, base)
+        k >>= 1
+        if k:
+            base = polynomial_product(base, base)
+    return result
+
+
+class PolynomialParser(_Parser):
+    """The expression parser with every rule returning a Polynomial: the
+    same grammar, bounds, messages and positions as ``parse_poly``."""
+
+    def parse(self) -> Polynomial:
+        try:
+            poly = self.expression()
+        except RecursionError:
+            raise PolyParseError("expression nested too deeply",
+                                 self.peek()[2]) from None
+        kind, text, at = self.peek()
+        if kind != "end":
+            raise PolyParseError(f"unexpected {_shown(text)}", at)
+        return poly
+
+    def expression(self) -> Polynomial:
+        node = self.term()
+        while self.peek()[0] in "+-":
+            op = self.advance()[0]
+            node = polynomial_sum(node, self.term(), 1 if op == "+" else -1)
+        return node
+
+    def term(self) -> Polynomial:
+        node = self.factor()
+        while self.peek()[0] == "*":
+            at = self.advance()[2]
+            rhs = self.factor()
+            degree = _total_degree(node.terms) + _total_degree(rhs.terms)
+            _check_degree(degree, at)
+            count = len(node.terms) * len(rhs.terms)
+            if count > MAX_PARSE_TERMS:
+                lowest = _lowest_degree(node.terms) + _lowest_degree(rhs.terms)
+                _check_terms(min(count, _monomial_bound(
+                    lowest, degree, node.terms, rhs.terms)), at)
+            node = polynomial_product(node, rhs)
+        return node
+
+    def factor(self) -> Polynomial:
+        if self.peek()[0] == "-":
+            self.advance()
+            return -self.factor()
+        return self.power()
+
+    def power(self) -> Polynomial:
+        base = self.atom()
+        if self.peek()[0] != "^":
+            return base
+        self.advance()
+        kind, text, at = self.peek()
+        if kind == "-":
+            raise PolyParseError("exponent must be non-negative", at)
+        if kind != "num":
+            raise PolyParseError("exponent must be an integer literal", at)
+        self.advance()
+        if self.peek()[0] == "/":
+            raise PolyParseError("exponent must be an integer", self.peek()[2])
+        k = _int_literal(text, at)
+        degree = _total_degree(base.terms) * k
+        _check_degree(degree, at)
+        count = comb(len(base.terms) + k - 1, k) if base.terms else 0
+        if count > MAX_PARSE_TERMS:
+            lowest = _lowest_degree(base.terms) * k
+            _check_terms(min(count, _monomial_bound(lowest, degree, base.terms)), at)
+        return polynomial_power(base, k)
+
+    def atom(self) -> Polynomial:
+        kind, text, at = self.peek()
+        if kind == "num":
+            self.advance()
+            numerator = _int_literal(text, at)
+            if self.peek()[0] == "/":
+                self.advance()
+                dkind, dtext, dat = self.peek()
+                if dkind != "num":
+                    raise PolyParseError("expected integer denominator", dat)
+                self.advance()
+                denominator = _int_literal(dtext, dat)
+                if denominator == 0:
+                    raise PolyParseError("zero denominator", dat)
+                return self.vars.const(Fraction(numerator, denominator))
+            return self.vars.const(numerator)
+        if kind == "name":
+            self.advance()
+            try:
+                return self.vars.gen(self.vars.index(text))
+            except KeyError:
+                raise PolyParseError(f"unknown variable {_shown(text)}", at) from None
+        if kind == "(":
+            self.advance()
+            node = self.expression()
+            ckind, _, cat = self.peek()
+            if ckind != ")":
+                raise PolyParseError("expected ')'", cat)
+            self.advance()
+            return node
+        if kind == "end":
+            raise PolyParseError("unexpected end of input", at)
+        raise PolyParseError(f"unexpected {_shown(text)}", at)
+
+
+def polynomial_parse(src: str, vt: VarTable) -> Polynomial:
+    """``parse_poly`` in Polynomial arithmetic."""
+    return PolynomialParser(_tokenize(src), vt).parse()
+
+
+def _polynomial_terms(f: Polynomial, scale: int, lowered=None):
+    out = []
+    for exps, c in f.terms.items():
+        if lowered is not None:
+            exps = exps[:lowered] + (exps[lowered] - 1,) + exps[lowered + 1:]
+        out.append((exps, c.numerator * (scale // c.denominator)))
+    return tuple(out)
+
+
+def _entry(vt: VarTable, entries, i: int, j: int) -> Polynomial:
+    if i < j:
+        return entries.get((i, j), vt.zero())
+    return -entries.get((j, i), vt.zero())
+
+
+def polynomial_term_tables(vt: VarTable, entries) -> TermTables:
+    """The term tables of the brackets ``entries`` (keys i < j, nonzero
+    Polynomials), built in Polynomial arithmetic and turned into int terms
+    at the end: the anchor rows from negated entries, the partials by
+    ``partial_derivative``, and the traces as Polynomial sums of those."""
+    ell = len(vt)
+    d = lcm(*(c.denominator for p in entries.values() for c in p.terms.values()))
+    anchor = tuple(
+        tuple((a, _polynomial_terms(_entry(vt, entries, a, i), d, lowered=a))
+              for a in range(ell) if _entry(vt, entries, a, i))
+        for i in range(ell))
+    partials = {}
+    traces = [vt.zero()] * ell
+    for (i, j), p in entries.items():
+        derivs = [partial_derivative(p, k) for k in range(ell)]
+        partials[(i, j)] = tuple(
+            (k, _polynomial_terms(dk, d)) for k, dk in enumerate(derivs) if dk)
+        traces[i] = polynomial_sum(traces[i], derivs[j])
+        traces[j] = polynomial_sum(traces[j], derivs[i], -1)
+    return TermTables(
+        d, {key: _polynomial_terms(p, d) for key, p in entries.items()},
+        anchor, partials, tuple(traces),
+        tuple(_polynomial_terms(t, d) for t in traces))
+
+
+def polynomial_jacobi_violation(vt: VarTable, entries):
+    """(triple, jacobiator) of the first generator triple on which the
+    brackets ``entries`` (keys i < j) fail the Jacobi identity, or None: the
+    int sum of ``anchor_action`` over the cyclic triple, each pair's terms
+    read off a Polynomial ``{x_j, x_k}``, on the oracle's tables."""
+    tables = polynomial_term_tables(vt, entries)
+    d = tables.denominator
+    for a, b, c in combinations(range(len(vt)), 3):
+        out: dict = {}
+        for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
+            pair = _polynomial_terms(_entry(vt, entries, j, k), d)
+            for e, v in anchor_action(tables.anchor[i], pair):
+                out[e] = out.get(e, 0) + v
+        if any(out.values()):
+            return (a, b, c), Polynomial(
+                vt, {e: Fraction(-v, d * d) for e, v in out.items()})
+    return None
+
+
+def rational_log_canonical(rng: random.Random, n: int) -> PoissonStructure:
+    """{x_i, x_j} = c_ij x_i x_j with random rational c_ij."""
+    vt = VarTable(tuple(f"x{i}" for i in range(n)))
+    entries = {}
+    for i, j in combinations(range(n), 2):
+        c = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 4)))
+        if c:
+            exps = tuple(int(k in (i, j)) for k in range(n))
+            entries[(i, j)] = vt.monomial(exps, c)
+    return PoissonStructure(vt, entries)
+
+
+def rational_jacobian(rng: random.Random) -> PoissonStructure:
+    """The Jacobian structure of a random cubic-or-lower phi in x, y, z with
+    rational coefficients: {x, y} = phi_z, {y, z} = phi_x, {z, x} = phi_y."""
+    vt = VarTable(("x", "y", "z"))
+    phi = random_polynomial(rng, vt, max_degree=3, max_terms=3) \
+        + vt.monomial((1, 1, 1), Fraction(1, rng.choice((2, 3, 5))))
+    dx, dy, dz = (partial_derivative(phi, k) for k in range(3))
+    return PoissonStructure(vt, {(0, 1): dz, (1, 2): dx, (0, 2): -dy})

@@ -25,7 +25,7 @@ from poishom.envelope import (
     reduce_word,
     right_module_residue,
 )
-from poishom.polycore import Polynomial, VarTable, partial_derivative
+from poishom.polycore import Polynomial, VarTable
 from poishom.structure import PoissonStructure, int_terms, log_canonical_matrix
 
 from _oracles import (
@@ -39,6 +39,8 @@ from _oracles import (
     polynomial_module_residue,
     random_log_canonical,
     random_polynomial,
+    rational_jacobian,
+    rational_log_canonical,
     sample_poly,
     sample_word,
 )
@@ -382,25 +384,6 @@ def test_nu_random_log_canonical():
 # -- the integer engine against the Polynomial-atom oracle -------------------------
 
 
-def _rational_log_canonical(rng, n):
-    vt = VarTable(tuple(f"x{i}" for i in range(n)))
-    entries = {}
-    for i, j in combinations(range(n), 2):
-        c = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 4)))
-        if c:
-            exps = tuple(int(k in (i, j)) for k in range(n))
-            entries[(i, j)] = vt.monomial(exps, c)
-    return PoissonStructure(vt, entries)
-
-
-def _rational_jacobian(rng):
-    vt = VarTable(("x", "y", "z"))
-    phi = random_polynomial(rng, vt, max_degree=3, max_terms=3) \
-        + vt.monomial((1, 1, 1), Fraction(1, rng.choice((2, 3, 5))))
-    dx, dy, dz = (partial_derivative(phi, k) for k in range(3))
-    return PoissonStructure(vt, {(0, 1): dz, (1, 2): dx, (0, 2): -dy})
-
-
 @st.composite
 def structures(draw):
     kind = draw(st.sampled_from(("catalog", "log-canonical", "jacobian")))
@@ -408,8 +391,8 @@ def structures(draw):
         return get_entry(draw(st.sampled_from(catalog_ids()))).document.to_structure()
     rng = random.Random(draw(st.integers(0, 2 ** 31)))
     if kind == "log-canonical":
-        return _rational_log_canonical(rng, rng.randint(2, 4))
-    return _rational_jacobian(rng)
+        return rational_log_canonical(rng, rng.randint(2, 4))
+    return rational_jacobian(rng)
 
 
 @given(structures(), st.integers(0, 2 ** 31),
@@ -429,16 +412,16 @@ def test_integer_engine_matches_polynomial_atoms(S, seed, strategy):
 
 def test_rational_structures_have_a_denominator():
     rng = random.Random(5)
-    for S in (_rational_log_canonical(rng, 3), _rational_jacobian(rng)):
+    for S in (rational_log_canonical(rng, 3), rational_jacobian(rng)):
         assert S.term_tables().denominator > 1
 
 
 TABLE_STRUCTURES = [
     *(lambda entry=entry: entry.document.to_structure() for entry in CATALOG),
     mixed_denominator_log_canonical,
-    *(lambda seed=seed: _rational_log_canonical(random.Random(seed), 3 + seed % 2)
+    *(lambda seed=seed: rational_log_canonical(random.Random(seed), 3 + seed % 2)
       for seed in range(4)),
-    *(lambda seed=seed: _rational_jacobian(random.Random(seed)) for seed in range(4)),
+    *(lambda seed=seed: rational_jacobian(random.Random(seed)) for seed in range(4)),
 ]
 TABLE_IDS = ([entry.id for entry in CATALOG] + ["mixed-denominators"]
              + [f"rational-log-canonical-{seed}" for seed in range(4)]
@@ -463,8 +446,8 @@ def test_term_tables_are_integers_over_one_denominator(build):
 @pytest.mark.parametrize("build", [
     lambda: get_entry("log-canonical-3").document.to_structure(),
     lambda: get_entry("log-canonical-3u").document.to_structure(),
-    lambda: _rational_log_canonical(random.Random(7), 3),
-    lambda: _rational_log_canonical(random.Random(8), 4),
+    lambda: rational_log_canonical(random.Random(7), 3),
+    lambda: rational_log_canonical(random.Random(8), 4),
 ], ids=["log-canonical-3", "log-canonical-3u", "rational-3", "rational-4"])
 def test_nu_combinations_match_polynomial_atoms(build):
     # the int relation forms against the Fraction words of the twist images,
@@ -580,8 +563,8 @@ def test_residue_matches_polynomial_peeling(build):
     lambda: get_entry("log-canonical-3").document.to_structure(),
     lambda: get_entry("log-canonical-3u").document.to_structure(),
     mixed_denominator_log_canonical,
-    lambda: _rational_log_canonical(random.Random(7), 3),
-    lambda: _rational_log_canonical(random.Random(8), 4),
+    lambda: rational_log_canonical(random.Random(7), 3),
+    lambda: rational_log_canonical(random.Random(8), 4),
 ], ids=["log-canonical-2", "log-canonical-3", "log-canonical-3u",
         "mixed-denominators", "rational-3", "rational-4"])
 def test_integer_module_samples_match_the_fraction_residue(build):

@@ -16,6 +16,13 @@ from poishom.polycore import (
     partial_derivative,
 )
 
+from _oracles import (
+    polynomial_parse,
+    polynomial_power,
+    polynomial_product,
+    polynomial_sum,
+)
+
 XY = VarTable(("x", "y"))
 XYW = VarTable(("x", "y"), (1, 2))
 
@@ -270,3 +277,80 @@ def test_degree_is_multiplicative(f, g):
         assert (f * g).is_zero()
     else:
         assert top_degree(f * g) == top_degree(f) + top_degree(g)
+
+
+# -- the term-dict parser and product kernel against Polynomial arithmetic ----
+
+XYZ = VarTable(("x", "y", "z"), (1, 2, 1))
+
+ATOMS = st.one_of(
+    st.sampled_from(("x", "y", "z")),
+    st.integers(0, 12).map(str),
+    st.tuples(st.integers(0, 9), st.integers(1, 6)).map(lambda t: f"{t[0]}/{t[1]}"),
+)
+
+
+def _combine(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from((" + ", " - ", "*")), children)
+        .map("".join),
+        st.tuples(children, st.integers(0, 4)).map(lambda t: f"({t[0]})^{t[1]}"),
+        children.map(lambda e: f"-{e}"),
+        children.map(lambda e: f"({e})"),
+    )
+
+
+EXPRESSIONS = st.recursive(ATOMS, _combine, max_leaves=12)
+
+
+def parse_outcome(parse, src, vt):
+    """(terms in order, None) of a parse, or (None, (message, position))."""
+    try:
+        return list(parse(src, vt).terms.items()), None
+    except PolyParseError as exc:
+        return None, (str(exc), exc.position)
+
+
+@given(EXPRESSIONS)
+@settings(max_examples=300, deadline=None)
+def test_parser_matches_polynomial_oracle(src):
+    # sums, products, powers of sums, nested unary minus and rational
+    # literals; a refusal by a bound must match too
+    assert parse_outcome(parse_poly, src, XYZ) == parse_outcome(polynomial_parse, src, XYZ)
+
+
+@given(st.text(alphabet="xyq019/+-*^() ", max_size=14))
+@settings(max_examples=300, deadline=None)
+def test_parser_errors_match_polynomial_oracle(src):
+    assert parse_outcome(parse_poly, src, XYZ) == parse_outcome(polynomial_parse, src, XYZ)
+
+
+@pytest.mark.parametrize("src", [
+    "x - x", "(x - y)*(x + y) + y^2", "-(-(-x))", "x*-y - -z", "(x + 1/2)^0",
+    "(1/2*x - 2/3*y)^3 - (1/2*x)^3", "0*x + 0", "(x - x)^3", "3/6*y",
+    "(x+y)^400", "(a+b+c+d+e+f)^16", "(a+b+c+d+e)^16", "(x + y + a + b + c + d + e + f)^7",
+    "x*(a+b+c+d+e+f)^5*(x+y+a+b)^5", "(a+b+c+d)^16", "x^17", "1/x", "x y", "*x",
+    "(" * 2000 + "x" + ")" * 2000, "x*" + "q" * 5000, "x " + "y" * 5000,
+])
+def test_parser_matches_polynomial_oracle_on_edge_cases(src):
+    assert parse_outcome(parse_poly, src, WIDE) == parse_outcome(polynomial_parse, src, WIDE)
+
+
+def test_overlong_names_are_echoed_cut():
+    with pytest.raises(PolyParseError) as info:
+        parse_poly("x*" + "q" * 5000, XY)
+    assert str(info.value) == ("unknown variable 'qqqqqqqqqqqqqqqqqqqqqqqqqqqqqqq... "
+                               "(5000 characters) (at position 2)")
+    with pytest.raises(PolyParseError) as info:
+        parse_poly("x*q", XY)
+    assert str(info.value) == "unknown variable 'q' (at position 2)"
+
+
+@given(polynomials(XYZ), polynomials(XYZ), st.integers(0, 5))
+def test_products_match_the_term_loop(f, g, k):
+    # equal term by term and in order: the order of a bracket's terms is the
+    # order of its term tables
+    assert list((f * g).terms.items()) == list(polynomial_product(f, g).terms.items())
+    assert list((f ** k).terms.items()) == list(polynomial_power(f, k).terms.items())
+    assert list((f + g).terms.items()) == list(polynomial_sum(f, g).terms.items())
+    assert list((f - g).terms.items()) == list(polynomial_sum(f, g, -1).terms.items())

@@ -1,12 +1,14 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poishom.catalog import CATALOG
+from poishom.catalog import CATALOG, get_entry
 from poishom.polycore import (
     Polynomial,
     VarTable,
@@ -14,6 +16,7 @@ from poishom.polycore import (
     parse_poly,
     partial_derivative,
 )
+from poishom.specfile import SpecDocument
 from poishom.structure import (
     JacobiViolation,
     NonHomogeneousError,
@@ -31,9 +34,15 @@ from _oracles import (
     biderivation_lr_bracket,
     biderivation_omega_action,
     biderivation_trace,
+    document_dict,
     mixed_denominator_log_canonical,
+    polynomial_jacobi_violation,
+    polynomial_parse,
+    polynomial_term_tables,
     random_log_canonical,
     random_polynomial,
+    rational_jacobian,
+    rational_log_canonical,
     weighted_rational,
 )
 
@@ -419,3 +428,105 @@ def test_tables_match_direct_derivatives(S):
             got = tuple((k, Polynomial(vt, dict(terms)) * Fraction(1, d))
                         for k, terms in tables.partials.get((i, j), ()))
             assert got == tuple((k, dk) for k, dk in derivs if dk)
+
+
+# -- the int term tables against Polynomial arithmetic ------------------------
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
+
+
+def _oracle_structure(text):
+    """The structure of a document's JSON text, every bracket parsed by the
+    Polynomial-arithmetic parser."""
+    doc = SpecDocument.from_json(text)
+    data = json.loads(text)
+    if "bracket" not in data:
+        return doc.to_structure()
+    vt = doc.vars
+    return PoissonStructure(vt, {
+        tuple(vt.index(name.strip()) for name in key.split(",")):
+            polynomial_parse(expr, vt)
+        for key, expr in data["bracket"].items()})
+
+
+def assert_tables_match_oracle(S):
+    got, want = S.term_tables(), polynomial_term_tables(S.vars, S.entries)
+    for name in ("denominator", "entries", "anchor", "partials", "traces"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert list(got.entries) == list(want.entries)
+    assert list(got.partials) == list(want.partials)
+    # equal Polynomials, with their terms in the same order
+    assert [list(t.terms.items()) for t in got.generator_traces] == \
+        [list(t.terms.items()) for t in want.generator_traces]
+
+
+SETUP_STRUCTURES = ORACLE_STRUCTURES + [
+    SpecDocument.load(path).to_structure() for path in sorted(DOCS.glob("*.json"))]
+SETUP_IDS = ORACLE_IDS + [f"docs/{path.name}" for path in sorted(DOCS.glob("*.json"))]
+
+
+@pytest.mark.parametrize("S", SETUP_STRUCTURES, ids=SETUP_IDS)
+def test_term_tables_match_polynomial_oracle(S):
+    assert_tables_match_oracle(S)
+
+
+# the shipped documents as they are, and the catalog entries as printed
+DOCUMENT_TEXTS = (
+    [(f"docs/{path.name}", path.read_text(encoding="utf-8"))
+     for path in sorted(DOCS.glob("*.json"))]
+    + [(entry.id, json.dumps(document_dict(entry.document))) for entry in CATALOG])
+
+
+@pytest.mark.parametrize("text", [text for _, text in DOCUMENT_TEXTS],
+                         ids=[name for name, _ in DOCUMENT_TEXTS])
+def test_documents_match_polynomial_oracle(text):
+    # the whole set-up, document text to term tables, against the
+    # Polynomial-arithmetic parser and table build
+    S, oracle = SpecDocument.from_json(text).to_structure(), _oracle_structure(text)
+    assert [(key, list(p.terms.items())) for key, p in S.entries.items()] == \
+        [(key, list(p.terms.items())) for key, p in oracle.entries.items()]
+    assert_tables_match_oracle(S)
+
+
+@given(st.integers(0, 2 ** 31), st.integers(2, 5))
+@settings(max_examples=25, deadline=None)
+def test_log_canonical_tables_match_polynomial_oracle(seed, n):
+    assert_tables_match_oracle(rational_log_canonical(random.Random(seed), n))
+
+
+@given(st.integers(0, 2 ** 31))
+@settings(max_examples=25, deadline=None)
+def test_jacobian_tables_match_polynomial_oracle(seed):
+    assert_tables_match_oracle(rational_jacobian(random.Random(seed)))
+
+
+# one catalog bracket changed, so that Jacobi fails
+MUTATED = [("so3", (0, 1), "x*y"), ("potential-x2z", (0, 1), "1/2*y^2"),
+           ("log-canonical-3", (0, 2), "x*y"), ("log-canonical-3u", (1, 2), "1/2*y^2")]
+
+
+@pytest.mark.parametrize("entry, pair, extra", MUTATED,
+                         ids=[entry for entry, _, _ in MUTATED])
+def test_jacobi_violation_matches_polynomial_oracle(entry, pair, extra):
+    S = get_entry(entry).document.to_structure()
+    entries = dict(S.entries)
+    entries[pair] = entries.get(pair, S.vars.zero()) + parse_poly(extra, S.vars)
+    want = polynomial_jacobi_violation(S.vars, entries)
+    assert want is not None
+    with pytest.raises(JacobiViolation) as info:
+        PoissonStructure(S.vars, entries)
+    triple, jacobiator = want
+    assert info.value.triple == triple
+    assert list(info.value.jacobiator.terms.items()) == list(jacobiator.terms.items())
+    assert str(info.value) == str(JacobiViolation(*triple, jacobiator))
+
+
+@pytest.mark.parametrize("names, weights, entries, message", NON_POISSON)
+def test_jacobi_rejection_matches_polynomial_oracle(names, weights, entries, message):
+    vt = VarTable(names, weights)
+    normalized = {}
+    for (i, j), src in entries.items():
+        p = parse_poly(src, vt)
+        normalized[(min(i, j), max(i, j))] = p if i < j else -p
+    triple, jacobiator = polynomial_jacobi_violation(vt, normalized)
+    assert str(JacobiViolation(*triple, jacobiator)) == message
