@@ -13,10 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 from operator import add
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 __all__ = [
-    "Scalar",
     "PolyParseError",
     "MAX_PARSE_DEGREE",
     "MAX_PARSE_TERMS",
@@ -30,8 +29,6 @@ __all__ = [
     "homogeneous_weight",
     "monomials_of_weight",
 ]
-
-Scalar = Union[int, Fraction]
 
 
 class PolyParseError(ValueError):
@@ -52,8 +49,7 @@ def _shown(value) -> str:
     text = repr(value)
     if len(text) <= 32:
         return text
-    size = len(value) if isinstance(value, str) else len(text)
-    return f"{text[:32]}... ({size} characters)"
+    return f"{text[:32]}... ({len(value) if isinstance(value, str) else len(text)} characters)"
 
 
 def _is_identifier(name: str) -> bool:
@@ -127,20 +123,20 @@ class VarTable:
     def one(self) -> "Polynomial":
         return self.const(1)
 
-    def const(self, value: Scalar) -> "Polynomial":
+    def const(self, value: "int | Fraction") -> "Polynomial":
         return Polynomial(self, {(0,) * len(self): Fraction(value)})
 
     def gen(self, i: int) -> "Polynomial":
         """The i-th variable as a polynomial (0-based)."""
         if not 0 <= i < len(self):
             raise IndexError(f"variable index {i} out of range")
-        exps = tuple(1 if j == i else 0 for j in range(len(self)))
+        exps = tuple(int(j == i) for j in range(len(self)))
         return Polynomial(self, {exps: 1})
 
     def gens(self) -> "tuple[Polynomial, ...]":
         return tuple(self.gen(i) for i in range(len(self)))
 
-    def monomial(self, exponents: Sequence[int], coeff: Scalar = 1) -> "Polynomial":
+    def monomial(self, exponents: Sequence[int], coeff: "int | Fraction" = 1) -> "Polynomial":
         exps = tuple(int(e) for e in exponents)
         if len(exps) != len(self) or any(e < 0 for e in exps):
             raise ValueError(f"bad exponent vector {exps}")
@@ -157,8 +153,8 @@ class Polynomial:
 
     __slots__ = ("vars", "terms", "_hash")
 
-    def __init__(self, vars: VarTable, terms: Mapping["tuple[int, ...]", Scalar]):
-        clean: dict[tuple[int, ...], Fraction] = {}
+    def __init__(self, vars: VarTable, terms: "Mapping[tuple[int, ...], int | Fraction]"):
+        clean = {}
         for exps, coeff in terms.items():
             c = coeff if type(coeff) is Fraction else Fraction(coeff)
             if c:
@@ -194,7 +190,7 @@ class Polynomial:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return Polynomial(self.vars, _plus(dict(self.terms), rhs.terms.items()))
+        return Polynomial(self.vars, _plus(dict(self.terms), rhs.terms))
 
     __radd__ = __add__
 
@@ -205,13 +201,13 @@ class Polynomial:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return Polynomial(self.vars, _plus(dict(self.terms), rhs.terms.items(), -1))
+        return Polynomial(self.vars, _plus(dict(self.terms), rhs.terms, -1))
 
     def __rsub__(self, other) -> "Polynomial":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return Polynomial(self.vars, _plus(dict(rhs.terms), self.terms.items(), -1))
+        return Polynomial(self.vars, _plus(dict(rhs.terms), self.terms, -1))
 
     def __mul__(self, other) -> "Polynomial":
         rhs = self._coerce(other)
@@ -248,15 +244,14 @@ class Polynomial:
 
 
 # -- term dicts ----------------------------------------------------------------
-# The parser and Polynomial arithmetic work on {exponents: coefficient} dicts
-# with nonzero int or Fraction coefficients.  A sum that cancels drops its
-# key, so a key that comes back later is placed last.
+# {exponents: nonzero int or Fraction}, for the parser and Polynomial
+# arithmetic.  A key whose sum cancels is dropped (and placed last if it
+# comes back).
 
 
-def _plus(f: dict, g, sign: int = 1) -> dict:
-    """f + sign * g, summed into f; g is any iterable of (exponents,
-    coefficient) pairs."""
-    for e, c in g:
+def _plus(f: dict, g: Mapping, sign: int = 1) -> dict:
+    """f + sign * g, summed into f."""
+    for e, c in g.items():
         s = f.get(e, 0) + sign * c
         if s:
             f[e] = s
@@ -299,7 +294,7 @@ def partial_derivative(f: Polynomial, i: int) -> Polynomial:
     """Partial derivative of ``f`` with respect to the i-th variable."""
     if not 0 <= i < len(f.vars):
         raise IndexError(f"variable index {i} out of range")
-    out: dict[tuple[int, ...], Fraction] = {}
+    out = {}
     for exps, coeff in f.terms.items():
         e = exps[i]
         if e:
@@ -324,7 +319,7 @@ def monomials_of_weight(vars: VarTable, w: int) -> "list[tuple[int, ...]]":
         return []
     n = len(vars)
     weights = vars.weights
-    out: list[tuple[int, ...]] = []
+    out = []
 
     def rec(i: int, remaining: int, prefix: "tuple[int, ...]") -> None:
         if i == n - 1:
@@ -391,7 +386,7 @@ MAX_PARSE_WEIGHT = 1000
 
 
 def _tokenize(src: str) -> "list[tuple[str, str, int]]":
-    tokens: list[tuple[str, str, int]] = []
+    tokens = []
     i, n = 0, len(src)
     while i < n:
         ch, j = src[i], i + 1
@@ -454,7 +449,7 @@ class _Parser:
         while self.peek()[0] in "+-":
             op = self.advance()[0]
             rhs = self.term()
-            node = _plus(node, rhs.items(), 1 if op == "+" else -1)
+            node = _plus(node, rhs, 1 if op == "+" else -1)
         return node
 
     def term(self) -> dict:
@@ -474,7 +469,7 @@ class _Parser:
     def factor(self) -> dict:
         if self.peek()[0] == "-":
             self.advance()
-            return {e: -c for e, c in self.factor().items()}
+            return _plus({}, self.factor(), -1)
         return self.power()
 
     def power(self) -> dict:

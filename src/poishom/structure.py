@@ -406,8 +406,8 @@ class PoissonStructure:
                 derivs = [_derivative(terms, k) for k in range(ell)]
                 partials[(i, j)] = tuple((k, dk) for k, dk in enumerate(derivs) if dk)
                 # d{x_i, x_j}/dx_j joins trace(x_i), d{x_j, x_i}/dx_i trace(x_j)
-                _plus(sums[i], derivs[j])
-                _plus(sums[j], derivs[i], -1)
+                _plus(sums[i], dict(derivs[j]))
+                _plus(sums[j], dict(derivs[i]), -1)
             traces = tuple(tuple(t.items()) for t in sums)
             self._tables = TermTables(
                 d, entries, anchor, partials,

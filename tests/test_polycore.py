@@ -354,3 +354,8 @@ def test_products_match_the_term_loop(f, g, k):
     assert list((f ** k).terms.items()) == list(polynomial_power(f, k).terms.items())
     assert list((f + g).terms.items()) == list(polynomial_sum(f, g).terms.items())
     assert list((f - g).terms.items()) == list(polynomial_sum(f, g, -1).terms.items())
+    c = Fraction(-3, 2)
+    assert list((c - f).terms.items()) == \
+        list(polynomial_sum(XYZ.const(c), f, -1).terms.items())
+    assert list((c * f).terms.items()) == \
+        list(polynomial_product(f, XYZ.const(c)).terms.items())

@@ -53,7 +53,7 @@ REMOVED = {
                  "_symmetric_counts"],
     "envelope.EnvelopeElement": ["zero", "from_polynomial", "filtration_degree",
                                  "polynomial_part", "__add__", "__neg__", "__sub__"],
-    "polycore": ["weight_component", "weighted_degree", "Monomial"],
+    "polycore": ["weight_component", "weighted_degree", "Monomial", "Scalar"],
     "polycore.Polynomial": ["coefficient", "constant_term", "__iter__", "sorted_terms"],
     "specfile": ["document_from_structure"],
     "specfile.SpecDocument": ["to_dict", "to_json", "save"],
