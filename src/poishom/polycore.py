@@ -400,11 +400,11 @@ def _tokenize(src: str) -> "list[tuple[str, str, int]]":
                 j += 1
         elif ch in _OPERATOR_CHARS:
             kind = ch
-        elif not ch.isspace():
-            raise PolyParseError(f"unexpected character {ch!r}", i)
-        else:
+        elif ch.isspace():
             i = j
             continue
+        else:
+            raise PolyParseError(f"unexpected character {ch!r}", i)
         tokens.append((kind, src[i:j], i))
         i = j
     tokens.append(("end", "", n))

@@ -91,6 +91,14 @@ def test_jacobi_rejection_text(names, weights, entries, message):
     with pytest.raises(JacobiViolation) as info:
         structure(entries, vt)
     assert str(info.value) == message
+    # the Polynomial-arithmetic check finds the same triple and jacobiator
+    normalized = {}
+    for (i, j), src in entries.items():
+        p = parse_poly(src, vt)
+        normalized[(min(i, j), max(i, j))] = p if i < j else -p
+    triple, jacobiator = polynomial_jacobi_violation(vt, normalized)
+    assert triple == info.value.triple
+    assert list(jacobiator.terms.items()) == list(info.value.jacobiator.terms.items())
 
 
 def test_entry_normalization():
@@ -460,12 +468,7 @@ def assert_tables_match_oracle(S):
         [list(t.terms.items()) for t in want.generator_traces]
 
 
-SETUP_STRUCTURES = ORACLE_STRUCTURES + [
-    SpecDocument.load(path).to_structure() for path in sorted(DOCS.glob("*.json"))]
-SETUP_IDS = ORACLE_IDS + [f"docs/{path.name}" for path in sorted(DOCS.glob("*.json"))]
-
-
-@pytest.mark.parametrize("S", SETUP_STRUCTURES, ids=SETUP_IDS)
+@pytest.mark.parametrize("S", ORACLE_STRUCTURES, ids=ORACLE_IDS)
 def test_term_tables_match_polynomial_oracle(S):
     assert_tables_match_oracle(S)
 
@@ -519,14 +522,3 @@ def test_jacobi_violation_matches_polynomial_oracle(entry, pair, extra):
     assert info.value.triple == triple
     assert list(info.value.jacobiator.terms.items()) == list(jacobiator.terms.items())
     assert str(info.value) == str(JacobiViolation(*triple, jacobiator))
-
-
-@pytest.mark.parametrize("names, weights, entries, message", NON_POISSON)
-def test_jacobi_rejection_matches_polynomial_oracle(names, weights, entries, message):
-    vt = VarTable(names, weights)
-    normalized = {}
-    for (i, j), src in entries.items():
-        p = parse_poly(src, vt)
-        normalized[(min(i, j), max(i, j))] = p if i < j else -p
-    triple, jacobiator = polynomial_jacobi_violation(vt, normalized)
-    assert str(JacobiViolation(*triple, jacobiator)) == message
