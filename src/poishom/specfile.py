@@ -127,9 +127,8 @@ class SpecDocument:
                 raise SpecFileError(f"bracket key {_shown(key)} must name two variables")
             try:
                 i, j = vt.index(parts[0]), vt.index(parts[1])
-            except KeyError as exc:
-                raise SpecFileError(
-                    f"bracket key {_shown(key)}: unknown variable {exc}") from None
+            except KeyError as exc:  # its message names the variable
+                raise SpecFileError(f"bracket key {_shown(key)}: {exc.args[0]}") from None
             if i == j:
                 raise SpecFileError(f"bracket key {_shown(key)} repeats a variable")
             pair = frozenset((i, j))
