@@ -390,9 +390,9 @@ def _tokenize(src: str) -> "list[tuple[str, str, int]]":
     i, n = 0, len(src)
     while i < n:
         ch, j = src[i], i + 1
-        if ch.isdigit():
+        if ch.isdecimal():
             kind = "num"
-            while j < n and src[j].isdigit():
+            while j < n and src[j].isdecimal():
                 j += 1
         elif ch.isalpha() or ch == "_":
             kind = "name"

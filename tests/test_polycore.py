@@ -178,6 +178,8 @@ def test_parse_goldens():
     assert poly("-(x + y)^2") == -((x + y) ** 2)
     assert poly("1/2 * x") == Fraction(1, 2) * x
     assert poly("0") == XY.zero()
+    # a decimal digit of any script is a digit, as int() reads it
+    assert poly("x^\u0663 + \u0661\u0662*y") == x ** 3 + 12 * y
 
 
 # x and y, plus six more variables for expressions with many terms
@@ -209,6 +211,9 @@ def test_term_bound_admits_what_it_bounds():
     ("x y", "unexpected 'y' (at position 2)"),  # after a whole expression
     ("*x", "unexpected '*' (at position 0)"),  # where a factor should start
     ("x*q", "unknown variable 'q' (at position 2)"),
+    # a superscript is a digit to str.isdigit() but not to int()
+    ("x^\u00b2", "unexpected character '\u00b2' (at position 2)"),
+    ("x*y^\u00b9\u00b2", "unexpected character '\u00b9' (at position 4)"),
     # an overlong name is cut to the start of its repr and its length
     pytest.param("x*" + "q" * 5000, "unknown variable 'qqqqqqqqqqqqqqqqqqqqqqqqqqqqqqq... "
                  "(5000 characters) (at position 2)", id="overlong-name"),
@@ -335,6 +340,7 @@ def test_parser_errors_match_polynomial_oracle(src):
     "(x+y)^400", "(a+b+c+d+e+f)^16", "(a+b+c+d+e)^16", "(x + y + a + b + c + d + e + f)^7",
     "x*(a+b+c+d+e+f)^5*(x+y+a+b)^5", "(a+b+c+d)^16", "x^17", "1/x", "x y", "*x",
     "(" * 2000 + "x" + ")" * 2000, "x*" + "q" * 5000, "x " + "y" * 5000,
+    "x^\u00b2", "x^\u0663", "\u0661/\u0662*y",
 ])
 def test_parser_matches_polynomial_oracle_on_edge_cases(src):
     assert parse_outcome(parse_poly, src, WIDE) == parse_outcome(polynomial_parse, src, WIDE)

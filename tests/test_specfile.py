@@ -97,13 +97,15 @@ def test_malformed_documents(data):
     ({"vars": ["x", "y"], "bracket": ["x,y", "1"]}, "'bracket' must be an object"),
     ({"vars": ["x", "y"], "bracket": {"x,z": "1"}},
      "bracket key 'x,z': unknown variable 'z'"),
+    ({"vars": ["x", "y"], "bracket": {"x,y": "x^\u00b2"}},
+     "bracket value for 'x,y': unexpected character '\u00b2' (at position 2)"),
     ({"vars": ["x", "y"], "matrix": [[0, 1], [-1]]},
      "every matrix row must have 2 entries"),
     ({"vars": ["x", {"name": "y", "weight": MAX_PARSE_WEIGHT + 1}]},
      f"weight of 'y' exceeds the bound {MAX_PARSE_WEIGHT}"),
 ], ids=["float-entry", "null-entry", "not-an-object", "unknown-variable-key",
         "non-string-name", "bad-variable-entry", "bracket-not-an-object",
-        "bracket-key-unknown-variable",
+        "bracket-key-unknown-variable", "superscript-exponent",
         "short-matrix-row", "weight-above-bound"])
 def test_refusal_messages(data, message):
     with pytest.raises(SpecFileError) as info:
