@@ -32,7 +32,7 @@ from .envelope import (
 )
 from .polycore import format_poly
 from .specfile import SpecDocument, SpecFileError
-from .structure import JacobiViolation, NonHomogeneousError, log_canonical_matrix
+from .structure import JacobiViolation, NonHomogeneousError
 
 __all__ = ["main"]
 
@@ -202,9 +202,6 @@ def _cmd_pbw(doc: SpecDocument, args, out) -> int:
     if _below("--samples", args.samples, 1):
         return EXIT_USAGE
     S = doc.to_structure()
-    if args.nu and log_canonical_matrix(S) is None:
-        print("error: --nu needs a log-canonical structure", file=sys.stderr)
-        return EXIT_USAGE
     try:
         words = confluence_check(S, samples=args.samples)
         print(f"confluence: ok ({words} words)", file=out)

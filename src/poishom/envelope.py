@@ -54,13 +54,8 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .polycore import Polynomial, VarTable, monomials_of_weight, partial_derivative
-from .structure import (
-    PoissonStructure,
-    anchor_action,
-    int_terms,
-    log_canonical_matrix,
-    times,
-)
+from .structure import (PoissonStructure, Terms, _terms, anchor_action, int_terms,
+                        times)
 
 __all__ = [
     "Word",
@@ -421,7 +416,7 @@ def j_quotient_action(S: PoissonStructure, a: Polynomial, i: int) -> Polynomial:
     return right_module_residue(S, element, S.modular_data().traces)
 
 
-# -- the grading automorphism of log-canonical structures ---------------------
+# -- the modular twist automorphism ----------------------------------------------
 
 
 class RelationViolation(AssertionError):
@@ -455,39 +450,35 @@ class NuReport:
     module_samples: int
 
 
-def _twisted_residue(tables, a, i: int, twist: int) -> dict:
-    """2D times the plain residue of f * h(i) + r_i * f * x_i, the twisted
-    image of f * h(i), for ``a`` the terms of 2 * f and ``twist`` = D * r_i."""
+def _twisted_residue(tables, a, i: int, twist: Terms) -> dict:
+    """2D times the plain residue of f * h(i) + f * X_i, the twisted image
+    of f * h(i), for ``a`` the terms of 2 * f and ``twist`` those of D * X_i."""
     n = len(tables.anchor)
-    agenda = [(1, (a, i))]
-    if twist:
-        unit = tuple(int(k == i) for k in range(n))
-        agenda.append((twist, (a, ((unit, 1),))))
+    agenda = [(1, (a, i)), (1, (a, twist))]
     return _residue(tables.anchor, 1, ((),) * n, _reduce(tables, n, agenda, False))
 
 
-def _relation_forms(S: PoissonStructure, twists: "Sequence[int]"):
+def _relation_forms(S: PoissonStructure, twist: "Sequence[Terms]"):
     """(description, symbols, left, right) for each defining relation: the
     int normal forms of the twist images of its two sides.
 
-    h(i) goes to h(i) + r_i * x_i, with ``twists[i]`` = D * r_i.  A part
-    with q0 of the relation's ``symbols`` derivation symbols enters scaled by
-    D^(symbols - q0), and an h(i) replaced by x_i takes the factor D * r_i,
-    so every word, and every normal-form term, with q symbols carries
-    D^(symbols - q).  The right sides are built from ``S.entry`` and
-    ``partial_derivative``, not from the term tables that the rules read.
+    h(i) goes to h(i) + X_i, with ``twist[i]`` the terms of D * X_i, as in
+    the twist tables of ``complexes``; both sides agree on every relation
+    exactly when X is a Poisson vector field.  A part with q0 of the
+    relation's ``symbols`` derivation symbols enters scaled by
+    D^(symbols - q0), and an h(i) replaced by the atom of D * X_i takes its
+    factor D, so every word, and every normal-form term, with q symbols
+    carries D^(symbols - q).  The right sides are built from ``S.entry``
+    and ``partial_derivative``, not from the term tables that the rules
+    read.
     """
     vt = S.vars
     n = len(vt)
     tables = S.term_tables()
     d = tables.denominator
     gens = [((tuple(int(k == i) for k in range(n)), 1),) for i in range(n)]
-    images = [((1, (i,)),) + (((t, (gens[i],)),) if t else ())
-              for i, t in enumerate(twists)]
-
-    def scaled(f: Polynomial) -> tuple:  # the terms of D * f
-        scale, terms = int_terms(f)
-        return tuple((e, c * (d // scale)) for e, c in terms)
+    images = [((1, (i,)),) + (((1, (t,)),) if t else ())
+              for i, t in enumerate(twist)]
 
     def normal_form(words: "list[tuple]") -> dict:
         agenda = []
@@ -503,38 +494,40 @@ def _relation_forms(S: PoissonStructure, twists: "Sequence[int]"):
         for k in range(n):
             if i != k:
                 pair = S.entry(i, k)
-                rhs = [(gens[k], i)] + ([(scaled(pair),)] if pair else [])
+                rhs = [(gens[k], i)] + ([(_terms(pair, d),)] if pair else [])
                 yield (f"h({vt.names[i]}) * {vt.names[k]}", 1,
                        normal_form([(i, gens[k])]), normal_form(rhs))
     for j in range(n):
         for i in range(j):
             pair = S.entry(j, i)
-            rhs = [(i, j)] + [(scaled(c), k) for k in range(n)
+            rhs = [(i, j)] + [(_terms(c, d), k) for k in range(n)
                               for c in (partial_derivative(pair, k),) if c]
             yield (f"h({vt.names[j]}) * h({vt.names[i]})", 2,
                    normal_form([(j, i)]), normal_form(rhs))
 
 
 def nu_check(S: PoissonStructure, samples: int = 20, seed: int = 0) -> NuReport:
-    """Verify the twist automorphism of a log-canonical structure.
+    """Verify the modular twist automorphism of the enveloping algebra.
 
-    The map fixes the variables and sends h(i) to h(i) + (row sum i) * x_i.
-    Two facts are checked mechanically, in ints: the images of both sides
-    of every rewrite rule reduce to the same normal form, and twisting the
-    plain right quotient action reproduces the trace-twisted module action
-    on random samples.
+    The map fixes the variables and sends h(i) to h(i) + tr(x_i), with
+    tr(x_i) = sum_k d{x_i, x_k}/dx_k built from ``S.entry`` and
+    ``partial_derivative``, not read off the term tables.  Two facts are
+    checked mechanically, in ints: the images of both sides of every
+    defining relation reduce to the same normal form, which holds on every
+    structure since tr is a Poisson vector field, and twisting the plain
+    right quotient action reproduces, on random samples, the module action
+    that the rules read off the trace table.
     """
     _at_least("samples", samples, 0)
-    mat = log_canonical_matrix(S)
-    if mat is None:
-        raise ValueError("the twist check needs a log-canonical structure")
     vt = S.vars
     n = len(vt)
     tables = S.term_tables()
     d = tables.denominator
-    twists = [int(d * sum(row, Fraction(0))) for row in mat]
+    twist = [_terms(sum((partial_derivative(S.entry(i, k), k)
+                         for k in range(n) if k != i), vt.zero()), d)
+             for i in range(n)]
     relations = 0
-    for description, top, left, right in _relation_forms(S, twists):
+    for description, top, left, right in _relation_forms(S, twist):
         if left != right:
             raise RelationViolation(description, _element(vt, left, 1, d, top),
                                     _element(vt, right, 1, d, top))
@@ -544,7 +537,7 @@ def nu_check(S: PoissonStructure, samples: int = 20, seed: int = 0) -> NuReport:
     for _ in range(samples):
         a = _sample_poly(rng, n, max_degree=3, max_terms=3)
         i = rng.randrange(n)
-        got = _twisted_residue(tables, a, i, twists[i])
+        got = _twisted_residue(tables, a, i, twist[i])
         want = dict(_peel(a, tables.anchor[i], tables.traces[i], 1))
         if got != want:
             sample = _polynomial(vt, a)

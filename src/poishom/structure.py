@@ -13,9 +13,10 @@ arbitrary polynomial are computed only by the tests, as Polynomial-level
 oracles in ``tests/_oracles.py``.
 
 Everything that reads the generator brackets reads them through one store,
-``PoissonStructure.term_tables()``, built on first use and kept on the
-structure.  It fixes one denominator D, the lcm of the denominators of the
-generator brackets (1 on an integral structure), and holds, as exponent
+``PoissonStructure.term_tables()``, built when the structure is
+constructed, since the Jacobi check in ``__init__`` reads it, and kept on
+the structure.  It fixes one denominator D, the lcm of the denominators of
+the generator brackets (1 on an integral structure), and holds, as exponent
 terms with int coefficients times D, the generator brackets themselves,
 the anchor table {x_a, x_i} / x_a, the partials d{x_i, x_j}/dx_k and the
 generator traces read off those partials.  All of it is built in ints
@@ -60,7 +61,6 @@ __all__ = [
     "differential",
     "ModularData",
     "PoissonStructure",
-    "log_canonical_matrix",
 ]
 
 
@@ -385,10 +385,10 @@ class PoissonStructure:
     def term_tables(self) -> TermTables:
         """Exponent-tuple tables of the brackets, their partials and traces.
 
-        Built on first use and kept, in ints from the entry terms: the
-        build calls no bracket, since the bracket reads the anchor table,
-        and the generator traces are summed off the int partials and become
-        Polynomials once, at the end.
+        Built by the Jacobi check in ``__init__`` and kept, in ints from
+        the entry terms: the build calls no bracket, since the bracket
+        reads the anchor table, and the generator traces are summed off the
+        int partials and become Polynomials once, at the end.
         """
         if self._tables is None:
             ell = len(self.vars)
@@ -453,25 +453,3 @@ class PoissonStructure:
         )
         return f"<PoissonStructure {pairs or 'zero'}>"
 
-
-def log_canonical_matrix(S: PoissonStructure) -> "list[list[Fraction]] | None":
-    """Recover the antisymmetric matrix of a log-canonical structure.
-
-    Returns a_ij with {x_i, x_j} = a_ij x_i x_j, or None when some entry is
-    not a rational multiple of x_i x_j.
-    """
-    n = len(S.vars)
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    for i, j in combinations(range(n), 2):
-        p = S.entry(i, j)
-        if p.is_zero():
-            continue
-        if len(p.terms) != 1:
-            return None
-        exps, coeff = next(iter(p.terms.items()))
-        expected = tuple(1 if k in (i, j) else 0 for k in range(n))
-        if exps != expected:
-            return None
-        mat[i][j] = coeff
-        mat[j][i] = -coeff
-    return mat

@@ -45,7 +45,6 @@ from poishom.structure import (
     PoissonStructure,
     TermTables,
     anchor_action,
-    log_canonical_matrix,
 )
 
 
@@ -590,6 +589,23 @@ def random_log_canonical(rng: random.Random, n: int) -> PoissonStructure:
     return PoissonStructure(vt, entries)
 
 
+def log_canonical_matrix(S: PoissonStructure) -> "list[list[Fraction]] | None":
+    """The antisymmetric matrix a_ij with {x_i, x_j} = a_ij x_i x_j, or None
+    when some bracket is not a rational multiple of x_i x_j."""
+    n = len(S.vars)
+    mat = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        p = S.entry(i, j)
+        if p.is_zero():
+            continue
+        expected = tuple(int(k in (i, j)) for k in range(n))
+        if list(p.terms) != [expected]:
+            return None
+        mat[i][j] = p.terms[expected]
+        mat[j][i] = -mat[i][j]
+    return mat
+
+
 def document_dict(doc: SpecDocument) -> dict:
     """A document as the JSON object ``SpecDocument.from_dict`` reads, with
     the brackets spelled out (never a matrix) by ``format_poly``."""
@@ -755,13 +771,14 @@ def doubled_counts(vt: VarTable, max_filtration: int,
 
 
 def fraction_nu_relations(S: PoissonStructure, reduce=reduce_combination):
-    """(description, left, right) per defining relation of a log-canonical
-    structure: the normal forms of the twist images of both sides, built as
-    rational combinations of public words with Polynomial atoms, h(i)
-    expanded to h(i) + (row sum i) * x_i, and reduced by ``reduce``."""
+    """(description, left, right) per defining relation: the normal forms
+    of the twist images of both sides, built as rational combinations of
+    public words with Polynomial atoms, h(i) expanded to h(i) + tr(x_i)
+    with the Polynomial traces of ``modular_data``, and reduced by
+    ``reduce``."""
     vt = S.vars
     n = len(vt)
-    row_sums = [sum(row, Fraction(0)) for row in log_canonical_matrix(S)]
+    traces = S.modular_data().traces
 
     def nu_expand(parts):
         out = []
@@ -769,8 +786,8 @@ def fraction_nu_relations(S: PoissonStructure, reduce=reduce_combination):
             stack = [(coeff, ())]
             for atom in word:
                 options = [(Fraction(1), (atom,))]
-                if atom[0] == "h" and row_sums[atom[1]]:
-                    options.append((row_sums[atom[1]], (poly_atom(vt.gen(atom[1])),)))
+                if atom[0] == "h" and traces[atom[1]]:
+                    options.append((Fraction(1), (poly_atom(traces[atom[1]]),)))
                 stack = [(c * oc, w + ow) for c, w in stack for oc, ow in options]
             out.extend(stack)
         return out

@@ -140,19 +140,20 @@ def test_pbw_command(capsys):
     assert "twist: ok" in out
 
 
-def test_pbw_nu_refused_off_log_canonical(capsys):
+def test_pbw_nu_runs_off_log_canonical(capsys):
     code, out, err = run(capsys, "pbw", str(DOCS / "potential-x2z.json"), "--nu")
-    assert code == 2
-    assert "log-canonical" in err
+    assert (code, err) == (0, "")
+    assert out.endswith("twist: ok (9 relations, 20 samples)\n")
 
 
-def test_pbw_nu_refused_on_a_bracket_with_two_terms(tmp_path, capsys):
-    # {x, y} = x*y + x^2 is not a multiple of x*y, so there is no twist to check
+def test_pbw_nu_runs_on_a_bracket_with_two_terms(tmp_path, capsys):
+    # {x, y} = x*y + x^2 is not a multiple of x*y, and not unimodular: the
+    # twist is h(i) -> h(i) + tr(x_i) all the same
     path = tmp_path / "two-terms.json"
     path.write_text(json.dumps({"vars": ["x", "y"], "bracket": {"x,y": "x*y + x^2"}}))
     code, out, err = run(capsys, "pbw", str(path), "--samples", "5", "--nu")
-    assert (code, out) == (2, "")
-    assert err == "error: --nu needs a log-canonical structure\n"
+    assert (code, err) == (0, "")
+    assert out.endswith("twist: ok (3 relations, 20 samples)\n")
 
 
 def test_catalog_listing(capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poishom import envelope
+from poishom import complexes, envelope
 from poishom.catalog import CATALOG, catalog_ids, get_entry
 from poishom.envelope import (
     ConfluenceFailure,
@@ -26,7 +26,8 @@ from poishom.envelope import (
     right_module_residue,
 )
 from poishom.polycore import Polynomial, VarTable
-from poishom.structure import PoissonStructure, int_terms, log_canonical_matrix
+from poishom.specfile import SpecDocument
+from poishom.structure import PoissonStructure, int_terms
 
 from _oracles import (
     doubled_counts,
@@ -34,6 +35,7 @@ from _oracles import (
     fraction_nu_relations,
     mixed_denominator_log_canonical,
     multiply,
+    plans_square_to_zero,
     polynomial_atom_reduce,
     polynomial_element,
     polynomial_module_residue,
@@ -367,10 +369,24 @@ def test_nu_on_zero_bracket(trivial2):
     assert report.module_samples == 5
 
 
-def test_nu_rejects_other_structures(so3, potential):
-    for S in (so3, potential):
-        with pytest.raises(ValueError):
-            nu_check(S, samples=2)
+# three quadratic structures on x, y, z that are neither log-canonical nor
+# unimodular
+QUADRATIC = [{"x,y": "x^2", "x,z": "x*z", "y,z": "y*z"},
+             {"x,y": "x^2", "y,z": "x*z"},
+             {"x,y": "x*y + x^2", "x,z": "x*z", "y,z": "y*z"}]
+
+
+def test_nu_on_other_structures(so3, potential, symplectic):
+    # the modular field is a Poisson vector field on every structure
+    quadratic = [SpecDocument.from_dict({"vars": ["x", "y", "z"], "bracket": b})
+                 .to_structure() for b in QUADRATIC]
+    assert not any(S.modular_data().unimodular for S in quadratic)
+    for S in [so3, potential, symplectic, rational_jacobian(random.Random(3)),
+              *quadratic]:
+        report = nu_check(S, samples=10, seed=5)
+        n = len(S.vars)
+        assert report.relations_checked == n * (n - 1) + n * (n - 1) // 2
+        assert report.module_samples == 10
 
 
 def test_nu_random_log_canonical():
@@ -448,16 +464,21 @@ def test_term_tables_are_integers_over_one_denominator(build):
     lambda: get_entry("log-canonical-3u").document.to_structure(),
     lambda: rational_log_canonical(random.Random(7), 3),
     lambda: rational_log_canonical(random.Random(8), 4),
-], ids=["log-canonical-3", "log-canonical-3u", "rational-3", "rational-4"])
+    lambda: get_entry("so3").document.to_structure(),
+    lambda: get_entry("potential-x2z").document.to_structure(),
+    lambda: rational_jacobian(random.Random(2)),
+], ids=["log-canonical-3", "log-canonical-3u", "rational-3", "rational-4", "so3",
+        "potential-x2z", "rational-jacobian"])
 def test_nu_combinations_match_polynomial_atoms(build):
     # the int relation forms against the Fraction words of the twist images,
     # reduced by the public Fraction boundary and by the Polynomial atoms
     S = build()
-    d = S.term_tables().denominator
-    twists = [int(d * sum(row, Fraction(0))) for row in log_canonical_matrix(S)]
+    tables = S.term_tables()
+    d = tables.denominator
     got = [(description, envelope._element(S.vars, left, 1, d, top),
             envelope._element(S.vars, right, 1, d, top))
-           for description, top, left, right in envelope._relation_forms(S, twists)]
+           for description, top, left, right
+           in envelope._relation_forms(S, tables.traces)]
     assert got == fraction_nu_relations(S)
     assert got == fraction_nu_relations(S, polynomial_atom_reduce)
     assert all(left == right for _, left, right in got)
@@ -494,6 +515,73 @@ def test_nu_relations_see_rule_table_mutations(entry, mutate):
     assert type(exc.left) is EnvelopeElement and type(exc.right) is EnvelopeElement
     assert exc.left.vars == exc.right.vars == S.vars
     assert exc.left != exc.right
+
+
+def _double_traces(tables):
+    return tuple(tuple((e, 2 * c) for e, c in terms) for terms in tables.traces)
+
+
+def _extra_trace_term(tables):
+    # D * x_i more in the i-th trace
+    n = len(tables.traces)
+    return tuple(terms + ((tuple(int(k == i) for k in range(n)), tables.denominator),)
+                 for i, terms in enumerate(tables.traces))
+
+
+@pytest.mark.parametrize("entry, mutate", [
+    ("log-canonical-2", _double_traces),
+    ("log-canonical-3", _double_traces),
+    *((entry, _extra_trace_term) for entry in
+      ("log-canonical-3", "log-canonical-3u", "so3", "potential-x2z")),
+], ids=["log-canonical-2-doubled", "log-canonical-3-doubled", "log-canonical-3-extra",
+        "log-canonical-3u-extra", "so3-extra", "potential-x2z-extra"])
+def test_nu_module_half_sees_trace_table_mutations(entry, mutate):
+    # the twist comes from the brackets, so the module half checks the
+    # trace table the rules read against them; the relation half never
+    # reads that table
+    S = get_entry(entry).document.to_structure()
+    tables = S.term_tables()
+    object.__setattr__(tables, "traces", mutate(tables))
+    with pytest.raises(ModuleMismatch):
+        nu_check(S, samples=20)
+    n = len(S.vars)
+    assert nu_check(S, samples=0).relations_checked == n * (n - 1) + n * (n - 1) // 2
+
+
+def _vector_fields(S):
+    """Twist tables, the terms of D * X_i per generator, of the modular
+    field, four seeded diagonal fields sum_i c_i x_i d/dx_i, the shear
+    X = x_1 d/dx_0 and, on three variables, X = x_0^2 d/dx_2."""
+    tables = S.term_tables()
+    d, n = tables.denominator, len(S.vars)
+    unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    fields = {"traces": tables.traces}
+    for seed in range(4):
+        rng = random.Random(seed)
+        scalars = [rng.randint(-2, 2) for _ in range(n)]
+        fields[f"diagonal-{seed}"] = tuple(((unit[i], d * c),) if c else ()
+                                           for i, c in enumerate(scalars))
+    fields["shear"] = (((unit[1], d),),) + ((),) * (n - 1)
+    if n == 3:
+        fields["x^2 d/dz"] = ((), (), (((2, 0, 0), d),))
+    return fields
+
+
+def test_relation_check_is_the_poisson_vector_field_check():
+    # h(i) -> h(i) + X_i keeps every relation exactly when the boundary
+    # twisted by X squares to zero, i.e. when X is a Poisson vector field
+    verdicts = {}
+    for entry in ("log-canonical-2", "log-canonical-3", "log-canonical-3u", "so3",
+                  "potential-x2z", "trivial-3", "symplectic-plane"):
+        S = get_entry(entry).document.to_structure()
+        for name, twist in _vector_fields(S).items():
+            kept = all(left == right for _, _, left, right
+                       in envelope._relation_forms(S, twist))
+            assert kept == plans_square_to_zero(S, complexes._plans(S, twist)), \
+                (entry, name)
+            verdicts[entry, name] = kept
+    assert all(verdicts[entry, "traces"] for entry, _ in verdicts)
+    assert (len(verdicts), list(verdicts.values()).count(False)) == (47, 19)
 
 
 # -- the integer sampler and checks against their Polynomial twins -----------------
@@ -565,14 +653,18 @@ def test_residue_matches_polynomial_peeling(build):
     mixed_denominator_log_canonical,
     lambda: rational_log_canonical(random.Random(7), 3),
     lambda: rational_log_canonical(random.Random(8), 4),
+    lambda: get_entry("so3").document.to_structure(),
+    lambda: get_entry("potential-x2z").document.to_structure(),
+    lambda: rational_jacobian(random.Random(2)),
 ], ids=["log-canonical-2", "log-canonical-3", "log-canonical-3u",
-        "mixed-denominators", "rational-3", "rational-4"])
+        "mixed-denominators", "rational-3", "rational-4", "so3", "potential-x2z",
+        "rational-jacobian"])
 def test_integer_module_samples_match_the_fraction_residue(build):
     S = build()
     vt, n = S.vars, len(S.vars)
     tables = S.term_tables()
     d = tables.denominator
-    row_sums = [sum(row, Fraction(0)) for row in log_canonical_matrix(S)]
+    traces = S.modular_data().traces
     zero_traces = [vt.zero()] * n
     for seed in range(6):
         rng = random.Random(seed)
@@ -580,10 +672,10 @@ def test_integer_module_samples_match_the_fraction_residue(build):
             a = envelope._sample_poly(rng, n, max_degree=3, max_terms=3)
             i = rng.randrange(n)
             f = Polynomial(vt, {e: Fraction(c, 2) for e, c in a})
-            got = envelope._twisted_residue(tables, a, i, int(d * row_sums[i]))
+            got = envelope._twisted_residue(tables, a, i, tables.traces[i])
             twisted = polynomial_atom_reduce(S, [
                 (1, (poly_atom(f), ham(i))),
-                (row_sums[i], (poly_atom(f), poly_atom(vt.gen(i)))),
+                (1, (poly_atom(f), poly_atom(traces[i]))),
             ])
             residue = right_module_residue(S, twisted, zero_traces)
             assert got == {e: 2 * d * c for e, c in residue.terms.items()}

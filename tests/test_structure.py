@@ -24,7 +24,6 @@ from poishom.structure import (
     PoissonStructure,
     basis_form,
     differential,
-    log_canonical_matrix,
 )
 
 from _oracles import (
@@ -35,6 +34,7 @@ from _oracles import (
     biderivation_omega_action,
     biderivation_trace,
     document_dict,
+    log_canonical_matrix,
     mixed_denominator_log_canonical,
     polynomial_jacobi_violation,
     polynomial_parse,
