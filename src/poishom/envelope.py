@@ -20,7 +20,7 @@ in integer arithmetic instead: on entry each atom becomes a tuple of
 its denominators, and the part coefficients are brought over one common
 denominator E.  The rules read the integer tables of
 ``PoissonStructure.term_tables()`` through the term kernel of
-``structure``: two atoms merge by ``times``, h(i) * f takes
+``structure``: two atoms merge by ``polycore._times``, h(i) * f takes
 {x_i, f} = -{f, x_i} from ``anchor_action`` with the sign flipped, and
 h(j) * h(i) takes the negated partials d{x_i, x_j}/dx_k (i < j), all
 multiplied by one structure denominator D (D = 1 on an integral
@@ -53,9 +53,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .polycore import Polynomial, VarTable, monomials_of_weight, partial_derivative
-from .structure import (PoissonStructure, Terms, _terms, anchor_action, int_terms,
-                        times)
+from .polycore import (Polynomial, VarTable, _times, monomials_of_weight,
+                       partial_derivative)
+from .structure import PoissonStructure, Terms, _terms, anchor_action, int_terms
 
 __all__ = [
     "Word",
@@ -210,7 +210,8 @@ def _reduce(tables, n: int, agenda: list, rightmost: bool) -> dict:
             continue
         head, a, b, tail = word[:k], word[k], word[k + 1], word[k + 2:]
         if type(a) is tuple:  # two polynomial atoms merge
-            agenda.append((coeff, head + (times(a, b),) + tail))
+            merged = tuple(_times(dict(a), dict(b)).items())
+            agenda.append((coeff, head + (merged,) + tail))
             continue
         agenda.append((coeff, head + (b, a) + tail))
         if type(b) is tuple:  # h(a) * f: D * {x_a, f} = -D * {f, x_a}
@@ -355,7 +356,7 @@ def gr_dimension_check(S: PoissonStructure, max_filtration: int = 3,
 
 def _peel(f, row, trace, m: int):
     """m * D * (f * t_j - {x_j, f}) from anchor[j] and the terms of m * D * t_j."""
-    out = dict(times(f, trace))
+    out = _times(dict(f), dict(trace))
     for e, c in anchor_action(row, f):  # D * {f, x_j} = -D * {x_j, f}
         out[e] = out.get(e, 0) + m * c
     return tuple((e, c) for e, c in out.items() if c)

@@ -25,8 +25,9 @@ anchor rows by lowering one exponent, the partials by differentiating,
 and the traces by summing partials.
 
 One integer term kernel reads those tables: ``int_terms`` turns a
-polynomial into (L, int terms of L * f), ``times`` multiplies two int term
-tuples, and ``anchor_action`` gives D * {f, x_j} off one anchor row.
+polynomial into (L, int terms of L * f), ``polycore._times`` multiplies
+two term dicts, and ``anchor_action`` gives D * {f, x_j} off one anchor
+row.
 ``bracket`` computes {f, g} = sum_j (dg/dx_j) {f, x_j} with them in ints
 and divides once, and ``omega_h_action`` and ``lr_bracket`` go through
 it.  The Jacobi check sums D^2 times the jacobiator of each generator
@@ -49,6 +50,7 @@ from .polycore import (
     Polynomial,
     VarTable,
     _plus,
+    _times,
     homogeneous_weight,
     partial_derivative,
 )
@@ -157,16 +159,6 @@ def int_terms(f: Polynomial) -> "tuple[int, Terms]":
     """(L, terms of L * f), with L the lcm of the denominators of f."""
     scale = lcm(*(c.denominator for c in f.terms.values()))
     return scale, _terms(f, scale)
-
-
-def times(f: Terms, g: Terms) -> Terms:
-    """Product of two int term tuples."""
-    out: dict = {}
-    for e1, c1 in f:
-        for e2, c2 in g:
-            key = tuple(map(add, e1, e2))
-            out[key] = out.get(key, 0) + c1 * c2
-    return tuple((e, c) for e, c in out.items() if c)
 
 
 def anchor_action(row: "tuple[tuple[int, Terms], ...]", f: Terms) -> Terms:
@@ -334,8 +326,7 @@ class PoissonStructure:
             dg = _derivative(g_terms, j)
             if not (row and dg):
                 continue
-            for key, c in times(dg, anchor_action(row, f_terms)):
-                out[key] = out.get(key, 0) + c
+            _plus(out, _times(dict(dg), dict(anchor_action(row, f_terms))))
         scale = tables.denominator * lf * lg
         if scale != 1:
             out = {key: Fraction(v, scale) for key, v in out.items()}

@@ -10,8 +10,9 @@ beside the int rows) were deleted, and so was the graded-count exception,
 which compared two counts of one set and could not be raised.  So were
 a public alias with one caller (``require_homogeneous``, now inside
 ``weight_shift``) and the parts of a cell basis that only tests read (its
-degree, weight and position lookup), and ``log_canonical_matrix``, whose
-one caller was the twist check's log-canonical special case.  Dunder methods that nothing called
+degree, weight and position lookup), ``log_canonical_matrix``, whose one
+caller was the twist check's log-canonical special case, and the int
+product ``times``, a second copy of ``polycore._times``.  Dunder methods that nothing called
 are listed where ``hasattr`` can see them gone; ``ChainBasis.__eq__``,
 ``ChainBasis.__repr__`` and ``OneForm.__str__`` resolve to inherited
 defaults and are not listed.  The package root re-exports only the names
@@ -58,7 +59,7 @@ REMOVED = {
     "polycore.Polynomial": ["coefficient", "constant_term", "__iter__", "sorted_terms"],
     "specfile": ["document_from_structure"],
     "specfile.SpecDocument": ["to_dict", "to_json", "save"],
-    "structure": ["log_canonical_matrix"],
+    "structure": ["log_canonical_matrix", "times"],
     "structure.PoissonStructure": ["trace", "anchor_apply", "jacobiator",
                                    "require_homogeneous"],
     "complexes.ChainBasis": ["position", "n", "w"],
