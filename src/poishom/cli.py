@@ -96,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
                  _arg("--samples", type=int, default=200,
                       help="random words per strategy comparison"),
                  _arg("--nu", action="store_true",
-                      help="also check the log-canonical twist automorphism"))
+                      help="also check the modular twist automorphism"))
 
     def catalog(p: argparse.ArgumentParser) -> None:
         catalog_sub = p.add_subparsers(dest="catalog_command")
