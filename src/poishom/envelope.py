@@ -39,10 +39,10 @@ public API and to report a failure.
 The module also reduces elements against right ideals generated by
 h(i) - t_i for prescribed polynomials t_i, which realizes both the plain
 right action on the algebra (t = 0) and the trace-twisted module (t = the
-modular traces), checks the weight-grading automorphism that
-log-canonical structures carry, and counts the normal forms by filtration
-degree and weight: the bigraded dimension of the associated graded
-algebra.
+modular traces), checks on every structure that h(i) -> h(i) + tr(x_i),
+the twist by the modular vector field tr, is an automorphism, and counts
+the normal forms by filtration degree and weight: the bigraded dimension
+of the associated graded algebra.
 """
 
 from __future__ import annotations
