@@ -210,7 +210,7 @@ def _reduce(tables, n: int, agenda: list, rightmost: bool) -> dict:
             continue
         head, a, b, tail = word[:k], word[k], word[k + 1], word[k + 2:]
         if type(a) is tuple:  # two polynomial atoms merge
-            merged = tuple(_times(dict(a), dict(b)).items())
+            merged = tuple(_times(a, b).items())
             agenda.append((coeff, head + (merged,) + tail))
             continue
         agenda.append((coeff, head + (b, a) + tail))
@@ -356,7 +356,7 @@ def gr_dimension_check(S: PoissonStructure, max_filtration: int = 3,
 
 def _peel(f, row, trace, m: int):
     """m * D * (f * t_j - {x_j, f}) from anchor[j] and the terms of m * D * t_j."""
-    out = _times(dict(f), dict(trace))
+    out = _times(f, trace)
     for e, c in anchor_action(row, f):  # D * {f, x_j} = -D * {x_j, f}
         out[e] = out.get(e, 0) + m * c
     return tuple((e, c) for e, c in out.items() if c)

@@ -213,7 +213,7 @@ class Polynomial:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return Polynomial(self.vars, _times(self.terms, rhs.terms))
+        return Polynomial(self.vars, _times(self.terms.items(), rhs.terms.items()))
 
     __rmul__ = __mul__
 
@@ -260,12 +260,12 @@ def _plus(f: dict, g: Mapping, sign: int = 1) -> dict:
     return f
 
 
-def _times(f: Mapping, g: Mapping) -> dict:
-    """Product of two term dicts."""
+def _times(f, g) -> dict:
+    """Product of two iterables of (exponents, coefficient) terms."""
     out: dict = {}
     get = out.get
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
+    for e1, c1 in f:
+        for e2, c2 in g:
             key = tuple(map(add, e1, e2))
             s = get(key, 0) + c1 * c2
             if s:
@@ -280,10 +280,10 @@ def _power(f: Mapping, k: int, n: int) -> dict:
     result: dict = {(0,) * n: 1}
     while k:
         if k & 1:
-            result = _times(result, f)
+            result = _times(result.items(), f.items())
         k >>= 1
         if k:
-            f = _times(f, f)
+            f = _times(f.items(), f.items())
     return result
 
 
@@ -463,7 +463,7 @@ class _Parser:
             if count > MAX_PARSE_TERMS:
                 lowest = _lowest_degree(node) + _lowest_degree(rhs)
                 _check_terms(min(count, _monomial_bound(lowest, degree, node, rhs)), at)
-            node = _times(node, rhs)
+            node = _times(node.items(), rhs.items())
         return node
 
     def factor(self) -> dict:

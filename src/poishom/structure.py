@@ -26,15 +26,15 @@ and the traces by summing partials.
 
 One integer term kernel reads those tables: ``int_terms`` turns a
 polynomial into (L, int terms of L * f), ``polycore._times`` multiplies
-two term dicts, and ``anchor_action`` gives D * {f, x_j} off one anchor
-row.
-``bracket`` computes {f, g} = sum_j (dg/dx_j) {f, x_j} with them in ints
-and divides once, and ``omega_h_action`` and ``lr_bracket`` go through
-it.  The Jacobi check sums D^2 times the jacobiator of each generator
-triple with ``anchor_action`` on the entry terms and builds a Polynomial
-only to report a violation.  The PBW rules in ``envelope`` use the same
-kernel, and ``complexes`` builds its assembly plans from the terms and
-keeps them in the same store.
+two int term tuples into a term dict, and ``anchor_action`` gives
+D * {f, x_j} off one anchor row.  ``bracket`` computes
+{f, g} = sum_j (dg/dx_j) {f, x_j} with them in ints and divides once, and
+``omega_h_action`` and ``lr_bracket`` go through it.  The Jacobi check
+sums D^2 times the jacobiator of each generator triple with
+``anchor_action`` on the entry terms and builds a Polynomial only to
+report a violation.  The PBW rules in ``envelope`` use the same kernel,
+and ``complexes`` builds its assembly plans from the terms and keeps them
+in the same store.
 """
 
 from __future__ import annotations
@@ -326,7 +326,7 @@ class PoissonStructure:
             dg = _derivative(g_terms, j)
             if not (row and dg):
                 continue
-            _plus(out, _times(dict(dg), dict(anchor_action(row, f_terms))))
+            _plus(out, _times(dg, anchor_action(row, f_terms)))
         scale = tables.denominator * lf * lg
         if scale != 1:
             out = {key: Fraction(v, scale) for key, v in out.items()}

@@ -12,10 +12,10 @@ a public alias with one caller (``require_homogeneous``, now inside
 ``weight_shift``) and the parts of a cell basis that only tests read (its
 degree, weight and position lookup), ``log_canonical_matrix``, whose one
 caller was the twist check's log-canonical special case, and the int
-product ``times``, a second copy of ``polycore._times``.  Dunder methods that nothing called
-are listed where ``hasattr`` can see them gone; ``ChainBasis.__eq__``,
-``ChainBasis.__repr__`` and ``OneForm.__str__`` resolve to inherited
-defaults and are not listed.  The package root re-exports only the names
+product ``times``, a second copy of ``polycore._times``.  Dunder methods
+that nothing called are listed where ``hasattr`` can see them gone;
+``ChainBasis.__eq__``, ``ChainBasis.__repr__`` and ``OneForm.__str__``
+resolve to inherited defaults and are not listed.  The package root re-exports only the names
 read from it: those of the README's library sketch, and ``get_entry``;
 every other name is imported from its module.
 """
