@@ -4,9 +4,9 @@
 Each table case runs ``homology`` (canonical and ``--coeff omega``),
 ``cohomology``, ``duality`` and ``duality --tsv`` at ``--max-weight 6`` on
 every catalog entry and every shipped document under ``docs/``.  Each
-``pbw`` case runs ``pbw --samples 60`` on the same documents, and again
-with ``--nu`` on the log-canonical ones.  Each info case runs ``check``
-and ``trace`` on the same documents.  ``cli_stdout_digests.json``,
+``pbw`` case runs ``pbw --samples 60`` on the same documents, with and
+without ``--nu``.  Each info case runs ``check`` and ``trace`` on the same
+documents.  ``cli_stdout_digests.json``,
 ``cli_pbw_digests.json`` and ``cli_info_digests.json`` hold the sha256 of
 each case's stdout and its exit code.  Record them only from a commit whose output is the reference,
 from the repository root::
@@ -62,11 +62,8 @@ CASES = tuple((name, document, command)
               for name, document in SOURCES for command in COMMANDS)
 
 
-PBW_CASES = tuple(
-    (name, document, command)
-    for name, document in SOURCES
-    for command in ((PBW, PBW_NU) if "log-canonical" in name else (PBW,))
-)
+PBW_CASES = tuple((name, document, command)
+                  for name, document in SOURCES for command in (PBW, PBW_NU))
 
 INFO_CASES = tuple((name, document, command)
                    for name, document in SOURCES for command in INFO)

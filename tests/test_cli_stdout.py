@@ -26,7 +26,7 @@ def test_stdout_digest(name, document, command):
 
 
 def test_every_pbw_case_is_recorded():
-    assert len(PBW_CASES) == 16
+    assert len(PBW_CASES) == 24
     assert sorted(PBW_RECORDED) == sorted(key(name, command)
                                           for name, _, command in PBW_CASES)
 
