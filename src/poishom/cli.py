@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 a mathematical check failed, 2 bad usage or input.
 
 There is one parser tree, but a subcommand's parser is built only when
 argparse dispatches a command line to it (``_Command``), so a call builds
-the parsers on its path, not all nine.  Building costs more than parsing,
+the parsers on its path, not all eight.  Building costs more than parsing,
 and each call pays it anew: a command line runs in a new process, and the
 benchmark imports the package afresh for each job.
 """
@@ -98,15 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
                  _arg("--nu", action="store_true",
                       help="also check the modular twist automorphism"))
 
-    def catalog(p: argparse.ArgumentParser) -> None:
-        catalog_sub = p.add_subparsers(dest="catalog_command")
-        _add_command(catalog_sub, "run", "run a command on a built-in structure",
-                     _arg("id", help="catalog entry id"),
-                     _arg("rest", nargs=argparse.REMAINDER,
-                          help="command and flags to run"))
-
-    sub.add_parser("catalog", help="list built-in structures or run on one",
-                   build=catalog)
+    _add_command(sub, "catalog", "list the built-in structures")
     return parser
 
 
@@ -229,29 +221,16 @@ _HANDLERS = {
 }
 
 
-def _cmd_catalog(parser: argparse.ArgumentParser, args, out) -> int:
-    if args.catalog_command is None:
-        width = max(len(entry.id) for entry in CATALOG)
-        for entry in CATALOG:
-            print(f"{entry.id.ljust(width)}  {entry.description}", file=out)
-        return EXIT_OK
-    try:
-        get_entry(args.id)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_USAGE
-    rest = list(args.rest)
-    if not rest or rest[0] not in _HANDLERS:
-        expected = ", ".join(sorted(_HANDLERS))
-        print(f"error: catalog run expects one of: {expected}", file=sys.stderr)
-        return EXIT_USAGE
-    inner = parser.parse_args([rest[0], _CATALOG_SCHEME + args.id] + rest[1:])
-    return _dispatch(parser, inner, out)
+def _cmd_catalog(out) -> int:
+    width = max(len(entry.id) for entry in CATALOG)
+    for entry in CATALOG:
+        print(f"{entry.id.ljust(width)}  {entry.description}", file=out)
+    return EXIT_OK
 
 
-def _dispatch(parser: argparse.ArgumentParser, args, out) -> int:
+def _dispatch(args, out) -> int:
     if args.command == "catalog":
-        return _cmd_catalog(parser, args, out)
+        return _cmd_catalog(out)
     try:
         doc = _load_document(args.file)
     except (SpecFileError, KeyError) as exc:
@@ -272,9 +251,7 @@ def _dispatch(parser: argparse.ArgumentParser, args, out) -> int:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return _dispatch(parser, args, sys.stdout)
+    return _dispatch(_build_parser().parse_args(argv), sys.stdout)
 
 
 if __name__ == "__main__":

@@ -39,14 +39,12 @@ COMMANDS = ("check", "trace", "homology", "cohomology", "duality", "pbw",
 CASES = (
     [(80, ("--help",)), (80, ("-h",)), (80, ())]
     + [(80, (command, "--help")) for command in COMMANDS]
-    + [(80, ("catalog", "run", "--help")),
-       (80, ("nosuch",)),
+    + [(80, ("nosuch",)),
        (80, ("duality",)),
        (80, ("duality", "x", "--bogus")),
        (80, ("pbw", "x", "extra")),
        (80, ("homology", "x", "--max-weight", "abc")),
        (80, ("homology", "x", "--coeff", "bad")),
-       (80, ("catalog", "run", "so3", "duality", "--bogus")),
        (40, ("duality", "--help")),
        (75, ("--help",)),
        (75, ("duality", "x", "--bogus"))]

@@ -38,16 +38,16 @@ def test_trace_command(capsys):
 
 
 def test_homology_grid(capsys):
-    code, out, _ = run(capsys, "catalog", "run", "symplectic-plane",
-                       "homology", "--max-weight", "3")
+    code, out, _ = run(capsys, "homology", "catalog:symplectic-plane",
+                       "--max-weight", "3")
     assert code == 0
     assert "homology dimensions (canonical), weights 0..3" in out
     assert "n\\w" in out
 
 
 def test_homology_tsv_golden(capsys):
-    code, out, _ = run(capsys, "catalog", "run", "symplectic-plane",
-                       "homology", "--max-weight", "2", "--tsv")
+    code, out, _ = run(capsys, "homology", "catalog:symplectic-plane",
+                       "--max-weight", "2", "--tsv")
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "n\tw\tdim"
@@ -56,8 +56,8 @@ def test_homology_tsv_golden(capsys):
 
 
 def test_cohomology_includes_negative_weights(capsys):
-    code, out, _ = run(capsys, "catalog", "run", "symplectic-plane",
-                       "cohomology", "--max-weight", "1", "--tsv")
+    code, out, _ = run(capsys, "cohomology", "catalog:symplectic-plane",
+                       "--max-weight", "1", "--tsv")
     assert code == 0
     assert "0\t-2\t0" in out.splitlines()
 
@@ -71,8 +71,7 @@ def test_duality_pass(capsys):
 
 
 def test_duality_trivial_window_zero(capsys):
-    code, out, _ = run(capsys, "catalog", "run", "trivial-1",
-                       "duality", "--max-weight", "0")
+    code, out, _ = run(capsys, "duality", "catalog:trivial-1", "--max-weight", "0")
     assert code == 0
     assert "fitting shifts: 1" in out
     assert "result: PASS" in out
@@ -86,7 +85,7 @@ def test_duality_trivial_window_zero(capsys):
     (("pbw", "--samples", "-5"), "--samples"),
 ])
 def test_empty_windows_refused(capsys, argv, flag):
-    code, out, err = run(capsys, "catalog", "run", "so3", *argv)
+    code, out, err = run(capsys, argv[0], "catalog:so3", *argv[1:])
     assert code == 2
     assert out == ""
     assert f"error: {flag} must be at least" in err
@@ -94,13 +93,12 @@ def test_empty_windows_refused(capsys, argv, flag):
 
 def test_cohomology_window_below_lowest_weight_refused(capsys):
     # so3 has three weight-1 variables, so cochains start at weight -3
-    code, out, err = run(capsys, "catalog", "run", "so3",
-                         "cohomology", "--max-weight", "-4")
+    code, out, err = run(capsys, "cohomology", "catalog:so3", "--max-weight", "-4")
     assert code == 2
     assert out == ""
     assert "--max-weight must be at least -3" in err
-    code, out, _ = run(capsys, "catalog", "run", "so3",
-                       "cohomology", "--max-weight", "-3", "--tsv")
+    code, out, _ = run(capsys, "cohomology", "catalog:so3",
+                       "--max-weight", "-3", "--tsv")
     assert code == 0
     assert out.splitlines()[1:] == [f"{n}\t-3\t{int(n == 3)}" for n in range(4)]
 
@@ -162,36 +160,14 @@ def test_catalog_listing(capsys):
     ids = [line.split()[0] for line in out.splitlines()]
     assert "so3" in ids
     assert "potential-x2z" in ids
-    # a bare ``catalog`` lists; there is no ``list`` subcommand
-    with pytest.raises(SystemExit) as exc:
-        main(["catalog", "list"])
-    assert exc.value.code == 2
-    assert "invalid choice: 'list'" in capsys.readouterr().err
-
-
-def test_catalog_run_unknown_id(capsys):
-    code, _, err = run(capsys, "catalog", "run", "nope", "check")
-    assert code == 2
-    assert "nope" in err
-
-
-def test_catalog_run_unknown__command(capsys):
-    code, _, err = run(capsys, "catalog", "run", "so3", "paint")
-    assert code == 2
-    assert "catalog run expects" in err
-
-
-@pytest.mark.parametrize("command, flags", [
-    ("homology", ("--max-weight", "3", "--coeff", "omega")),
-    ("cohomology", ("--max-weight", "2", "--tsv")),
-    ("duality", ("--max-weight", "3")),
-    ("pbw", ("--samples", "5")),
-])
-def test_catalog_run_equals_the_catalog_scheme(capsys, command, flags):
-    # catalog run re-parses its rest with the same parser
-    code, out, _ = run(capsys, "catalog", "run", "so3", command, *flags)
-    assert code == 0 and out
-    assert (code, out) == run(capsys, command, "catalog:so3", *flags)[:2]
+    # ``catalog`` takes no arguments: there is no ``list`` and no ``run``;
+    # ``COMMAND catalog:ID`` names an entry
+    for argv in (["list"], ["run", "so3", "check"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["catalog", *argv])
+        assert exc.value.code == 2
+        assert (f"unrecognized arguments: {' '.join(argv)}"
+                in capsys.readouterr().err)
 
 
 def test_missing_file(capsys):
@@ -364,9 +340,9 @@ def test_inhomogeneous_refused_for_homology(tmp_path, capsys):
 
 
 def test_output_is_deterministic(capsys):
-    first = run(capsys, "catalog", "run", "log-canonical-3", "duality",
+    first = run(capsys, "duality", "catalog:log-canonical-3",
                 "--max-weight", "4")
-    second = run(capsys, "catalog", "run", "log-canonical-3", "duality",
+    second = run(capsys, "duality", "catalog:log-canonical-3",
                  "--max-weight", "4")
     assert first == second
     assert first[0] == 0
@@ -409,7 +385,7 @@ def test_duality_with_no_fitting_shift(capsys, monkeypatch, tsv):
         return real(S, max_weight=max_weight)
 
     monkeypatch.setattr(cli, "duality_report", doubled_traces)
-    code, out, err = run(capsys, "catalog", "run", "log-canonical-3", "duality",
+    code, out, err = run(capsys, "duality", "catalog:log-canonical-3",
                          "--max-weight", "3", *(["--tsv"] if tsv else []))
     if tsv:
         cells = [line.split() for line in NO_SHIFT_REPORT.splitlines()[4:-2]]

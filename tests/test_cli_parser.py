@@ -31,7 +31,7 @@ def test_parser_golden(width, argv):
     (("nosuch",), 1),
 ])
 def test_only_the_parsers_on_the_path_are_built(monkeypatch, argv, parsers):
-    # the full tree has nine parsers; a subcommand's parser is constructed
+    # the full tree has eight parsers; a subcommand's parser is constructed
     # only when argparse dispatches a command line to it
     built = []
     init = argparse.ArgumentParser.__init__

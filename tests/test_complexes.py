@@ -820,7 +820,7 @@ def test_a_failing_certificate_fails_even_when_the_tables_fit(monkeypatch):
     assert report.expected_shift in report.fitting_shifts
     assert all(ok for *_, ok in report.cells)
     assert not report.passed
-    assert main(["catalog", "run", "log-canonical-3", "duality",
+    assert main(["duality", "catalog:log-canonical-3",
                  "--max-weight", "4"]) == 1
 
 
