@@ -55,7 +55,8 @@ from typing import Iterable, Sequence
 
 from .polycore import (Polynomial, VarTable, _times, monomials_of_weight,
                        partial_derivative)
-from .structure import PoissonStructure, Terms, _terms, anchor_action, int_terms
+from .structure import (PoissonStructure, Terms, _check_index, _polynomial,
+                        _terms, anchor_action, int_terms)
 
 __all__ = [
     "Word",
@@ -155,10 +156,13 @@ def _enter(vt: VarTable, coeff, word: "Sequence[tuple]"):
     atoms: list = []
     symbols = 0
     for atom in word:
-        if atom[0] != "p":
+        if atom[0] == "h":
+            _check_index(vt, atom[1])
             atoms.append(atom[1])
             symbols += 1
             continue
+        if atom[0] != "p":
+            raise ValueError(f"unknown atom kind {atom[0]!r}")
         f = atom[1]
         if f.vars != vt:
             raise ValueError("polynomial atom over a different variable table")
@@ -293,11 +297,6 @@ def _sample_word(rng: random.Random, n: int) -> tuple:
     return tuple(atoms)
 
 
-def _polynomial(vt: VarTable, terms, scale: int = 2) -> Polynomial:
-    """f, from the int (exponents, coefficient) pairs of scale * f."""
-    return Polynomial(vt, {e: Fraction(c, scale) for e, c in terms})
-
-
 def _at_least(name: str, value: int, least: int) -> None:
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
@@ -317,7 +316,7 @@ def confluence_check(S: PoissonStructure, samples: int = 200,
         if (_reduce(tables, n, [(1, word)], False)
                 != _reduce(tables, n, [(1, word)], True)):
             public = tuple(ham(a) if type(a) is int  # halve each atom back
-                           else poly_atom(_polynomial(S.vars, a)) for a in word)
+                           else poly_atom(_polynomial(S.vars, a, 2)) for a in word)
             raise ConfluenceFailure(
                 public, reduce_combination(S, [(_ONE, public)], "leftmost"),
                 reduce_combination(S, [(_ONE, public)], "rightmost"))
@@ -392,6 +391,8 @@ def right_module_residue(S: PoissonStructure, element: EnvelopeElement,
     if len(traces) != len(vt):
         raise ValueError(f"need one trace per variable ({len(vt)}), "
                          f"got {len(traces)}")
+    if any(t.vars != vt for t in traces):
+        raise ValueError("trace over a different variable table")
     tables = S.term_tables()
     cleared = [int_terms(t) for t in traces]
     m = lcm(*(scale for scale, _ in cleared))
@@ -403,8 +404,7 @@ def right_module_residue(S: PoissonStructure, element: EnvelopeElement,
     scaled = {key: c.numerator * (common // c.denominator) * step ** (top - sum(key[1]))
               for key, c in element.terms.items()}
     out = _residue(tables.anchor, m, ints, scaled)
-    return Polynomial(vt, {e: Fraction(c, common * step ** top)
-                           for e, c in out.items()})
+    return _polynomial(vt, out.items(), common * step ** top)
 
 
 def j_quotient_action(S: PoissonStructure, a: Polynomial, i: int) -> Polynomial:
@@ -541,7 +541,7 @@ def nu_check(S: PoissonStructure, samples: int = 20, seed: int = 0) -> NuReport:
         got = _twisted_residue(tables, a, i, twist[i])
         want = dict(_peel(a, tables.anchor[i], tables.traces[i], 1))
         if got != want:
-            sample = _polynomial(vt, a)
+            sample = _polynomial(vt, a, 2)
             raise ModuleMismatch(sample, i, _polynomial(vt, got.items(), 2 * d),
                                  _polynomial(vt, want.items(), 2 * d))
     return NuReport(relations, samples)

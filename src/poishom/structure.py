@@ -25,9 +25,9 @@ anchor rows by lowering one exponent, the partials by differentiating,
 and the traces by summing partials.
 
 One integer term kernel reads those tables: ``int_terms`` turns a
-polynomial into (L, int terms of L * f), ``polycore._times`` multiplies
-two int term tuples into a term dict, and ``anchor_action`` gives
-D * {f, x_j} off one anchor row.  ``bracket`` computes
+polynomial into (L, int terms of L * f), ``_polynomial`` turns them
+back, ``polycore._times`` multiplies two int term tuples into a term
+dict, and ``anchor_action`` gives D * {f, x_j} off one anchor row.  ``bracket`` computes
 {f, g} = sum_j (dg/dx_j) {f, x_j} with them in ints and divides once, and
 ``omega_h_action`` and ``lr_bracket`` go through it.  The Jacobi check
 sums D^2 times the jacobiator of each generator triple with
@@ -114,8 +114,14 @@ class OneForm:
     __mul__ = __rmul__
 
 
+def _check_index(vars: VarTable, i: int) -> None:
+    if not 0 <= i < len(vars):
+        raise IndexError(f"variable index {i} out of range")
+
+
 def basis_form(vars: VarTable, i: int) -> OneForm:
     """The basis form d(x_i)."""
+    _check_index(vars, i)
     one, zero = vars.one(), vars.zero()
     return OneForm(vars, tuple(one if j == i else zero for j in range(len(vars))))
 
@@ -159,6 +165,12 @@ def int_terms(f: Polynomial) -> "tuple[int, Terms]":
     """(L, terms of L * f), with L the lcm of the denominators of f."""
     scale = lcm(*(c.denominator for c in f.terms.values()))
     return scale, _terms(f, scale)
+
+
+def _polynomial(vt: VarTable, terms, scale: int) -> Polynomial:
+    """f, from the int (exponents, coefficient) pairs of scale * f; the
+    inverse of ``int_terms``."""
+    return Polynomial(vt, {e: Fraction(c, scale) for e, c in terms})
 
 
 def anchor_action(row: "tuple[tuple[int, Terms], ...]", f: Terms) -> Terms:
@@ -296,8 +308,8 @@ class PoissonStructure:
                 for e, v in anchor_action(tables.anchor[i], pair):
                     out[e] = out.get(e, 0) + v
             if any(out.values()):
-                raise JacobiViolation(a, b, c, Polynomial(
-                    self.vars, {e: Fraction(-v, d * d) for e, v in out.items()}))
+                raise JacobiViolation(
+                    a, b, c, -_polynomial(self.vars, out.items(), d * d))
 
     # -- basic bracket data ------------------------------------------------
 
@@ -327,10 +339,7 @@ class PoissonStructure:
             if not (row and dg):
                 continue
             _plus(out, _times(dg, anchor_action(row, f_terms)))
-        scale = tables.denominator * lf * lg
-        if scale != 1:
-            out = {key: Fraction(v, scale) for key, v in out.items()}
-        return Polynomial(self.vars, out)
+        return _polynomial(self.vars, out.items(), tables.denominator * lf * lg)
 
     # -- one-forms: Lie bracket and anchor ----------------------------------
 
@@ -402,9 +411,7 @@ class PoissonStructure:
             traces = tuple(tuple(t.items()) for t in sums)
             self._tables = TermTables(
                 d, entries, anchor, partials,
-                tuple(Polynomial(self.vars, {e: Fraction(c, d) for e, c in t})
-                      for t in traces),
-                traces)
+                tuple(_polynomial(self.vars, t, d) for t in traces), traces)
         return self._tables
 
     def omega_h_action(self, m: Polynomial, i: int) -> Polynomial:
@@ -414,8 +421,7 @@ class PoissonStructure:
         m . h_i = -{x_i, m} + m * trace(x_i); for unimodular structures this
         collapses to the plain action {m, x_i}.
         """
-        if not 0 <= i < len(self.vars):
-            raise IndexError(f"variable index {i} out of range")
+        _check_index(self.vars, i)
         trace = self.term_tables().generator_traces[i]
         return self.bracket(m, self.gens[i]) + m * trace
 

@@ -147,6 +147,28 @@ def test_atom_over_another_table_rejected(so3):
         reduce_word(so3, (ham(0), poly_atom(foreign)))
 
 
+@pytest.mark.parametrize("word, i", [((ham(-1), ham(0)), -1), ((ham(7),), 7),
+                                     ((ham(0), ham(3)), 3)])
+def test_symbol_index_out_of_range_rejected(so3, word, i):
+    # an index is checked against the table, not read from the end of a list
+    with pytest.raises(IndexError, match=rf"^variable index {i} out of range$"):
+        reduce_word(so3, word)
+
+
+def test_unknown_atom_kind_rejected(so3):
+    with pytest.raises(ValueError, match=r"^unknown atom kind 'q'$"):
+        reduce_word(so3, (("q", 1),))
+
+
+@pytest.mark.parametrize("i", [-1, 3, 7])
+def test_j_quotient_action_refuses_an_index_as_omega_h_action_does(log3, i):
+    x = log3.vars.gen(0)
+    with pytest.raises(IndexError, match=rf"^variable index {i} out of range$"):
+        log3.omega_h_action(x, i)
+    with pytest.raises(IndexError, match=rf"^variable index {i} out of range$"):
+        j_quotient_action(log3, x, i)
+
+
 def test_confluence_on_catalog(symplectic, so3, potential, log3):
     for S in (symplectic, so3, potential, log3):
         assert confluence_check(S, samples=60, seed=1) == 60
@@ -315,6 +337,15 @@ def test_residue_refuses_an_element_over_another_table(so3, log2):
     e = reduce_word(log2, (poly_atom(log2.vars.gen(0)), ham(1)))
     with pytest.raises(ValueError, match=r"^element over a different variable table$"):
         right_module_residue(so3, e, so3.modular_data().traces)
+
+
+def test_residue_refuses_traces_over_another_table(so3):
+    ab = VarTable(("a", "b"))
+    x = so3.vars.gen(0)
+    e = reduce_word(so3, (poly_atom(x), ham(0)))
+    for traces in ([ab.zero()] * 3, [so3.vars.zero(), ab.gen(0), so3.vars.zero()]):
+        with pytest.raises(ValueError, match=r"^trace over a different variable table$"):
+            right_module_residue(so3, e, traces)
 
 
 def test_residue_of_polynomial_is_itself(so3):

@@ -132,6 +132,9 @@ def test_refusal_messages(so3):
         so3.lr_bracket(basis_form(ab, 0), basis_form(so3.vars, 0))
     with pytest.raises(IndexError, match=r"^variable index 3 out of range$"):
         so3.omega_h_action(so3.vars.gen(0), 3)
+    for i in (9, 3, -1):
+        with pytest.raises(IndexError, match=rf"^variable index {i} out of range$"):
+            basis_form(XYZ, i)
 
 
 # -- bracket goldens ----------------------------------------------------------
