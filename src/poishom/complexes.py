@@ -33,9 +33,12 @@ once: ``_duality_certificate`` checks that m (.) dx_I -> (m, I^c) carries
 the omega boundary's steps onto the coboundary's, up to sign.  When it
 holds, the cohomology table is the twisted homology table moved by the sum
 of the weights, so the report runs one twisted sweep over the window and
-its ``cohomology`` is a ``_Table`` computing each cell when it is read,
-above the window only when a shift's comparison reaches that far.  When
-it fails, the cohomology is swept on its own and the verdict is FAIL.
+its ``cohomology`` is a ``_Table`` computing each cell when it is read.
+When it fails, the cohomology is swept on its own and the verdict is FAIL.
+Either way a shift is first tested by the Euler characteristics of its
+strands, counted on both sides by ``_count`` off the Hilbert function of
+the weights; only a shift that survives reads cells, and reaches above
+the window only once every pair inside it agrees.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from operator import add
 
@@ -112,6 +116,25 @@ def _basis(S: PoissonStructure, n: int, w: int, sign: int) -> ChainBasis:
         elements.sort()
         bases[key] = ChainBasis(tuple(elements))
     return bases[key]
+
+
+@lru_cache(maxsize=1 << 16)
+def _hilbert(weights: "tuple[int, ...]", w: int) -> int:
+    """The number of monomials of weight w in variables of these weights."""
+    if w < 0 or not weights:
+        return int(w == 0)
+    return sum(_hilbert(weights[1:], w - e * weights[0])
+               for e in range(w // weights[0] + 1))
+
+
+def _count(S: PoissonStructure, n: int, w: int, sign: int) -> int:
+    """The size of ``_basis(S, n, w, sign)``, counted off the Hilbert
+    function of the weights without enumerating a monomial."""
+    weights = S.vars.weights
+    if not 0 <= n <= len(weights):
+        return 0
+    return sum(_hilbert(weights, w + sign * sum(index))
+               for index in combinations(weights, n))
 
 
 def chain_basis(S: PoissonStructure, n: int, w: int) -> ChainBasis:
@@ -467,12 +490,26 @@ def duality_report(S: PoissonStructure, max_weight: int = 8) -> DualityReport:
     The expected shift s is the sum of the variable weights.  All shifts in
     0..s are tried, and the report fails rather than ever papering over a
     mismatch; ``fitting_shifts`` is empty when nothing fits.  A max_weight
-    below 0 leaves no cell and is refused with ValueError.
+    below 0 leaves no cell and is refused with ValueError, and then a
+    structure of no uniform degree with NonHomogeneousError, before any
+    count.
 
     The verdict needs ``_duality_certificate`` to hold; then each
-    cohomology cell (k, v) is read off the twisted cell (ell - k, v + s),
-    and a shift's comparison reaches above the window only once every pair
-    inside it agrees.  Otherwise the cohomology is swept on its own.
+    cohomology cell (k, v) is read off the twisted cell (ell - k, v + s).
+    Otherwise the cohomology is swept on its own.
+
+    A shift is first tested by counts alone.  A strand, the chain cells
+    (n, c - n * d') for n = 0..ell with d' the weight shift, is a finite
+    subcomplex, and so are the cochain cells (ell - n, c - n * d' - t) it
+    pairs with at a shift t, so the Euler characteristic of each side is
+    that of its cell sizes (``_count``).  At a fitting shift the two agree
+    on every strand whose cells each lie in the window or are empty on
+    both sides; where they differ, the shift is refuted exactly,
+    certificate or not, and no cell is read.  Both sums vanish on every
+    strand when a generator has weight -d', and then no shift is tested.
+    A shift that survives is compared cell by cell, the pairs inside the
+    window first, so it reaches above the window only once every pair
+    inside agrees.
 
     A structure is unimodular when every generator trace vanishes.  The
     omega twist table is the traces and the canonical one is zero, so
@@ -498,7 +535,32 @@ def duality_report(S: PoissonStructure, max_weight: int = 8) -> DualityReport:
         return all(twisted[(n, w)] == cohomology[(ell - n, w - s)]
                    for n, w in pairs)
 
-    fitting = tuple(s for s in range(expected + 1) if fits(s))
+    shift = S.weight_shift()
+
+    @lru_cache(maxsize=None)
+    def strand(c: int, sign: int) -> "tuple[int, ...]":
+        # the sizes of the chain cells (n, c - n * shift) (sign -1), or of
+        # the cochain cells (ell - n, c - n * shift) (sign 1), n = 0..ell
+        return tuple(_count(S, n if sign < 0 else ell - n, c - n * shift, sign)
+                     for n in range(ell + 1))
+
+    def refuted(s: int) -> bool:
+        # the chain strand c pairs with the cochain strand c - s; only a
+        # strand that reaches the window can refute.  When a generator has
+        # weight -shift, adding it to or taking it from the multi-index
+        # cancels the terms of both alternating sums of every strand in
+        # pairs, so then none can
+        if not all(w + shift for w in S.vars.weights):
+            return False
+        for c in range(min(0, ell * shift), max_weight + max(0, ell * shift) + 1):
+            pairs = list(enumerate(zip(strand(c, -1), strand(c - s, 1))))
+            if (all(0 <= c - n * shift <= max_weight or a == b == 0
+                    for n, (a, b) in pairs)
+                    and sum((-1) ** n * (a - b) for n, (a, b) in pairs)):
+                return True
+        return False
+
+    fitting = tuple(s for s in range(expected + 1) if not refuted(s) and fits(s))
     cells = [
         (n, w, twisted[(n, w)], cohomology[(ell - n, w - expected)],
          twisted[(n, w)] == cohomology[(ell - n, w - expected)])

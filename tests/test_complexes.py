@@ -84,6 +84,32 @@ def test_weighted_chain_basis():
     assert len(cells) == 3
 
 
+@pytest.mark.parametrize("entry", CATALOG, ids=[e.id for e in CATALOG])
+def test_count_is_the_basis_size(entry):
+    # the strand check refutes shifts by these counts, so a count off by
+    # one would refute a shift that fits
+    S = entry.document.to_structure()
+    ell, total = len(S.vars), sum(S.vars.weights)
+    for sign in (-1, 1):
+        for n in range(-1, ell + 2):
+            for w in range(-total - 1, 11):
+                assert complexes._count(S, n, w, sign) == len(
+                    complexes._basis(S, n, w, sign)), (sign, n, w)
+
+
+def test_strand_sums_vanish_with_a_generator_of_weight_minus_the_shift(so3):
+    # why duality_report skips the strand check on such structures
+    vt = VarTable(("x", "y"), (1, 2))
+    for S in (so3, PoissonStructure(vt, {(0, 1): vt.gen(0) ** 2})):
+        ell, d = len(S.vars), S.weight_shift()
+        assert -d in S.vars.weights
+        for c in range(-6, 12):
+            for sign in (-1, 1):
+                assert sum((-1) ** n * complexes._count(
+                    S, n if sign < 0 else ell - n, c - n * d, sign)
+                    for n in range(ell + 1)) == 0, (c, sign)
+
+
 # -- boundary goldens ----------------------------------------------------------
 
 
@@ -710,6 +736,36 @@ def test_duality_refuses_an_empty_window(so3):
         duality_report(so3, max_weight=-1)
 
 
+def test_duality_refuses_before_any_count(monkeypatch):
+    monkeypatch.setattr(complexes, "_count", lambda *args: pytest.fail("counted"))
+    vt = VarTable(("x", "y"))
+    S = PoissonStructure(vt, {(0, 1): vt.gen(0) + 1})
+    with pytest.raises(ValueError, match="max_weight must be at least 0"):
+        duality_report(S, max_weight=-1)
+    with pytest.raises(NonHomogeneousError):
+        duality_report(S, max_weight=2)
+
+
+SHIFT_ZERO = ("log-canonical-2", "log-canonical-3", "log-canonical-3u",
+              "potential-x2z", "trivial-1", "trivial-2", "trivial-3")
+
+
+def _ranks_stay_in_the_window(S, max_weight):
+    """With weight shift 0 every strand is one weight, so the strand
+    check refutes each wrong shift before it reads a cell above the
+    window, and no rank leaves a cell above it."""
+    assert S.weight_shift() == 0
+    duality_report(S, max_weight)
+    cells = [cell for ranks in S.term_tables().ranks.values() for cell in ranks]
+    assert cells and all(w <= max_weight for n, w in cells)
+
+
+@pytest.mark.parametrize("max_weight", [0, 1])
+@pytest.mark.parametrize("entry_id", SHIFT_ZERO)
+def test_wrong_shifts_take_no_rank_above_the_window(entry_id, max_weight):
+    _ranks_stay_in_the_window(_fresh(entry_id), max_weight)
+
+
 # -- the duality certificate and the cohomology read off the twisted cells -------
 
 
@@ -724,9 +780,12 @@ def _oracles_agree(make, max_weight):
     assert report.fitting_shifts == eager_duality(make(), max_weight)
 
 
-@pytest.mark.parametrize("entry", CATALOG, ids=[e.id for e in CATALOG])
-def test_duality_matches_the_two_sweep_oracles(entry):
-    _oracles_agree(lambda: _fresh(entry.id), 8)
+# at window 0, symplectic-plane and so3 have a second fitting shift
+@pytest.mark.parametrize("entry, max_weight", [
+    *(pytest.param(e, 8, id=e.id) for e in CATALOG),
+    *(pytest.param(e, 0, id=f"{e.id}-window-0") for e in CATALOG)])
+def test_duality_matches_the_two_sweep_oracles(entry, max_weight):
+    _oracles_agree(lambda: _fresh(entry.id), max_weight)
 
 
 @st.composite
@@ -762,6 +821,13 @@ def test_certificate_and_oracles_on_random_structures(S):
     document = (S.vars, dict(S.entries))
     assert complexes._duality_certificate(S)
     _oracles_agree(lambda: PoissonStructure(*document), 3)
+
+
+@given(weighted_structures().filter(lambda S: S.weight_shift() == 0),
+       st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_wrong_shifts_take_no_rank_above_the_window_on_random_structures(S, max_weight):
+    _ranks_stay_in_the_window(S, max_weight)
 
 
 def _drop_anchor_term(S):
