@@ -23,22 +23,24 @@ A boundary is keyed by its twist table, the terms added to each
 generator's action (``_twist``): zero for "canonical" and the traces for
 "omega", so a unimodular structure has one table for both.  The
 coboundary's table is the zero twist's read backwards.  One small kernel,
-``_assemble``, evaluates a plan table on the exponent tuple of each column
-into int rows and hands them to ``SparseMatrix`` as they are, over D.  One
+``_assemble``, enumerates both cells and evaluates a plan table on each
+column's exponent tuple into int rows, handed to ``SparseMatrix`` over D.  One
 sweep, ``_dims``, reads homology and cohomology tables alike off a
 ``_Table``, and each rank is taken once per structure and differential.
 
-``duality_report`` decides duality on the plan tables, for every weight at
-once: ``_duality_certificate`` checks that m (.) dx_I -> (m, I^c) carries
-the omega boundary's steps onto the coboundary's, up to sign.  When it
-holds, the cohomology table is the twisted homology table moved by the sum
-of the weights, so the report runs one twisted sweep over the window and
-its ``cohomology`` is a ``_Table`` computing each cell when it is read.
-When it fails, the cohomology is swept on its own and the verdict is FAIL.
-Either way a shift is first tested by the Euler characteristics of its
-strands, counted on both sides by ``_count`` off the Hilbert function of
-the weights; only a shift that survives reads cells, and reaches above
-the window only once every pair inside it agrees.
+The cochain side is the chain side under the complement map
+m (.) dx_I -> (m, I^c).  ``duality_report`` decides duality on the plan
+tables, for every weight at once: ``_duality_certificate`` checks that the
+complement image of the omega boundary's table is the zero-twist table,
+the coboundary's read backwards.  When it holds, the cohomology table is
+the twisted homology table moved by the sum of the weights, so the report
+runs one twisted sweep and its ``cohomology`` is a ``_Table`` computing
+each cell when it is read; when it fails, the cohomology is swept on its
+own and the verdict is FAIL.  Either way a shift is first tested by the
+Euler characteristics of strands, counted by ``_count`` off the Hilbert
+function of the weights on the chain side only, since the map matches the
+two bases.  Only a shift that survives reads cells, and reaches above the
+window only once every pair inside it agrees.
 """
 
 from __future__ import annotations
@@ -127,13 +129,13 @@ def _hilbert(weights: "tuple[int, ...]", w: int) -> int:
                for e in range(w // weights[0] + 1))
 
 
-def _count(S: PoissonStructure, n: int, w: int, sign: int) -> int:
-    """The size of ``_basis(S, n, w, sign)``, counted off the Hilbert
-    function of the weights without enumerating a monomial."""
+def _count(S: PoissonStructure, n: int, w: int) -> int:
+    """The size of ``chain_basis(S, n, w)``, n >= 0, off the Hilbert
+    function of the weights.  The cochain cell (k, v) has the size of the
+    chain cell (ell - k, v + the sum of the weights): m (.) dx_I <->
+    m (.) dx_{I^c} matches the two bases."""
     weights = S.vars.weights
-    if not 0 <= n <= len(weights):
-        return 0
-    return sum(_hilbert(weights, w + sign * sum(index))
+    return sum(_hilbert(weights, w - sum(index))
                for index in combinations(weights, n))
 
 
@@ -250,10 +252,13 @@ def _plans(S: PoissonStructure, twist: "tuple[Terms, ...]",
     return plans
 
 
-def _assemble(S: PoissonStructure, src: ChainBasis, tgt: ChainBasis,
-              plans: "dict[tuple[int, ...], Plan]") -> GradedComplexCell:
-    """Evaluate each column's plan on its monomial into int rows over the
+def _assemble(S: PoissonStructure, basis: "Callable[..., ChainBasis]", n: int, w: int,
+              step: int, plans: "dict[tuple[int, ...], Plan]") -> GradedComplexCell:
+    """The matrix from the cell (n, w) of ``basis`` to (n + step, w + d - 2):
+    each column's plan evaluated on its monomial into int rows over the
     structure denominator."""
+    src = basis(S, n, w)
+    tgt = basis(S, n + step, w + S.weight_shift())
     position = tgt._position
     rows: dict[int, dict[int, int]] = {}
     for col, (exps, index) in enumerate(src.elements):
@@ -278,11 +283,7 @@ def boundary_matrix(S: PoissonStructure, n: int, w: int,
 
     The target cell sits at (n - 1, w + d - 2); graded structures only.
     """
-    twist = _twist(S, coeff)
-    shift = S.weight_shift()
-    src = chain_basis(S, n, w)
-    tgt = chain_basis(S, n - 1, w + shift)
-    return _assemble(S, src, tgt, _plans(S, twist))
+    return _assemble(S, chain_basis, n, w, -1, _plans(S, _twist(S, coeff)))
 
 
 def coboundary_matrix(S: PoissonStructure, n: int, w: int) -> GradedComplexCell:
@@ -290,10 +291,8 @@ def coboundary_matrix(S: PoissonStructure, n: int, w: int) -> GradedComplexCell:
 
     The target cell sits at (n + 1, w + d - 2); graded structures only.
     """
-    shift = S.weight_shift()
-    src = cochain_basis(S, n, w)
-    tgt = cochain_basis(S, n + 1, w + shift)
-    return _assemble(S, src, tgt, _plans(S, _twist(S, "canonical"), backwards=True))
+    return _assemble(S, cochain_basis, n, w, 1,
+                     _plans(S, _twist(S, "canonical"), backwards=True))
 
 
 def _cell_dims(S: PoissonStructure, coeff: "str | None"):
@@ -401,34 +400,31 @@ def _shuffle_sign(index: "tuple[int, ...]") -> int:
 
 def _duality_certificate(S: PoissonStructure) -> bool:
     """True when m (.) dx_I -> (m, I^c) carries the omega boundary onto the
-    coboundary, up to sign, at every weight at once.
+    coboundary, up to sign, at every weight at once: when the complement
+    image of the omega plan table equals the zero-twist table.
 
-    For every step I -> J of the omega plan table, the zero-twist table
-    must hold the step J^c -> I^c with the same t, constant sigma * c0 and
-    anchor part -sigma * linear, where sigma = (-1)^|I| eps(I) eps(J) and
-    eps is ``_shuffle_sign``, and no other step.  The coboundary is the
-    zero-twist table read backwards, so that makes each coboundary cell
-    (ell - n, w - s) the omega boundary cell (n, w) with rows and columns
-    signed, s the sum of the weights.
+    The image of a step I -> J is the step J^c -> I^c with the same t,
+    constant sigma * c0 and anchor part -sigma * linear, sigma = (-1)^|I|
+    eps(I) eps(J) with eps ``_shuffle_sign``; indices with no steps are
+    left out.  A plan has at most one step per (J, t), so no other step
+    can hide.  The coboundary is the zero-twist table read backwards, so
+    each coboundary cell (ell - n, w - s) is the omega boundary cell (n, w)
+    with rows and columns signed, s the sum of the weights.
     """
     ell = len(S.vars)
 
     def complement(index: "tuple[int, ...]") -> "tuple[int, ...]":
         return tuple(i for i in range(ell) if i not in index)
 
-    boundary = {K: {(J, t): (c0, dict(linear)) for J, t, c0, linear in plan}
-                for K, plan in _plans(S, _twist(S, "canonical")).items()}
-    steps = 0
+    image: dict = {}
     for I, plan in _plans(S, _twist(S, "omega")).items():
-        target = complement(I)
         sign_I = (-1) ** len(I) * _shuffle_sign(I)
         for J, t, c0, linear in plan:
             sigma = sign_I * _shuffle_sign(J)
-            if boundary[complement(J)].get((target, t)) != (
-                    sigma * c0, {a: -sigma * c for a, c in linear}):
-                return False
-            steps += 1
-    return steps == sum(map(len, boundary.values()))
+            image.setdefault(complement(J), {})[(complement(I), t)] = (
+                sigma * c0, {a: -sigma * c for a, c in linear})
+    return image == {K: {(J, t): (c0, dict(linear)) for J, t, c0, linear in plan}
+                     for K, plan in _plans(S, _twist(S, "canonical")).items() if plan}
 
 
 @dataclass
@@ -502,7 +498,8 @@ def duality_report(S: PoissonStructure, max_weight: int = 8) -> DualityReport:
     (n, c - n * d') for n = 0..ell with d' the weight shift, is a finite
     subcomplex, and so are the cochain cells (ell - n, c - n * d' - t) it
     pairs with at a shift t, so the Euler characteristic of each side is
-    that of its cell sizes (``_count``).  At a fitting shift the two agree
+    that of its cell sizes (``_count``); the cochain side has the sizes
+    of the chain strand c + s - t.  At a fitting shift the two agree
     on every strand whose cells each lie in the window or are empty on
     both sides; where they differ, the shift is refuted exactly,
     certificate or not, and no cell is read.  Both sums vanish on every
@@ -538,22 +535,20 @@ def duality_report(S: PoissonStructure, max_weight: int = 8) -> DualityReport:
     shift = S.weight_shift()
 
     @lru_cache(maxsize=None)
-    def strand(c: int, sign: int) -> "tuple[int, ...]":
-        # the sizes of the chain cells (n, c - n * shift) (sign -1), or of
-        # the cochain cells (ell - n, c - n * shift) (sign 1), n = 0..ell
-        return tuple(_count(S, n if sign < 0 else ell - n, c - n * shift, sign)
-                     for n in range(ell + 1))
+    def strand(c: int) -> "tuple[int, ...]":
+        # the sizes of the chain cells (n, c - n * shift), n = 0..ell
+        return tuple(_count(S, n, c - n * shift) for n in range(ell + 1))
 
     def refuted(s: int) -> bool:
-        # the chain strand c pairs with the cochain strand c - s; only a
-        # strand that reaches the window can refute.  When a generator has
-        # weight -shift, adding it to or taking it from the multi-index
-        # cancels the terms of both alternating sums of every strand in
-        # pairs, so then none can
+        # the chain strand c pairs with the cochain cells of the chain
+        # strand c + expected - s; only a strand that reaches the window
+        # can refute.  When a generator has weight -shift, adding it to or
+        # taking it from the multi-index cancels each strand's alternating
+        # sum in pairs, so then none can
         if not all(w + shift for w in S.vars.weights):
             return False
         for c in range(min(0, ell * shift), max_weight + max(0, ell * shift) + 1):
-            pairs = list(enumerate(zip(strand(c, -1), strand(c - s, 1))))
+            pairs = list(enumerate(zip(strand(c), strand(c + expected - s))))
             if (all(0 <= c - n * shift <= max_weight or a == b == 0
                     for n, (a, b) in pairs)
                     and sum((-1) ** n * (a - b) for n, (a, b) in pairs)):

@@ -87,14 +87,16 @@ def test_weighted_chain_basis():
 @pytest.mark.parametrize("entry", CATALOG, ids=[e.id for e in CATALOG])
 def test_count_is_the_basis_size(entry):
     # the strand check refutes shifts by these counts, so a count off by
-    # one would refute a shift that fits
+    # one would refute a shift that fits; a cochain cell (k, v) is counted
+    # as the chain cell (ell - k, v + total), m dx_I <-> m dx_{I^c}
     S = entry.document.to_structure()
     ell, total = len(S.vars), sum(S.vars.weights)
-    for sign in (-1, 1):
-        for n in range(-1, ell + 2):
-            for w in range(-total - 1, 11):
-                assert complexes._count(S, n, w, sign) == len(
-                    complexes._basis(S, n, w, sign)), (sign, n, w)
+    for w in range(-total - 1, 11):
+        for n in range(ell + 2):
+            assert complexes._count(S, n, w) == len(chain_basis(S, n, w)), (n, w)
+        for k in range(ell + 1):
+            assert complexes._count(S, ell - k, w + total) == len(
+                cochain_basis(S, k, w)), (k, w)
 
 
 def test_strand_sums_vanish_with_a_generator_of_weight_minus_the_shift(so3):
@@ -104,10 +106,8 @@ def test_strand_sums_vanish_with_a_generator_of_weight_minus_the_shift(so3):
         ell, d = len(S.vars), S.weight_shift()
         assert -d in S.vars.weights
         for c in range(-6, 12):
-            for sign in (-1, 1):
-                assert sum((-1) ** n * complexes._count(
-                    S, n if sign < 0 else ell - n, c - n * d, sign)
-                    for n in range(ell + 1)) == 0, (c, sign)
+            assert sum((-1) ** n * complexes._count(S, n, c - n * d)
+                       for n in range(ell + 1)) == 0, c
 
 
 # -- boundary goldens ----------------------------------------------------------
@@ -815,12 +815,14 @@ def weighted_structures(draw):
     return PoissonStructure(vt, {(0, 1): dz, (1, 2): dx, (0, 2): -dy})
 
 
-@given(weighted_structures())
+@given(weighted_structures(), st.integers(0, 3))
 @settings(max_examples=60, deadline=None)
-def test_certificate_and_oracles_on_random_structures(S):
+def test_certificate_and_oracles_on_random_structures(S, max_weight):
+    # random weights with a small window are where a strand read off by
+    # the sum of the weights would change the fitting shifts
     document = (S.vars, dict(S.entries))
     assert complexes._duality_certificate(S)
-    _oracles_agree(lambda: PoissonStructure(*document), 3)
+    _oracles_agree(lambda: PoissonStructure(*document), max_weight)
 
 
 @given(weighted_structures().filter(lambda S: S.weight_shift() == 0),
@@ -844,8 +846,8 @@ def _drop_anchor_term(S):
 
 
 def _drop_step(S):
-    # every other step still has its counterpart, so only the count of
-    # steps can see this one
+    # every other step still has its counterpart, so only the equality of
+    # the whole tables can see this one
     plans = complexes._plans(S, complexes._twist(S, "omega"))
     I = next(I for I, plan in plans.items() if plan)
     plans[I] = plans[I][1:]
