@@ -17,6 +17,7 @@ import sys
 from .catalog import CATALOG, get_entry
 from .complexes import (
     _COEFFS,
+    CertificateFailure,
     cohomology_dims,
     dim_table_tsv,
     duality_report,
@@ -194,20 +195,16 @@ def _cmd_pbw(doc: SpecDocument, args, out) -> int:
     if _below("--samples", args.samples, 1):
         return EXIT_USAGE
     S = doc.to_structure()
-    try:
-        words = confluence_check(S, samples=args.samples)
-        print(f"confluence: ok ({words} words)", file=out)
-        # the table's largest key is its pair of bounds
-        filtration, weight = max(gr_dimension_check(S))
-        print(f"graded dimensions: ok (filtration <= {filtration}, "
-              f"weight <= {weight})", file=out)
-        if args.nu:
-            report = nu_check(S)
-            print(f"twist: ok ({report.relations_checked} relations, "
-                  f"{report.module_samples} samples)", file=out)
-    except (ConfluenceFailure, RelationViolation, ModuleMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MATH
+    words = confluence_check(S, samples=args.samples)
+    print(f"confluence: ok ({words} words)", file=out)
+    # the table's largest key is its pair of bounds
+    filtration, weight = max(gr_dimension_check(S))
+    print(f"graded dimensions: ok (filtration <= {filtration}, "
+          f"weight <= {weight})", file=out)
+    if args.nu:
+        report = nu_check(S)
+        print(f"twist: ok ({report.relations_checked} relations, "
+              f"{report.module_samples} samples)", file=out)
     return EXIT_OK
 
 
@@ -242,7 +239,8 @@ def _dispatch(args, out) -> int:
         return EXIT_USAGE
     try:
         return _HANDLERS[args.command](doc, args, out)
-    except JacobiViolation as exc:
+    except (JacobiViolation, CertificateFailure, ConfluenceFailure,
+            RelationViolation, ModuleMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
     except NonHomogeneousError as exc:

@@ -24,23 +24,24 @@ generator's action (``_twist``): zero for "canonical" and the traces for
 "omega", so a unimodular structure has one table for both.  The
 coboundary's table is the zero twist's read backwards.  One small kernel,
 ``_assemble``, enumerates both cells and evaluates a plan table on each
-column's exponent tuple into int rows, handed to ``SparseMatrix`` over D.  One
-sweep, ``_dims``, reads homology and cohomology tables alike off a
-``_Table``, and each rank is taken once per structure and differential.
+column's exponent tuple into int rows, handed to ``SparseMatrix`` over D.
 
-The cochain side is the chain side under the complement map
-m (.) dx_I -> (m, I^c).  ``duality_report`` decides duality on the plan
-tables, for every weight at once: ``_duality_certificate`` checks that the
-complement image of the omega boundary's table is the zero-twist table,
-the coboundary's read backwards.  When it holds, the cohomology table is
-the twisted homology table moved by the sum of the weights, so the report
-runs one twisted sweep and its ``cohomology`` is a ``_Table`` computing
-each cell when it is read; when it fails, the cohomology is swept on its
-own and the verdict is FAIL.  Either way a shift is first tested by the
-Euler characteristics of strands, counted by ``_count`` off the Hilbert
-function of the weights on the chain side only, since the map matches the
-two bases.  Only a shift that survives reads cells, and reaches above the
-window only once every pair inside it agrees.
+Every sweep takes boundaries only.  The cochain side is the chain side
+under the complement map m (.) dx_I -> (m, I^c): ``_duality_certificate``
+checks, for every weight at once, that the complement image of the omega
+boundary's table is the zero-twist table, the coboundary's read
+backwards.  The check holds for any bivector, so it fails only on a fault
+in the code, and then ``CertificateFailure`` is raised.  When it holds,
+the cohomology cell (k, v) is the omega homology cell (ell - k, v + s), s
+the sum of the weights: ``cohomology_dims`` and ``duality_report`` read
+one ``_Table`` off the omega boundary's ranks (``_cohomology``), each
+rank taken once per structure and twist.  ``coboundary_matrix`` and
+``cochain_basis`` remain as cell-level API, and no sweep calls them.
+``duality_report`` first tests a shift by the Euler characteristics of
+strands, counted by ``_count`` off the Hilbert function of the weights
+on the chain side only, since the map matches the two bases.  Only a
+shift that survives reads cells, and reaches above the window only once
+every pair inside it agrees.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ __all__ = [
     "homology_dims",
     "cohomology_dims",
     "dim_table_tsv",
+    "CertificateFailure",
     "DualityReport",
     "duality_report",
 ]
@@ -295,41 +297,35 @@ def coboundary_matrix(S: PoissonStructure, n: int, w: int) -> GradedComplexCell:
                      _plans(S, _twist(S, "canonical"), backwards=True))
 
 
-def _cell_dims(S: PoissonStructure, coeff: "str | None"):
-    """The homology (coeff "canonical" or "omega") or cohomology (coeff
-    None) dimension as a function of the cell (n, w), and the lowest weight
-    of any cell: dim ker of the differential leaving (n, w) minus the rank
-    of the one arriving, computed also when it leaves a cell outside any
-    window.  Each rank is taken once per structure and differential and
+def _cell_dims(S: PoissonStructure, coeff: str) -> "Callable[[int, int], int]":
+    """The homology dimension, coeff "canonical" or "omega", as a function
+    of the cell (n, w): dim ker of the boundary leaving (n, w) minus the
+    rank of the one arriving, computed also when it leaves a cell outside
+    any window.  Each rank is taken once per structure and twist table and
     kept in ``TermTables.ranks``.
     """
-    twist = _twist(S, "canonical" if coeff is None else coeff)
+    twist = _twist(S, coeff)
     shift = S.weight_shift()
     ell = len(S.vars)
-    if coeff is None:
-        step, floor, basis = 1, -sum(S.vars.weights), cochain_basis
-    else:
-        step, floor, basis = -1, 0, chain_basis
-    ranks = S.term_tables().ranks.setdefault((twist, coeff is None), {})
+    ranks = S.term_tables().ranks.setdefault(twist, {})
 
     def rank(n: int, w: int) -> int:
-        """Rank of the differential leaving (n, w); a map with an empty
-        side has rank 0 and is not built."""
-        if not (0 <= n <= ell and 0 <= n + step <= ell and w >= floor):
+        """Rank of the boundary leaving (n, w); a map with an empty side
+        has rank 0 and is not built."""
+        if not (1 <= n <= ell and w >= 0):
             return 0
         key = (n, w)
         if key not in ranks:
-            if not (basis(S, n, w) and basis(S, n + step, w + shift)):
+            if not (chain_basis(S, n, w) and chain_basis(S, n - 1, w + shift)):
                 ranks[key] = 0
             else:
-                ranks[key] = (coboundary_matrix(S, n, w) if coeff is None
-                              else boundary_matrix(S, n, w, coeff)).matrix.rank()
+                ranks[key] = boundary_matrix(S, n, w, coeff).matrix.rank()
         return ranks[key]
 
     def dim(n: int, w: int) -> int:
-        return len(basis(S, n, w)) - rank(n, w) - rank(n - step, w - shift)
+        return len(chain_basis(S, n, w)) - rank(n, w) - rank(n + 1, w - shift)
 
-    return dim, floor
+    return dim
 
 
 @dataclass(eq=False)
@@ -356,33 +352,43 @@ class _Table(Mapping):
         return (self.ell + 1) * (self.max_weight - self.floor + 1)
 
 
-def _dims(S: PoissonStructure, coeff: "str | None",
-          max_weight: int) -> "dict[tuple[int, int], int]":
-    """Homology (coeff "canonical" or "omega") or cohomology (coeff None)
-    dimensions per (n, w), w from the lowest weight of any cell and n up
-    to the number of variables: no cell lies above it.  A window that
-    holds no cell is refused with ValueError, after an unknown coefficient
-    name."""
-    dim, floor = _cell_dims(S, coeff)
+def _check_window(max_weight: int, floor: int) -> None:
+    """Refuse with ValueError a window that holds no cell."""
     if max_weight < floor:
         raise ValueError(f"max_weight must be at least {floor}, got {max_weight}")
-    return dict(_Table(dim, len(S.vars), floor, max_weight))
 
 
 def homology_dims(S: PoissonStructure, coeff: str = "canonical",
                   max_weight: int = 8) -> "dict[tuple[int, int], int]":
-    """Homology dimensions per (n, w) over 0 <= w <= max_weight."""
-    return _dims(S, coeff, max_weight)
+    """Homology dimensions per (n, w), 0 <= n <= ell and 0 <= w <= max_weight.
+    Refuses an unknown coefficient name, then a structure of no uniform
+    degree, then an empty window."""
+    dim = _cell_dims(S, coeff)
+    _check_window(max_weight, 0)
+    return dict(_Table(dim, len(S.vars), 0, max_weight))
+
+
+def _cohomology(S: PoissonStructure, max_weight: int) -> _Table:
+    """The cohomology table over -s <= w <= max_weight, s the sum of the
+    weights: each cell (k, v) is the omega homology cell (ell - k, v + s),
+    computed when read.  Refuses a structure of no uniform degree, then an
+    empty window, and raises ``CertificateFailure`` unless
+    ``_duality_certificate`` holds."""
+    ell, total = len(S.vars), sum(S.vars.weights)
+    dim = _cell_dims(S, "omega")
+    _check_window(max_weight, -total)
+    if not _duality_certificate(S):
+        raise CertificateFailure(
+            "duality certificate failed: the omega boundary plans are not "
+            "the coboundary's under m dx_I -> (m, I^c)")
+    return _Table(lambda k, v: dim(ell - k, v + total), ell, -total, max_weight)
 
 
 def cohomology_dims(S: PoissonStructure,
                     max_weight: int = 8) -> "dict[tuple[int, int], int]":
-    """Cohomology dimensions per (n, w).
-
-    The window starts at minus the sum of the variable weights, the lowest
-    weight any cochain can carry.
-    """
-    return _dims(S, None, max_weight)
+    """Cohomology dimensions per (n, w), w from minus the sum of the
+    variable weights, read off the omega homology by ``_cohomology``."""
+    return dict(_cohomology(S, max_weight))
 
 
 def dim_table_tsv(table: "dict[tuple[int, int], int]") -> str:
@@ -396,6 +402,12 @@ def _shuffle_sign(index: "tuple[int, ...]") -> int:
     """Sign of the shuffle that sorts index followed by its complement:
     -1 to the number of pairs i in index, k outside it with k < i."""
     return -1 if (sum(index) - len(index) * (len(index) - 1) // 2) % 2 else 1
+
+
+class CertificateFailure(AssertionError):
+    """The complement image of the omega plan table is not the zero-twist
+    table.  The identity holds for every bivector, so this is a fault in
+    the code, never a property of the structure."""
 
 
 def _duality_certificate(S: PoissonStructure) -> bool:
@@ -433,14 +445,13 @@ class DualityReport:
 
     ``cells`` holds rows (n, w, twisted dim, cohomology dim at
     (ell - n, w - expected_shift), match); ``fitting_shifts`` lists every
-    uniform shift that makes all cells agree.  ``certified`` says whether
-    the duality certificate held on the plan tables; ``cohomology`` is a
-    read-only table with the keys of ``cohomology_dims``: when it held, a
-    ``_Table`` that reads each cell (k, v) off the twisted cell
-    (ell - k, v + expected_shift) when it is read.  On unimodular
-    structures the canonical homology table is the twisted one, since
-    every trace vanishes, so the omega twist table is the zero one and
-    both names assemble from one plan table.
+    uniform shift that makes all cells agree, and ``passed`` says whether
+    the expected shift is among them.  ``cohomology`` is the read-only
+    table that ``cohomology_dims`` copies, each cell (k, v) read off the
+    twisted cell (ell - k, v + expected_shift) when it is read.  On
+    unimodular structures the canonical homology table is the twisted one,
+    since every trace vanishes, so the omega twist table is the zero one
+    and both names assemble from one plan table.
     """
 
     ell: int
@@ -451,7 +462,6 @@ class DualityReport:
     cohomology: "Mapping[tuple[int, int], int]"
     unimodular: bool
     cells: "list[tuple[int, int, int, int, bool]]"
-    certified: bool
     passed: bool
 
     def render_text(self) -> str:
@@ -466,9 +476,6 @@ class DualityReport:
         lines.append(header)
         for n, w, t, c, ok in self.cells:
             lines.append(f"{n:>3} {w:>3} {t:>8} {c:>6}  {'yes' if ok else 'NO'}")
-        if not self.certified:
-            lines.append("certificate: FAIL (the omega boundary plans are not "
-                         "the coboundary's under m dx_I -> (m, I^c))")
         lines.append(f"result: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
 
@@ -488,11 +495,8 @@ def duality_report(S: PoissonStructure, max_weight: int = 8) -> DualityReport:
     mismatch; ``fitting_shifts`` is empty when nothing fits.  A max_weight
     below 0 leaves no cell and is refused with ValueError, and then a
     structure of no uniform degree with NonHomogeneousError, before any
-    count.
-
-    The verdict needs ``_duality_certificate`` to hold; then each
-    cohomology cell (k, v) is read off the twisted cell (ell - k, v + s).
-    Otherwise the cohomology is swept on its own.
+    count.  The cohomology is ``_cohomology``'s table, so a failed
+    ``_duality_certificate`` raises ``CertificateFailure``.
 
     A shift is first tested by counts alone.  A strand, the chain cells
     (n, c - n * d') for n = 0..ell with d' the weight shift, is a finite
@@ -501,9 +505,9 @@ def duality_report(S: PoissonStructure, max_weight: int = 8) -> DualityReport:
     that of its cell sizes (``_count``); the cochain side has the sizes
     of the chain strand c + s - t.  At a fitting shift the two agree
     on every strand whose cells each lie in the window or are empty on
-    both sides; where they differ, the shift is refuted exactly,
-    certificate or not, and no cell is read.  Both sums vanish on every
-    strand when a generator has weight -d', and then no shift is tested.
+    both sides; where they differ, the shift is refuted exactly, and no
+    cell is read.  Both sums vanish on every strand when a generator has
+    weight -d', and then no shift is tested.
     A shift that survives is compared cell by cell, the pairs inside the
     window first, so it reaches above the window only once every pair
     inside agrees.
@@ -513,18 +517,11 @@ def duality_report(S: PoissonStructure, max_weight: int = 8) -> DualityReport:
     then both boundaries are read off one plan table, and the canonical
     homology table is the twisted one; no second sweep is run.
     """
-    if max_weight < 0:
-        raise ValueError(f"max_weight must be at least 0, got {max_weight}")
+    _check_window(max_weight, 0)
     ell = len(S.vars)
     expected = sum(S.vars.weights)
     twisted = homology_dims(S, "omega", max_weight)
-    certified = _duality_certificate(S)
-    if certified:
-        dim = _cell_dims(S, "omega")[0]
-        cohomology: Mapping = _Table(lambda k, v: dim(ell - k, v + expected),
-                                     ell, -expected, max_weight)
-    else:
-        cohomology = cohomology_dims(S, max_weight=max_weight)
+    cohomology = _cohomology(S, max_weight)
 
     def fits(s: int) -> bool:
         # the pairs whose cohomology cell lies above the window come last
@@ -570,6 +567,5 @@ def duality_report(S: PoissonStructure, max_weight: int = 8) -> DualityReport:
         cohomology=cohomology,
         unimodular=S.modular_data().unimodular,
         cells=cells,
-        certified=certified,
-        passed=certified and expected in fitting,
+        passed=expected in fitting,
     )

@@ -53,10 +53,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .polycore import (Polynomial, VarTable, _times, monomials_of_weight,
+from .polycore import (Polynomial, VarTable, _plus, _times, monomials_of_weight,
                        partial_derivative)
-from .structure import (PoissonStructure, Terms, _check_index, _polynomial,
-                        _terms, anchor_action, int_terms)
+from .structure import (PoissonStructure, Terms, _check_index, _derivative,
+                        _polynomial, _terms, anchor_action, int_terms)
 
 __all__ = [
     "Word",
@@ -517,7 +517,9 @@ def nu_check(S: PoissonStructure, samples: int = 20, seed: int = 0) -> NuReport:
     defining relation reduce to the same normal form, which holds on every
     structure since tr is a Poisson vector field, and twisting the plain
     right quotient action reproduces, on random samples, the module action
-    that the rules read off the trace table.
+    f * tr(x_i) - {x_i, f}, with the trace table's tr(x_i) and {x_i, f} =
+    sum_k df/dx_k {x_i, x_k} from ``S.entry``, not from the anchor table
+    that the rules read.
     """
     _at_least("samples", samples, 0)
     vt = S.vars
@@ -534,12 +536,15 @@ def nu_check(S: PoissonStructure, samples: int = 20, seed: int = 0) -> NuReport:
                                     _element(vt, right, 1, d, top))
         relations += 1
 
+    pairs = [[_terms(S.entry(i, k), d) for k in range(n)] for i in range(n)]
     rng = random.Random(seed)
     for _ in range(samples):
         a = _sample_poly(rng, n, max_degree=3, max_terms=3)
         i = rng.randrange(n)
         got = _twisted_residue(tables, a, i, twist[i])
-        want = dict(_peel(a, tables.anchor[i], tables.traces[i], 1))
+        want = _times(a, tables.traces[i])
+        for k in range(n):
+            _plus(want, _times(_derivative(a, k), pairs[i][k]), -1)
         if got != want:
             sample = _polynomial(vt, a, 2)
             raise ModuleMismatch(sample, i, _polynomial(vt, got.items(), 2 * d),

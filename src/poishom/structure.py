@@ -221,8 +221,8 @@ class TermTables:
       backwards;
     * ``bases`` likewise keeps each cell basis ``complexes`` enumerates,
       keyed by (sign -1 for chains or +1 for cochains, n, w);
-    * ``ranks`` keeps the rank of each differential ``complexes`` has
-      taken, keyed like ``plans``, then by the cell (n, w) it leaves.
+    * ``ranks`` keeps the rank of each boundary ``complexes`` has taken,
+      keyed by its twist table, then by the cell (n, w) it leaves.
 
     Every coefficient in ``entries``, ``anchor``, ``partials`` and
     ``traces`` is an int.  Only nonzero polynomials are listed, and pairs

@@ -15,8 +15,8 @@ from operator import add
 from poishom.complexes import (
     GradedComplexCell,
     chain_basis,
+    coboundary_matrix,
     cochain_basis,
-    cohomology_dims,
     homology_dims,
 )
 from poishom.envelope import EnvelopeElement, ham, poly_atom, reduce_combination
@@ -352,13 +352,65 @@ def coboundary_matrix_by_columns(S: PoissonStructure, n: int,
     return GradedComplexCell(src, tgt, sparse_matrix(len(tgt), len(src), entries))
 
 
+def swept_cohomology(S: PoissonStructure,
+                     max_weight: int) -> "dict[tuple[int, int], int]":
+    """Cohomology dimensions per (n, w), 0 <= n <= ell and -sum(weights) <=
+    w <= max_weight, swept over the coboundary matrices: the size of the
+    cochain cell minus the ranks of the coboundary leaving and arriving.
+    It reads no boundary and no duality certificate, so it is independent
+    of the complement map that ``cohomology_dims`` reads the table through."""
+    ell, shift = len(S.vars), S.weight_shift()
+    ranks: dict = {}
+
+    def rank(n: int, w: int) -> int:
+        if not 0 <= n < ell:
+            return 0
+        if (n, w) not in ranks:
+            ranks[(n, w)] = coboundary_matrix(S, n, w).matrix.rank()
+        return ranks[(n, w)]
+
+    return {(n, w): len(cochain_basis(S, n, w)) - rank(n, w) - rank(n - 1, w - shift)
+            for n in range(ell + 1)
+            for w in range(-sum(S.vars.weights), max_weight + 1)}
+
+
+def log_canonical_homology(Q, weights: "tuple[int, ...]", coeff: str,
+                           max_weight: int) -> "dict[tuple[int, int], int]":
+    """Closed-form HP_n(w), 0 <= n <= ell and 0 <= w <= max_weight, of the
+    log-canonical bracket {x_i, x_j} = Q[i][j] x_i x_j in variables of the
+    given weights, with the module ``coeff``.
+
+    A chain m dx_I with m x_I = x^alpha is x^alpha dlog x_I, and on the
+    multidegree-alpha block the boundary is the contraction by the vector
+    v_i = sum_k Q[i][k] alpha_k, less the row sum r_i = sum_k Q[i][k] under
+    "omega".  The block is the exterior algebra on supp alpha, so it is
+    acyclic unless v vanishes on supp alpha, and then its degree-n part
+    has dimension C(|supp alpha|, n).  HP_n(w) sums those over the alpha
+    of weight w; no matrix is built.
+    """
+    if coeff not in _COEFFS:
+        raise ValueError(f"coefficient module must be one of {_COEFFS}, got {coeff!r}")
+    ell = len(weights)
+    rows = [sum(row) if coeff == "omega" else 0 for row in Q]
+    vt = VarTable(tuple(f"x{i}" for i in range(ell)), tuple(weights))
+    table = {(n, w): 0 for n in range(ell + 1) for w in range(max_weight + 1)}
+    for w in range(max_weight + 1):
+        for alpha in monomials_of_weight(vt, w):
+            support = [i for i in range(ell) if alpha[i]]
+            if all(sum(q * a for q, a in zip(Q[i], alpha)) == rows[i]
+                   for i in support):
+                for n in range(len(support) + 1):
+                    table[(n, w)] += comb(len(support), n)
+    return table
+
+
 def eager_duality(S: PoissonStructure, max_weight: int) -> "tuple[int, ...]":
     """The fitting shifts of two independent sweeps, twisted homology and
-    cohomology over the window, compared cell by cell at every shift from 0
-    to the sum of the weights."""
+    cohomology (``swept_cohomology``) over the window, compared cell by
+    cell at every shift from 0 to the sum of the weights."""
     ell = len(S.vars)
     twisted = homology_dims(S, "omega", max_weight)
-    cohomology = cohomology_dims(S, max_weight=max_weight)
+    cohomology = swept_cohomology(S, max_weight)
     return tuple(
         s for s in range(sum(S.vars.weights) + 1)
         if all(twisted[(n, w)] == cohomology[(ell - n, w - s)]

@@ -13,6 +13,7 @@ from poishom.catalog import CATALOG
 from poishom.cli import main
 from poishom.linalg import SparseMatrix
 from poishom.complexes import (
+    CertificateFailure,
     DualityReport,
     boundary_matrix,
     chain_basis,
@@ -41,11 +42,14 @@ from _oracles import (
     eager_duality,
     euler_characteristic_matches,
     jacobian_cohomology,
+    log_canonical_homology,
+    log_canonical_matrix,
     mixed_denominator_log_canonical,
     plans_square_to_zero,
     random_log_canonical,
     random_polynomial,
     scale_traces,
+    swept_cohomology,
     weighted_rational,
 )
 
@@ -652,6 +656,64 @@ def test_an_anchor_term_dropped_everywhere_fails_the_closed_form(exponents, cell
     assert sum(got[key] != want[key] for key in want) == cells
 
 
+# -- the closed form of log-canonical structures -------------------------------
+
+
+LOG_CANONICAL = ("log-canonical-2", "log-canonical-3", "log-canonical-3u",
+                 "trivial-1", "trivial-2", "trivial-3")
+
+
+def _log_canonical(Q, weights):
+    """{x_i, x_j} = Q[i][j] x_i x_j in variables of the given weights."""
+    ell = len(weights)
+    vt = VarTable(tuple(f"x{i}" for i in range(ell)), weights)
+    return PoissonStructure(vt, {
+        (i, j): vt.monomial(tuple(int(k in (i, j)) for k in range(ell)), Q[i][j])
+        for i, j in combinations(range(ell), 2) if Q[i][j]})
+
+
+def _assert_log_canonical_closed_form(S, Q, max_weight):
+    """Both homology names against ``log_canonical_homology``, and the swept
+    cohomology against the omega closed form through the shift."""
+    weights, ell = S.vars.weights, len(S.vars)
+    total = sum(weights)
+    for coeff in ("canonical", "omega"):
+        assert homology_dims(S, coeff, max_weight) == log_canonical_homology(
+            Q, weights, coeff, max_weight), coeff
+    omega = log_canonical_homology(Q, weights, "omega", max_weight + total)
+    assert swept_cohomology(S, max_weight) == {
+        (k, v): omega[(ell - k, v + total)]
+        for k in range(ell + 1) for v in range(-total, max_weight + 1)}
+
+
+@pytest.mark.parametrize("entry_id", LOG_CANONICAL)
+def test_log_canonical_tables_match_the_closed_form(entry_id):
+    S = _fresh(entry_id)
+    _assert_log_canonical_closed_form(S, log_canonical_matrix(S), 6)
+
+
+def test_log_canonical_closed_form_tells_the_names_apart(log3):
+    # log-canonical-3 has nonzero row sums, so the two names differ
+    Q = log_canonical_matrix(log3)
+    assert log_canonical_homology(Q, (1, 1, 1), "canonical", 4) != \
+        log_canonical_homology(Q, (1, 1, 1), "omega", 4)
+    with pytest.raises(ValueError, match="coefficient module"):
+        log_canonical_homology(Q, (1, 1, 1), "bad", 4)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_random_log_canonical_tables_match_the_closed_form(seed):
+    # integer Q with zero entries, and weights 1 or 2
+    rng = random.Random(seed)
+    ell = rng.randint(2, 4)
+    Q = [[0] * ell for _ in range(ell)]
+    for i, j in combinations(range(ell), 2):
+        Q[i][j] = rng.randint(-2, 2)
+        Q[j][i] = -Q[i][j]
+    weights = tuple(rng.randint(1, 2) for _ in range(ell))
+    _assert_log_canonical_closed_form(_log_canonical(Q, weights), Q, 5)
+
+
 def test_dim_table_tsv_golden():
     table = {(0, 0): 1, (1, 2): 3}
     assert dim_table_tsv(table) == "n\tw\tdim\n0\t0\t1\n1\t2\t3"
@@ -773,10 +835,10 @@ def _oracles_agree(make, max_weight):
     """duality_report against two sweeps on structures fresh from make(),
     so that no plan or rank is shared with the report's."""
     report = duality_report(make(), max_weight=max_weight)
-    assert report.certified and report.passed
+    assert report.passed
     oracle = make()
     assert report.twisted == homology_dims(oracle, "omega", max_weight)
-    assert dict(report.cohomology) == cohomology_dims(oracle, max_weight=max_weight)
+    assert dict(report.cohomology) == swept_cohomology(oracle, max_weight)
     assert report.fitting_shifts == eager_duality(make(), max_weight)
 
 
@@ -869,36 +931,44 @@ MUTATIONS = {
 @pytest.mark.parametrize("entry_id", ["log-canonical-2", "log-canonical-3"])
 def test_mutations_fail_the_certificate_and_the_verdict(entry_id, mutation,
                                                         monkeypatch):
+    # the cohomology is read through the certificate, so a fault in the
+    # plan tables raises before any table is read
     S = _fresh(entry_id)
     assert complexes._duality_certificate(S)
     MUTATIONS[mutation](S, monkeypatch)
     assert not complexes._duality_certificate(S)
-    report = duality_report(S, max_weight=4)
-    assert not report.certified and not report.passed
-    text = report.render_text()
-    assert "certificate: FAIL" in text and text.endswith("result: FAIL")
+    with pytest.raises(CertificateFailure):
+        duality_report(S, max_weight=4)
+    with pytest.raises(CertificateFailure):
+        cohomology_dims(S, max_weight=4)
 
 
-def test_a_failing_certificate_fails_even_when_the_tables_fit(monkeypatch):
-    # a wrong shuffle sign leaves both complexes as they are, so the swept
-    # cohomology still fits at the expected shift; the verdict is FAIL
-    # anyway, and the command exits 1
+def test_a_failing_certificate_fails_even_when_the_tables_fit(monkeypatch, capsys):
+    # a wrong shuffle sign leaves both complexes as they are, so the two
+    # independent sweeps still fit at the expected shift; each command
+    # prints no table, one error line, and exits 1
     MUTATIONS["flipped-shuffle-sign"](None, monkeypatch)
-    report = duality_report(_fresh("log-canonical-3"), max_weight=4)
-    assert report.expected_shift in report.fitting_shifts
-    assert all(ok for *_, ok in report.cells)
-    assert not report.passed
-    assert main(["duality", "catalog:log-canonical-3",
-                 "--max-weight", "4"]) == 1
+    S = _fresh("log-canonical-3")
+    assert sum(S.vars.weights) in eager_duality(S, 4)
+    for command in ("duality", "cohomology"):
+        assert main([command, "catalog:log-canonical-3", "--max-weight", "4"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: duality certificate failed")
+        assert err.count("error:") == 1 and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("scale", [-1, 2])
 def test_wrong_traces_find_no_shift(scale):
+    # the certificate stops the report; the two independent sweeps find
+    # that no shift fits
     S = _fresh("log-canonical-3")
     scale_traces(S, scale)
-    report = duality_report(S, max_weight=4)
-    assert report.fitting_shifts == ()
-    assert not report.certified and not report.passed
+    with pytest.raises(CertificateFailure):
+        duality_report(S, max_weight=4)
+    oracle = _fresh("log-canonical-3")
+    scale_traces(oracle, scale)
+    assert eager_duality(oracle, 4) == ()
 
 
 @pytest.mark.parametrize("entry", CATALOG, ids=[e.id for e in CATALOG])
@@ -918,6 +988,23 @@ def test_duality_takes_each_rank_once(entry, monkeypatch):
     assert all(name == "boundary_matrix" for name, *_ in built)
 
 
+@pytest.mark.parametrize("entry", CATALOG, ids=[e.id for e in CATALOG])
+def test_cohomology_sweeps_no_cochain(entry, monkeypatch):
+    # cohomology_dims builds no coboundary, no cochain basis and no plan
+    # table read backwards: every rank it takes is one that the omega
+    # homology over the window moved by the sum of the weights takes
+    for name in ("coboundary_matrix", "cochain_basis"):
+        monkeypatch.setattr(complexes, name,
+                            lambda *args, name=name: pytest.fail(f"called {name}"))
+    S = _fresh(entry.id)
+    cohomology_dims(S, max_weight=6)
+    assert not any(backwards for _, backwards in S.term_tables().plans)
+    ranks = {twist: dict(cells) for twist, cells in S.term_tables().ranks.items()}
+    assert ranks
+    homology_dims(S, "omega", max_weight=6 + sum(S.vars.weights))
+    assert S.term_tables().ranks == ranks
+
+
 def test_cohomology_above_the_window_is_computed_when_read():
     # so3 fits at its expected shift only, and every other shift fails
     # inside the window, so the report takes no rank the sweep did not
@@ -929,7 +1016,7 @@ def test_cohomology_above_the_window_is_computed_when_read():
     assert isinstance(report.cohomology, Mapping)
     with pytest.raises(TypeError):
         report.cohomology[(0, 0)] = 1
-    assert dict(report.cohomology) == cohomology_dims(_fresh("so3"), max_weight=7)
+    assert dict(report.cohomology) == swept_cohomology(_fresh("so3"), 7)
     for outside in ((4, 0), (-1, 0), (0, 8), (0, -4)):
         assert outside not in report.cohomology
     (key, read), = S.term_tables().ranks.items()

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -578,6 +579,22 @@ def test_nu_module_half_sees_trace_table_mutations(entry, mutate):
         nu_check(S, samples=20)
     n = len(S.vars)
     assert nu_check(S, samples=0).relations_checked == n * (n - 1) + n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("entry", ["log-canonical-3", "so3", "potential-x2z"])
+def test_nu_module_half_sees_anchor_table_mutations(entry, monkeypatch):
+    # the module half takes {x_i, f} from the brackets, not from the anchor
+    # rows the rules read; with the relation half stubbed out, every anchor
+    # row doubled is the module half's fault to find
+    monkeypatch.setattr(envelope, "_relation_forms", lambda S, twist: iter(()))
+    S = get_entry(entry).document.to_structure()
+    assert nu_check(S, samples=20).relations_checked == 0
+    tables = S.term_tables()
+    anchor = tuple(tuple((a, tuple((e, 2 * c) for e, c in terms)) for a, terms in row)
+                   for row in tables.anchor)
+    S._tables = dataclasses.replace(tables, anchor=anchor)
+    with pytest.raises(ModuleMismatch):
+        nu_check(S, samples=20)
 
 
 def _vector_fields(S):
