@@ -14,7 +14,7 @@ INFO_RECORDED = json.loads(INFO_DIGESTS.read_text())
 
 
 def test_every_case_is_recorded():
-    assert len(CASES) == 60
+    assert len(CASES) == 65
     assert sorted(RECORDED) == sorted(key(name, command)
                                       for name, _, command in CASES)
 
@@ -26,7 +26,7 @@ def test_stdout_digest(name, document, command):
 
 
 def test_every_pbw_case_is_recorded():
-    assert len(PBW_CASES) == 24
+    assert len(PBW_CASES) == 26
     assert sorted(PBW_RECORDED) == sorted(key(name, command)
                                           for name, _, command in PBW_CASES)
 
@@ -38,7 +38,7 @@ def test_pbw_stdout_digest(name, document, command):
 
 
 def test_every_info_case_is_recorded():
-    assert len(INFO_CASES) == 24
+    assert len(INFO_CASES) == 26
     assert sorted(INFO_RECORDED) == sorted(key(name, command)
                                            for name, _, command in INFO_CASES)
 

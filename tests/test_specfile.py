@@ -12,7 +12,8 @@ DOCS = Path(__file__).resolve().parent.parent / "docs"
 
 
 def test_load_shipped_documents():
-    for name in ("potential-x2z.json", "log-canonical-3.json", "weighted-line.json"):
+    for name in ("potential-x2z.json", "log-canonical-3.json", "weighted-line.json",
+                 "jacobian-casimirs-4.json"):
         doc = SpecDocument.load(DOCS / name)
         S = doc.to_structure()
         assert S.homogeneity_degree is not None
