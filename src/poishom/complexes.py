@@ -302,12 +302,23 @@ def _cell_dims(S: PoissonStructure, coeff: str) -> "Callable[[int, int], int]":
     of the cell (n, w): dim ker of the boundary leaving (n, w) minus the
     rank of the one arriving, computed also when it leaves a cell outside
     any window.  Each rank is taken once per structure and twist table and
-    kept in ``TermTables.ranks``.
+    kept in ``TermTables.ranks``, its pivot columns in ``TermTables.pivots``.
+
+    The sweep relies on d^2 = 0: ``_check_jacobi`` guarantees it for the
+    canonical boundary, and for the omega one since the trace is a Poisson
+    vector field.  When the rank of the boundary d' leaving the target
+    cell has been taken, the rows of d at its pivot columns are left out
+    before elimination.  Those columns are a basis of the columns of d',
+    so each of them is the restriction of some u in the row space of d'
+    to e_p; u d = 0 then writes row p of d through the other rows, and the
+    rank is unchanged.  No rank is taken only for its pivots.
     """
     twist = _twist(S, coeff)
     shift = S.weight_shift()
     ell = len(S.vars)
-    ranks = S.term_tables().ranks.setdefault(twist, {})
+    tables = S.term_tables()
+    ranks = tables.ranks.setdefault(twist, {})
+    pivots = tables.pivots.setdefault(twist, {})
 
     def rank(n: int, w: int) -> int:
         """Rank of the boundary leaving (n, w); a map with an empty side
@@ -319,7 +330,11 @@ def _cell_dims(S: PoissonStructure, coeff: str) -> "Callable[[int, int], int]":
             if not (chain_basis(S, n, w) and chain_basis(S, n - 1, w + shift)):
                 ranks[key] = 0
             else:
-                ranks[key] = boundary_matrix(S, n, w, coeff).matrix.rank()
+                matrix = boundary_matrix(S, n, w, coeff).matrix
+                for row in pivots.get((n - 1, w + shift), ()):
+                    matrix.rows.pop(row, None)
+                ranks[key] = matrix.rank()
+                pivots[key] = matrix.pivots
         return ranks[key]
 
     def dim(n: int, w: int) -> int:

@@ -7,7 +7,8 @@ structure denominator D, and the constructor takes them as they are.
 Readers see rational values: ints over denominator 1, and
 ``Fraction(value, denominator)`` otherwise.  Rank is computed by
 fraction-free Gaussian elimination on copies of the stored rows, since
-scaling by the denominator does not change it.  Only nonzero entries are
+scaling by the denominator does not change it, and the elimination leaves
+its pivot columns on the matrix.  Only nonzero entries are
 ever touched, so the cost follows the fill-in of the matrix rather than
 its dense area, and no ``Fraction`` is built while eliminating.
 """
@@ -25,10 +26,11 @@ class SparseMatrix:
     one denominator.
 
     ``rows`` maps a row index to {col: int} and holds no zero value and no
-    empty row; ``denominator`` is a positive int.
+    empty row; ``denominator`` is a positive int.  ``pivots`` is None until
+    ``rank`` runs, and then the pivot columns it found.
     """
 
-    __slots__ = ("nrows", "ncols", "rows", "denominator")
+    __slots__ = ("nrows", "ncols", "rows", "denominator", "pivots")
 
     def __init__(self, nrows: int, ncols: int,
                  rows: "dict[int, dict[int, int]] | None" = None,
@@ -41,6 +43,7 @@ class SparseMatrix:
         self.ncols = ncols
         self.rows = {} if rows is None else rows
         self.denominator = denominator
+        self.pivots = None
 
     @property
     def entries(self) -> "dict[tuple[int, int], int | Fraction]":
@@ -96,6 +99,10 @@ class SparseMatrix:
         becomes row * (a/g) - pivot * (b/g).  A row that survives becomes
         the pivot row of that column, divided by the gcd of its entries.
         Exact over Q; there is no modular step and no sampling.
+
+        The pivot columns are kept in ``pivots``, in the order found: their
+        columns form a basis of the column space, since the pivot rows
+        restricted to them are triangular with a nonzero diagonal.
         """
         pivots: dict[int, dict[int, int]] = {}
         for row in self.rows.values():
@@ -121,6 +128,7 @@ class SparseMatrix:
                         row[c] = left
                     else:
                         del row[c]
+        self.pivots = tuple(pivots)
         return len(pivots)
 
     def __repr__(self) -> str:

@@ -222,7 +222,8 @@ class TermTables:
     * ``bases`` likewise keeps each cell basis ``complexes`` enumerates,
       keyed by (sign -1 for chains or +1 for cochains, n, w);
     * ``ranks`` keeps the rank of each boundary ``complexes`` has taken,
-      keyed by its twist table, then by the cell (n, w) it leaves.
+      keyed by its twist table, then by the cell (n, w) it leaves, and
+      ``pivots`` the pivot columns that rank left, keyed the same way.
 
     Every coefficient in ``entries``, ``anchor``, ``partials`` and
     ``traces`` is an int.  Only nonzero polynomials are listed, and pairs
@@ -238,6 +239,7 @@ class TermTables:
     plans: dict = field(default_factory=dict, compare=False)
     bases: dict = field(default_factory=dict, compare=False)
     ranks: dict = field(default_factory=dict, compare=False)
+    pivots: dict = field(default_factory=dict, compare=False)
 
 
 class PoissonStructure:

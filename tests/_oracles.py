@@ -423,7 +423,8 @@ def scale_traces(S: PoissonStructure, scale: int) -> None:
     duality certificate must see."""
     tables = S.term_tables()
     traces = tuple(tuple((t, scale * c) for t, c in terms) for terms in tables.traces)
-    S._tables = replace(tables, traces=traces, plans={}, bases={}, ranks={})
+    S._tables = replace(tables, traces=traces, plans={}, bases={}, ranks={},
+                        pivots={})
 
 
 def plans_square_to_zero(S: PoissonStructure, plans) -> bool:

@@ -299,7 +299,7 @@ def _drop_first_anchor_terms(S):
     tables = S.term_tables()
     S._tables = dataclasses.replace(
         tables, anchor=tuple(row[1:] for row in tables.anchor),
-        plans={}, bases={}, ranks={})
+        plans={}, bases={}, ranks={}, pivots={})
 
 
 @pytest.mark.parametrize("entry_id", ["so3", "log-canonical-3", "log-canonical-3u"])
@@ -642,7 +642,11 @@ def test_a_rank_off_by_one_fails_the_closed_form(monkeypatch, delta):
     assert duality_report(_brieskorn_pham(exponents, coeffs), 6).passed
 
 
-@pytest.mark.parametrize("exponents, cells", [((3, 3, 3), 27), ((2, 3, 4), 52),
+# The counts are pinned exactly.  The fault breaks d^2 = 0, which the sweep
+# relies on when it leaves out the rows at the pivot columns of the
+# boundary below, so the (2, 3, 4) count moved from 52 to 50 when the
+# sweep began to leave them out; on a complex the ranks are unchanged.
+@pytest.mark.parametrize("exponents, cells", [((3, 3, 3), 27), ((2, 3, 4), 50),
                                                ((3, 4, 5), 143)])
 def test_an_anchor_term_dropped_everywhere_fails_the_closed_form(exponents, cells):
     # the fault the duality certificate cannot see, since both tables it
@@ -650,6 +654,7 @@ def test_an_anchor_term_dropped_everywhere_fails_the_closed_form(exponents, cell
     S = _brieskorn_pham(exponents, (1, 1, 1))
     _drop_first_anchor_terms(S)
     assert complexes._duality_certificate(S)
+    assert not any(_square_to_zero(S).values())
     max_weight = 2 * lcm(*exponents)
     want = jacobian_cohomology(S.vars.weights, lcm(*exponents), max_weight)
     got = cohomology_dims(S, max_weight=max_weight)
