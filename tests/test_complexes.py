@@ -642,6 +642,17 @@ def test_a_rank_off_by_one_fails_the_closed_form(monkeypatch, delta):
     assert duality_report(_brieskorn_pham(exponents, coeffs), 6).passed
 
 
+def test_so3_tables_match_the_closed_form():
+    # so3 is the Jacobian structure of (x^2 + y^2 + z^2) / 2; it is
+    # unimodular, so the canonical homology is read through the complement
+    # map: HP_n(w) = HP^(3 - n)(w - 3)
+    want = jacobian_cohomology((1, 1, 1), 2, 12)
+    assert len(want) == 64
+    assert cohomology_dims(_fresh("so3"), max_weight=12) == want
+    dual = {(n, w): want[(3 - n, w - 3)] for n in range(4) for w in range(13)}
+    assert homology_dims(_fresh("so3"), "canonical", 12) == dual
+
+
 # The counts are pinned exactly.  The fault breaks d^2 = 0, which the sweep
 # relies on when it leaves out the rows at the pivot columns of the
 # boundary below, so the (2, 3, 4) count moved from 52 to 50 when the
@@ -1026,3 +1037,55 @@ def test_cohomology_above_the_window_is_computed_when_read():
         assert outside not in report.cohomology
     (key, read), = S.term_tables().ranks.items()
     assert len(read) > len(swept[key])
+
+
+# -- rows left out of elimination by d^2 = 0 -------------------------------------
+
+
+def _ranks_are_whole_matrix_ranks(make, coeff, max_weight):
+    """Every rank a sweep keeps in ``TermTables.ranks``, taken with the
+    rows at the pivots of the boundary below left out, against the rank of
+    the whole matrix on a fresh structure."""
+    S, oracle = make(), make()
+    homology_dims(S, coeff, max_weight)
+    if coeff == "omega":
+        cohomology_dims(S, max_weight)
+    ranks = S.term_tables().ranks[complexes._twist(S, coeff)]
+    assert ranks
+    for (n, w), rank in ranks.items():
+        assert boundary_matrix(oracle, n, w, coeff).matrix.rank() == rank, (n, w)
+
+
+@pytest.mark.parametrize("coeff", ["canonical", "omega"])
+@pytest.mark.parametrize("entry", CATALOG, ids=[e.id for e in CATALOG])
+def test_swept_ranks_are_whole_matrix_ranks(entry, coeff):
+    max_weight = 11 if entry.id == "so3" else 8
+    _ranks_are_whole_matrix_ranks(lambda: _fresh(entry.id), coeff, max_weight)
+
+
+@given(weighted_structures(), st.sampled_from(["canonical", "omega"]),
+       st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_swept_ranks_are_whole_matrix_ranks_on_random_structures(S, coeff,
+                                                                 max_weight):
+    document = (S.vars, dict(S.entries))
+    _ranks_are_whole_matrix_ranks(lambda: PoissonStructure(*document), coeff,
+                                  max_weight)
+
+
+def test_rows_are_left_out_of_elimination(monkeypatch):
+    assembled, eliminated = [], []
+
+    def recording(*args, make=complexes.boundary_matrix):
+        cell = make(*args)
+        assembled.append(len(cell.matrix.rows))
+        return cell
+
+    monkeypatch.setattr(complexes, "boundary_matrix", recording)
+    real_rank = SparseMatrix.rank
+    monkeypatch.setattr(SparseMatrix, "rank",
+                        lambda self: eliminated.append(len(self.rows)) or real_rank(self))
+    homology_dims(_fresh("so3"), "canonical", 10)
+    assert len(assembled) == len(eliminated)
+    assert sum(eliminated) < sum(assembled)
+    assert all(e <= a for e, a in zip(eliminated, assembled))

@@ -203,6 +203,58 @@ def test_rank_leaves_the_matrix_as_it_was():
         assert m.rank() == rank
 
 
+def test_rank_leaves_its_pivot_columns():
+    m = dense([[0, 2, 4], [0, 1, 2], [3, 0, 1]])
+    assert m.pivots is None
+    assert m.rank() == 2
+    assert m.pivots == (1, 0)
+    assert SparseMatrix(2, 3).rank() == 0
+
+
+@st.composite
+def zero_products(draw):
+    """Int rows of A (p x m) and B (m x q) with A @ B = 0, and m: A starts
+    as [A1 | 0] and B as [0 ; B1] with s rows, then random shears U act as
+    A U^-1 and U B, which keeps the product zero and spreads both over
+    every column and row."""
+    m, p, q = draw(st.integers(0, 7)), draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    s = draw(st.integers(0, m))
+    small = st.integers(-3, 3)
+    a = [[draw(small) if c < s else 0 for c in range(m)] for _ in range(p)]
+    b = [[draw(small) if r >= s else 0 for _ in range(q)] for r in range(m)]
+    for _ in range(draw(st.integers(0, 12)) if m > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2,
+                             unique=True))
+        k = draw(small)
+        b[i] = [x + k * y for x, y in zip(b[i], b[j])]
+        for row in a:
+            row[j] -= k * row[i]
+    return a, b, m
+
+
+def _int_matrix(rows, ncols):
+    return sparse_matrix(len(rows), ncols, {(r, c): v for r, row in enumerate(rows)
+                                            for c, v in enumerate(row)})
+
+
+@given(zero_products())
+@settings(max_examples=150)
+def test_pivot_columns_of_a_left_factor_mark_redundant_rows(case):
+    # the rows of B at the pivot columns of A are combinations of the others
+    # when A @ B = 0, which the sweep relies on to leave them out
+    a, b, m = case
+    A, B = _int_matrix(a, m), _int_matrix(b, len(b[0]) if b else 0)
+    assert (A @ B).is_zero()
+    rank = A.rank()
+    assert len(A.pivots) == len(set(A.pivots)) == rank
+    assert naive_rank([[row[c] for c in A.pivots] for row in a]) == rank
+    kept = [row for r, row in enumerate(b) if r not in A.pivots]
+    assert naive_rank(kept) == naive_rank(b) == B.rank()
+    for r in A.pivots:
+        B.rows.pop(r, None)
+    assert B.rank() == naive_rank(b)
+
+
 def _over_denominator(matrix, k=6):
     """The same rational matrix held as int rows over k times the lcm of
     its denominators, so not over the least denominator."""
