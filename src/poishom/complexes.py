@@ -35,7 +35,10 @@ in the code, and then ``CertificateFailure`` is raised.  When it holds,
 the cohomology cell (k, v) is the omega homology cell (ell - k, v + s), s
 the sum of the weights: ``cohomology_dims`` and ``duality_report`` read
 one ``_Table`` off the omega boundary's ranks (``_cohomology``), each
-rank taken once per structure and twist.  ``coboundary_matrix`` and
+rank taken once per structure and twist.  A rank leaves its pivot
+columns beside it, and the boundary arriving at its source is then ranked
+without the rows at those columns, which d^2 = 0 makes redundant
+(``_cell_dims``).  ``coboundary_matrix`` and
 ``cochain_basis`` remain as cell-level API, and no sweep calls them.
 ``duality_report`` first tests a shift by the Euler characteristics of
 strands, counted by ``_count`` off the Hilbert function of the weights
@@ -306,12 +309,13 @@ def _cell_dims(S: PoissonStructure, coeff: str) -> "Callable[[int, int], int]":
 
     The sweep relies on d^2 = 0: ``_check_jacobi`` guarantees it for the
     canonical boundary, and for the omega one since the trace is a Poisson
-    vector field.  When the rank of the boundary d' leaving the target
-    cell has been taken, the rows of d at its pivot columns are left out
-    before elimination.  Those columns are a basis of the columns of d',
-    so each of them is the restriction of some u in the row space of d'
-    to e_p; u d = 0 then writes row p of d through the other rows, and the
-    rank is unchanged.  No rank is taken only for its pivots.
+    vector field; the tests check both plan tables with
+    ``plans_square_to_zero``.  When the rank of the boundary d' leaving
+    the target cell has been taken, the rows of d at its pivot columns P
+    are left out before elimination.  The columns P are a basis of the
+    columns of d', so for each p in P some u in the row space of d' is e_p
+    on P; u d = 0 then writes row p of d through the rows outside P, and
+    the rank is unchanged.  No rank is taken only for its pivots.
     """
     twist = _twist(S, coeff)
     shift = S.weight_shift()
