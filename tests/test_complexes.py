@@ -655,8 +655,8 @@ def test_so3_tables_match_the_closed_form():
 
 # The counts are pinned exactly.  The fault breaks d^2 = 0, which the sweep
 # relies on when it leaves out the rows at the pivot columns of the
-# boundary below, so the (2, 3, 4) count moved from 52 to 50 when the
-# sweep began to leave them out; on a complex the ranks are unchanged.
+# boundary below, so the counts depend on which rows it leaves out, and
+# not on the fault alone.
 @pytest.mark.parametrize("exponents, cells", [((3, 3, 3), 27), ((2, 3, 4), 50),
                                                ((3, 4, 5), 143)])
 def test_an_anchor_term_dropped_everywhere_fails_the_closed_form(exponents, cells):

@@ -208,15 +208,16 @@ def test_rank_leaves_its_pivot_columns():
     assert m.pivots is None
     assert m.rank() == 2
     assert m.pivots == (1, 0)
-    assert SparseMatrix(2, 3).rank() == 0
+    empty = SparseMatrix(2, 3)
+    assert empty.rank() == 0 and empty.pivots == ()
 
 
 @st.composite
 def zero_products(draw):
-    """Int rows of A (p x m) and B (m x q) with A @ B = 0, and m: A starts
-    as [A1 | 0] and B as [0 ; B1] with s rows, then random shears U act as
-    A U^-1 and U B, which keeps the product zero and spreads both over
-    every column and row."""
+    """Int rows of A (p x m) and B (m x q) with A @ B = 0, then m and q.
+    A starts as [A1 | 0] and B as [0 ; B1] with s rows, then random shears
+    U act as A U^-1 and U B, which keeps the product zero and spreads both
+    over every column and row."""
     m, p, q = draw(st.integers(0, 7)), draw(st.integers(0, 6)), draw(st.integers(0, 6))
     s = draw(st.integers(0, m))
     small = st.integers(-3, 3)
@@ -229,7 +230,7 @@ def zero_products(draw):
         b[i] = [x + k * y for x, y in zip(b[i], b[j])]
         for row in a:
             row[j] -= k * row[i]
-    return a, b, m
+    return a, b, m, q
 
 
 def _int_matrix(rows, ncols):
@@ -242,8 +243,8 @@ def _int_matrix(rows, ncols):
 def test_pivot_columns_of_a_left_factor_mark_redundant_rows(case):
     # the rows of B at the pivot columns of A are combinations of the others
     # when A @ B = 0, which the sweep relies on to leave them out
-    a, b, m = case
-    A, B = _int_matrix(a, m), _int_matrix(b, len(b[0]) if b else 0)
+    a, b, m, q = case
+    A, B = _int_matrix(a, m), _int_matrix(b, q)
     assert (A @ B).is_zero()
     rank = A.rank()
     assert len(A.pivots) == len(set(A.pivots)) == rank
