@@ -16,7 +16,10 @@ by cell at fixed (n, w) and ranks are taken exactly over the rationals.
 exponent tables (``PoissonStructure.term_tables``), which hold int
 coefficients times one structure denominator D, into one plan table per
 distinct differential, built whole by ``_plans``: per multi-index, one
-linear form in the column's exponents for each target.  The same
+linear form in the column's exponents for each target, its signs read
+off the face tables of ``_faces``, built once per number of variables.
+The cell bases of a structure share one enumeration of the monomials of
+each weight (``TermTables.monomials``).  The same
 differentials on polynomials, applied column by column, are the test
 oracles in ``tests/_oracles.py``; nothing here calls them.
 A boundary is keyed by its twist table, the terms added to each
@@ -38,7 +41,8 @@ one ``_Table`` off the omega boundary's ranks (``_cohomology``), each
 rank taken once per structure and twist.  A rank leaves its pivot
 columns beside it, and the boundary arriving at its source is then ranked
 without the rows at those columns, which d^2 = 0 makes redundant
-(``_cell_dims``).  ``coboundary_matrix`` and
+(``_cell_dims``); both tables are read with the chain degree rising, so
+that the rank below is taken first.  ``coboundary_matrix`` and
 ``cochain_basis`` remain as cell-level API, and no sweep calls them.
 ``duality_report`` first tests a shift by the Euler characteristics of
 strands, counted by ``_count`` off the Hilbert function of the weights
@@ -49,7 +53,6 @@ every pair inside it agrees.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
@@ -91,14 +94,15 @@ class ChainBasis:
     """Ordered basis of one graded cell.
 
     Elements are (exponent tuple, multi-index) pairs sorted by monomial then
-    multi-index, so matrix layouts are reproducible run to run.
+    multi-index, so matrix layouts are reproducible run to run.  A basis
+    keeps no index of its elements: ``_assemble`` builds one for its
+    target cell, the one place that looks an element up.
     """
 
-    __slots__ = ("elements", "_position")
+    __slots__ = ("elements",)
 
     def __init__(self, elements: "tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]"):
         self.elements = elements
-        self._position = {el: k for k, el in enumerate(elements)}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -107,14 +111,16 @@ class ChainBasis:
 def _basis(S: PoissonStructure, n: int, w: int, sign: int) -> ChainBasis:
     """Basis of the cell (n, w) whose elements m (.) dx_I have deg(m) =
     w + sign * (the weights of I); sign is -1 for chains, +1 for cochains.
-    Built once per structure and kept in ``TermTables.bases``."""
-    bases = S.term_tables().bases
+    Built once per structure and kept in ``TermTables.bases``; the
+    monomials of each degree are enumerated once per structure, for every
+    cell, and kept in ``TermTables.monomials``."""
+    tables = S.term_tables()
+    bases, monomials = tables.bases, tables.monomials
     key = (sign, n, w)
     if key not in bases:
         vt = S.vars
         elements = []
         if 0 <= n <= len(vt):
-            monomials: dict[int, list] = {}
             for index in combinations(range(len(vt)), n):
                 deg = w + sign * sum(vt.weights[i] for i in index)
                 if deg not in monomials:
@@ -198,11 +204,33 @@ class GradedComplexCell:
 Plan = "tuple[tuple[tuple[int, ...], tuple[int, ...], int, tuple[tuple[int, int], ...]], ...]"
 
 
+@lru_cache(maxsize=None)
+def _faces(ell: int) -> dict:
+    """Per multi-index I of range(ell), by size then lex: the faces
+    (i, I minus i, (-1)^r) of dx_I, i its r-th index, and per pair p < q
+    of positions in I, the pair (I[p], I[q]) with the table k -> (the rest
+    R with k inserted at pos, (-1)^(p + q + pos)), for each k outside R."""
+    faces = {}
+    for n in range(ell + 1):
+        for I in combinations(range(ell), n):
+            pairs = []
+            for p, q in combinations(range(n), 2):
+                rest = I[:p] + I[p + 1 : q] + I[q + 1 :]
+                pos = {k: sum(r < k for r in rest) for k in range(ell) if k not in rest}
+                pairs.append(((I[p], I[q]), {
+                    k: (rest[:at] + (k,) + rest[at:], (-1) ** (p + q + at))
+                    for k, at in pos.items()}))
+            faces[I] = (tuple((i, I[:r] + I[r + 1 :], (-1) ** r) for r, i in enumerate(I)),
+                        tuple(pairs))
+    return faces
+
+
 def _plans(S: PoissonStructure, twist: "tuple[Terms, ...]",
            backwards: bool = False) -> "dict[tuple[int, ...], Plan]":
     """The plan on m (.) dx_I, for every multi-index I, of the boundary
     whose generator x_i acts by {-, x_i} plus twist[i], or of that boundary
-    read backwards; built once per structure and twist.
+    read backwards; built once per structure and twist, off the face
+    tables of ``_faces``.
 
     Read backwards, the step from dx_J to dx_K is the boundary's step from
     dx_K to dx_J, with the anchor part negated, since {x_i, m} = -{m, x_i};
@@ -212,40 +240,26 @@ def _plans(S: PoissonStructure, twist: "tuple[Terms, ...]",
     key = (twist, backwards)
     if key in tables.plans:
         return tables.plans[key]
-    ell = len(S.vars)
-    indices = [I for n in range(ell + 1) for I in combinations(range(ell), n)]
+    faces = _faces(len(S.vars))
     if backwards:
-        steps: dict = {J: [] for J in indices}
+        steps: dict = {J: [] for J in faces}
         for K, plan in _plans(S, twist).items():
             for J, t, c0, linear in plan:
                 steps[J].append((K, t, c0, tuple((a, -c) for a, c in linear)))
         plans = {J: tuple(plan) for J, plan in steps.items()}
     else:
         plans = {}
-        for I in indices:
+        for I, (sides, pairs) in faces.items():
+            # (J, sign, a or None for c0, terms) per face, then per contraction
+            parts = [(rest, sign, a, terms) for i, rest, sign in sides
+                     for a, terms in tables.anchor[i] + ((None, twist[i]),)]
+            parts += [(*inserted[k], None, terms) for ij, inserted in pairs
+                      for k, terms in tables.partials.get(ij, ()) if k in inserted]
             forms: dict = {}  # (J, t) -> {a or None for c0: coefficient}
-
-            def step(J: "tuple[int, ...]", a: "int | None", terms, sign: int) -> None:
+            for J, sign, a, terms in parts:
                 for t, c in terms:
                     form = forms.setdefault((J, t), {})
                     form[a] = form.get(a, 0) + sign * c
-
-            for r, i in enumerate(I):
-                rest = I[:r] + I[r + 1 :]
-                sign = 1 if r % 2 == 0 else -1
-                for a, terms in tables.anchor[i]:
-                    step(rest, a, terms, sign)
-                step(rest, None, twist[i], sign)
-            for p in range(len(I)):
-                for q in range(p + 1, len(I)):
-                    rest = I[:p] + I[p + 1 : q] + I[q + 1 :]
-                    base_sign = 1 if (p + q) % 2 == 0 else -1
-                    for k, terms in tables.partials.get((I[p], I[q]), ()):
-                        if k in rest:
-                            continue
-                        pos = bisect_left(rest, k)
-                        step(rest[:pos] + (k,) + rest[pos:], None, terms,
-                             base_sign if pos % 2 == 0 else -base_sign)
             plan = []
             for (J, t), form in forms.items():
                 c0 = form.pop(None, 0)
@@ -261,10 +275,11 @@ def _assemble(S: PoissonStructure, basis: "Callable[..., ChainBasis]", n: int, w
               step: int, plans: "dict[tuple[int, ...], Plan]") -> GradedComplexCell:
     """The matrix from the cell (n, w) of ``basis`` to (n + step, w + d - 2):
     each column's plan evaluated on its monomial into int rows over the
-    structure denominator."""
+    structure denominator.  The row of a target element is read off an
+    index of the target basis built here, the one place that reads it."""
     src = basis(S, n, w)
     tgt = basis(S, n + step, w + S.weight_shift())
-    position = tgt._position
+    position = {el: k for k, el in enumerate(tgt.elements)}
     rows: dict[int, dict[int, int]] = {}
     for col, (exps, index) in enumerate(src.elements):
         for J, t, c0, linear in plans[index]:
@@ -406,8 +421,15 @@ def _cohomology(S: PoissonStructure, max_weight: int) -> _Table:
 def cohomology_dims(S: PoissonStructure,
                     max_weight: int = 8) -> "dict[tuple[int, int], int]":
     """Cohomology dimensions per (n, w), w from minus the sum of the
-    variable weights, read off the omega homology by ``_cohomology``."""
-    return dict(_cohomology(S, max_weight))
+    variable weights, read off the omega homology by ``_cohomology``.
+
+    The cells are read with the omega degree ell - n rising, as
+    ``homology_dims`` reads its own, so each boundary is ranked after the
+    one leaving its target and without the rows that d^2 = 0 makes
+    redundant (``_cell_dims``); the dict keeps the table's key order."""
+    table = _cohomology(S, max_weight)
+    read = {key: table[key] for key in sorted(table, key=lambda key: -key[0])}
+    return {key: read[key] for key in table}
 
 
 def dim_table_tsv(table: "dict[tuple[int, int], int]") -> str:
@@ -441,18 +463,21 @@ def _duality_certificate(S: PoissonStructure) -> bool:
     can hide.  The coboundary is the zero-twist table read backwards, so
     each coboundary cell (ell - n, w - s) is the omega boundary cell (n, w)
     with rows and columns signed, s the sum of the weights.
+
+    The complement and the sign of each index are taken once per call,
+    not kept per ell, so the check reads ``_shuffle_sign`` each time it
+    runs and a fault put into it shows.
     """
     ell = len(S.vars)
-
-    def complement(index: "tuple[int, ...]") -> "tuple[int, ...]":
-        return tuple(i for i in range(ell) if i not in index)
-
+    omega = _plans(S, _twist(S, "omega"))
+    complement = {I: tuple(i for i in range(ell) if i not in I) for I in omega}
+    eps = {I: _shuffle_sign(I) for I in omega}
     image: dict = {}
-    for I, plan in _plans(S, _twist(S, "omega")).items():
-        sign_I = (-1) ** len(I) * _shuffle_sign(I)
+    for I, plan in omega.items():
+        sign_I = (-1) ** len(I) * eps[I]
         for J, t, c0, linear in plan:
-            sigma = sign_I * _shuffle_sign(J)
-            image.setdefault(complement(J), {})[(complement(I), t)] = (
+            sigma = sign_I * eps[J]
+            image.setdefault(complement[J], {})[(complement[I], t)] = (
                 sigma * c0, {a: -sigma * c for a, c in linear})
     return image == {K: {(J, t): (c0, dict(linear)) for J, t, c0, linear in plan}
                      for K, plan in _plans(S, _twist(S, "canonical")).items() if plan}

@@ -220,7 +220,10 @@ class TermTables:
       has one table for both, and the coboundary is the zero twist read
       backwards;
     * ``bases`` likewise keeps each cell basis ``complexes`` enumerates,
-      keyed by (sign -1 for chains or +1 for cochains, n, w);
+      keyed by (sign -1 for chains or +1 for cochains, n, w), and
+      ``monomials`` the exponent tuples of each degree those bases are
+      built from, keyed by the degree, so neighbouring cells share one
+      enumeration;
     * ``ranks`` keeps the rank of each boundary ``complexes`` has taken,
       keyed by its twist table, then by the cell (n, w) it leaves, and
       ``pivots`` the pivot columns that rank left, keyed the same way.
@@ -238,6 +241,7 @@ class TermTables:
     traces: "tuple[Terms, ...]"
     plans: dict = field(default_factory=dict, compare=False)
     bases: dict = field(default_factory=dict, compare=False)
+    monomials: dict = field(default_factory=dict, compare=False)
     ranks: dict = field(default_factory=dict, compare=False)
     pivots: dict = field(default_factory=dict, compare=False)
 

@@ -453,6 +453,60 @@ def plans_square_to_zero(S: PoissonStructure, plans) -> bool:
     return not any(total.values())
 
 
+def closure_plans(S: PoissonStructure, twist, backwards: bool = False) -> dict:
+    """The plan table of ``complexes._plans``, built afresh per multi-index
+    with a closure and a ``bisect`` per inserted index, and not kept.
+
+    Forwards, the plan on dx_I gathers, in order, the anchor and twist
+    terms of each face (I minus its r-th index, sign (-1)^r), then each
+    bracket contraction of a pair p < q of I whose partial in x_k lands
+    outside the rest R, at dx of R with k inserted at pos, sign
+    (-1)^(p + q + pos).  Read backwards, each step K -> J becomes J -> K
+    with its anchor part negated."""
+    tables = S.term_tables()
+    ell = len(S.vars)
+    indices = [I for n in range(ell + 1) for I in combinations(range(ell), n)]
+    if backwards:
+        steps: dict = {J: [] for J in indices}
+        for K, plan in closure_plans(S, twist).items():
+            for J, t, c0, linear in plan:
+                steps[J].append((K, t, c0, tuple((a, -c) for a, c in linear)))
+        return {J: tuple(plan) for J, plan in steps.items()}
+    plans = {}
+    for I in indices:
+        forms: dict = {}  # (J, t) -> {a or None for c0: coefficient}
+
+        def step(J, a, terms, sign):
+            for t, c in terms:
+                form = forms.setdefault((J, t), {})
+                form[a] = form.get(a, 0) + sign * c
+
+        for r, i in enumerate(I):
+            rest = I[:r] + I[r + 1:]
+            sign = 1 if r % 2 == 0 else -1
+            for a, terms in tables.anchor[i]:
+                step(rest, a, terms, sign)
+            step(rest, None, twist[i], sign)
+        for p in range(len(I)):
+            for q in range(p + 1, len(I)):
+                rest = I[:p] + I[p + 1:q] + I[q + 1:]
+                base_sign = 1 if (p + q) % 2 == 0 else -1
+                for k, terms in tables.partials.get((I[p], I[q]), ()):
+                    if k in rest:
+                        continue
+                    pos = bisect_left(rest, k)
+                    step(rest[:pos] + (k,) + rest[pos:], None, terms,
+                         base_sign if pos % 2 == 0 else -base_sign)
+        plan = []
+        for (J, t), form in forms.items():
+            c0 = form.pop(None, 0)
+            linear = tuple((a, c) for a, c in form.items() if c)
+            if c0 or linear:
+                plan.append((J, t, c0, linear))
+        plans[I] = tuple(plan)
+    return plans
+
+
 def dense_rows(matrix: SparseMatrix) -> "list[list[Fraction]]":
     rows = [[Fraction(0)] * matrix.ncols for _ in range(matrix.nrows)]
     for (r, c), v in matrix.entries.items():

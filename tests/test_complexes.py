@@ -1,8 +1,10 @@
 import dataclasses
 import random
+from collections import Counter
 from collections.abc import Mapping
 from itertools import combinations
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from poishom.polycore import (
     parse_poly,
     partial_derivative,
 )
+from poishom.specfile import SpecDocument
 from poishom.structure import NonHomogeneousError, PoissonStructure
 
 from _oracles import (
@@ -38,6 +41,7 @@ from _oracles import (
     apply_boundary,
     apply_coboundary,
     boundary_matrix_by_columns,
+    closure_plans,
     coboundary_matrix_by_columns,
     eager_duality,
     euler_characteristic_matches,
@@ -54,6 +58,8 @@ from _oracles import (
 )
 
 ALL = [entry.document.to_structure() for entry in CATALOG]
+DOCS_DIR = Path(__file__).resolve().parent.parent / "docs"
+DOCS = sorted(DOCS_DIR.glob("*.json"))
 
 
 # -- bases ---------------------------------------------------------------------
@@ -101,6 +107,49 @@ def test_count_is_the_basis_size(entry):
         for k in range(ell + 1):
             assert complexes._count(S, ell - k, w + total) == len(
                 cochain_basis(S, k, w)), (k, w)
+
+
+def _enumerated_basis(S, n, w, sign):
+    # the cell (n, w) enumerated on its own, nothing kept
+    vt = S.vars
+    if not 0 <= n <= len(vt):
+        return ()
+    return tuple(sorted(
+        (exps, index) for index in combinations(range(len(vt)), n)
+        for exps in monomials_of_weight(vt, w + sign * sum(vt.weights[i] for i in index))))
+
+
+BASIS_INPUTS = ALL + [weighted_rational(),
+                      SpecDocument.load(DOCS_DIR / "weighted-line.json").to_structure()]
+
+
+@pytest.mark.parametrize("S", BASIS_INPUTS,
+                         ids=[e.id for e in CATALOG] + ["weighted-rational", "weighted-line"])
+def test_bases_match_an_enumeration_per_cell(S):
+    # the cells share one monomial table per structure; each basis must
+    # still be its own cell's, sorted by (monomial, index), including the
+    # negative cochain weights and the degrees outside 0..ell
+    ell, total = len(S.vars), sum(S.vars.weights)
+    for w in range(-total - 2, 9):
+        for n in range(-1, ell + 2):
+            assert chain_basis(S, n, w).elements == _enumerated_basis(S, n, w, -1), (n, w)
+            assert cochain_basis(S, n, w).elements == _enumerated_basis(S, n, w, 1), (n, w)
+
+
+def test_each_weight_is_enumerated_once_per_structure(monkeypatch):
+    calls = Counter()
+
+    def counted(vars, w, real=complexes.monomials_of_weight):
+        calls[w] += 1
+        return real(vars, w)
+
+    monkeypatch.setattr(complexes, "monomials_of_weight", counted)
+    homology_dims(_fresh("so3"), "canonical", 10)
+    assert calls and max(calls.values()) == 1, calls
+    # the table is kept on the structure, so a second one enumerates afresh
+    calls.clear()
+    homology_dims(_fresh("so3"), "canonical", 10)
+    assert calls and max(calls.values()) == 1, calls
 
 
 def test_strand_sums_vanish_with_a_generator_of_weight_minus_the_shift(so3):
@@ -249,6 +298,63 @@ def test_one_boundary_table_exactly_when_unimodular(S):
     canonical = complexes._plans(S, complexes._twist(S, "canonical"))
     omega = complexes._plans(S, complexes._twist(S, "omega"))
     assert (canonical is omega) == S.modular_data().unimodular
+
+
+# -- the plan tables against the closure-built oracle --------------------------
+
+
+def _assert_plans_match_the_oracle(S):
+    # equal as tuples, key order and the step order of every plan included
+    for coeff in ("canonical", "omega"):
+        twist = complexes._twist(S, coeff)
+        for backwards in (False, True):
+            got = complexes._plans(S, twist, backwards)
+            assert list(got.items()) == list(closure_plans(S, twist, backwards).items()), \
+                (coeff, backwards)
+
+
+ORACLE_PLAN_INPUTS = (PLAN_INPUTS + [SpecDocument.load(path).to_structure() for path in DOCS]
+                      + [random_log_canonical(random.Random(ell), ell) for ell in (1, 2, 5)])
+ORACLE_PLAN_IDS = (PLAN_IDS + [f"docs/{path.name}" for path in DOCS]
+                   + [f"random-log-canonical-{ell}" for ell in (1, 2, 5)])
+
+
+@pytest.mark.parametrize("S", ORACLE_PLAN_INPUTS, ids=ORACLE_PLAN_IDS)
+def test_plans_match_the_closure_oracle(S):
+    _assert_plans_match_the_oracle(S)
+
+
+def _flip_face_sign(faces, S):
+    # the face dx_1 of dx_{01}
+    (i, rest, sign), *others = faces[(0, 1)][0]
+    faces[(0, 1)] = (((i, rest, -sign), *others), faces[(0, 1)][1])
+
+
+def _flip_contraction_sign(faces, S):
+    # dx_k in the contraction of dx_{01}, for the first k with a nonzero
+    # partial d{x_0, x_1}/dx_k
+    (pair, inserted), = faces[(0, 1)][1]
+    k = S.term_tables().partials[pair][0][0]
+    J, sign = inserted[k]
+    faces[(0, 1)] = (faces[(0, 1)][0], ((pair, {**inserted, k: (J, -sign)}),))
+
+
+@pytest.mark.parametrize("flip", [_flip_face_sign, _flip_contraction_sign])
+@pytest.mark.parametrize("entry_id", ["so3", "log-canonical-3", "potential-x2z"])
+def test_a_flipped_sign_in_the_face_table_fails_the_oracle_and_d_squared(
+        entry_id, flip, monkeypatch):
+    S = _fresh(entry_id)
+
+    def faces(ell, real=complexes._faces):
+        table = dict(real(ell))
+        if ell == 3:
+            flip(table, S)
+        return table
+
+    monkeypatch.setattr(complexes, "_faces", faces)
+    twist = complexes._twist(S, "canonical")
+    assert complexes._plans(S, twist) != closure_plans(S, twist)
+    assert not plans_square_to_zero(S, complexes._plans(S, twist))
 
 
 # -- d^2 = 0 on the plan tables, at every weight at once ----------------------
@@ -656,9 +762,9 @@ def test_so3_tables_match_the_closed_form():
 # The counts are pinned exactly.  The fault breaks d^2 = 0, which the sweep
 # relies on when it leaves out the rows at the pivot columns of the
 # boundary below, so the counts depend on which rows it leaves out, and
-# not on the fault alone.
-@pytest.mark.parametrize("exponents, cells", [((3, 3, 3), 27), ((2, 3, 4), 50),
-                                               ((3, 4, 5), 143)])
+# so on the order in which the cells are read, and not on the fault alone.
+@pytest.mark.parametrize("exponents, cells", [((3, 3, 3), 23), ((2, 3, 4), 24),
+                                               ((3, 4, 5), 56)])
 def test_an_anchor_term_dropped_everywhere_fails_the_closed_form(exponents, cells):
     # the fault the duality certificate cannot see, since both tables it
     # compares share it, moves the cohomology off the closed form
@@ -867,13 +973,13 @@ def test_duality_matches_the_two_sweep_oracles(entry, max_weight):
 
 
 @st.composite
-def weighted_structures(draw):
-    """Log-canonical brackets (l = 3 or 4) with rational entries, or l = 3
-    Jacobian brackets of a rational weighted-homogeneous potential; weights
-    1 to 3."""
+def weighted_structures(draw, max_ell=4):
+    """Log-canonical brackets (l = 3 to max_ell) with rational entries, or
+    l = 3 Jacobian brackets of a rational weighted-homogeneous potential;
+    weights 1 to 3."""
     rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     if draw(st.booleans()):
-        ell = draw(st.integers(3, 4))
+        ell = draw(st.integers(3, max_ell))
         vt = VarTable(tuple(f"x{i}" for i in range(ell)),
                       tuple(draw(st.integers(1, 3)) for _ in range(ell)))
         entries = {}
@@ -891,6 +997,12 @@ def weighted_structures(draw):
         phi = phi + vt.monomial(exps, draw(rationals))
     dx, dy, dz = (partial_derivative(phi, k) for k in range(3))
     return PoissonStructure(vt, {(0, 1): dz, (1, 2): dx, (0, 2): -dy})
+
+
+@given(weighted_structures(max_ell=5))
+@settings(max_examples=30, deadline=None)
+def test_plans_match_the_closure_oracle_on_random_structures(S):
+    _assert_plans_match_the_oracle(S)
 
 
 @given(weighted_structures(), st.integers(0, 3))
@@ -1089,3 +1201,37 @@ def test_rows_are_left_out_of_elimination(monkeypatch):
     assert len(assembled) == len(eliminated)
     assert sum(eliminated) < sum(assembled)
     assert all(e <= a for e, a in zip(eliminated, assembled))
+
+
+@pytest.mark.parametrize("make, max_weight", [
+    pytest.param(lambda: _fresh("so3"), 8, id="so3"),
+    pytest.param(lambda: SpecDocument.load(
+        DOCS_DIR / "jacobian-casimirs-4.json").to_structure(), 4,
+        id="jacobian-casimirs-4")])
+def test_cohomology_leaves_rows_out_as_homology_does(make, max_weight, monkeypatch):
+    # cohomology reads its omega cells with n rising, as the omega homology
+    # over the window moved by the sum of the weights reads them, so the
+    # same rows reach elimination, and fewer than were assembled
+    assembled, eliminated = [], []
+
+    def recording(*args, make=complexes.boundary_matrix):
+        cell = make(*args)
+        assembled.append(len(cell.matrix.rows))
+        return cell
+
+    monkeypatch.setattr(complexes, "boundary_matrix", recording)
+    real_rank = SparseMatrix.rank
+    monkeypatch.setattr(SparseMatrix, "rank",
+                        lambda self: eliminated.append(len(self.rows)) or real_rank(self))
+    S = make()
+    ell, total = len(S.vars), sum(S.vars.weights)
+    table = cohomology_dims(S, max_weight)
+    rows = list(eliminated)
+    assert sum(rows) < sum(assembled)
+    eliminated.clear()
+    homology_dims(make(), "omega", max_weight + total)
+    assert eliminated == rows
+    monkeypatch.undo()
+    assert list(table) == [(k, v) for k in range(ell + 1)
+                           for v in range(-total, max_weight + 1)]
+    assert table == swept_cohomology(make(), max_weight)
