@@ -18,16 +18,21 @@ coefficients times one structure denominator D, into one plan table per
 distinct differential, built whole by ``_plans``: per multi-index, one
 linear form in the column's exponents for each target, its signs read
 off the face tables of ``_faces``, built once per number of variables.
-The cell bases of a structure share one enumeration of the monomials of
-each weight (``TermTables.monomials``).  The same
-differentials on polynomials, applied column by column, are the test
-oracles in ``tests/_oracles.py``; nothing here calls them.
+A cell basis is a sorted tuple of int keys, each monomial's exponents
+packed into one int with its multi-index's rank below them, and the cell
+bases of a structure share one enumeration and packing of the monomials
+of each weight (``TermTables.monomials``).  The same differentials on
+polynomials, applied column by column, and a basis and assembly keyed by
+(exponent tuple, multi-index) pairs are the test oracles in
+``tests/_oracles.py``; nothing here calls them.
 A boundary is keyed by its twist table, the terms added to each
 generator's action (``_twist``): zero for "canonical" and the traces for
 "omega", so a unimodular structure has one table for both.  The
 coboundary's table is the zero twist's read backwards.  One small kernel,
 ``_assemble``, enumerates both cells and evaluates a plan table on each
-column's exponent tuple into int rows, handed to ``SparseMatrix`` over D.
+column's exponent tuple into int rows, handed to ``SparseMatrix`` over D;
+a target's row is found by adding one int offset per step to the column's
+key.
 
 Every sweep takes boundaries only.  The cochain side is the chain side
 under the complement map m (.) dx_I -> (m, I^c): ``_duality_certificate``
@@ -57,7 +62,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from operator import add
+from operator import lshift
 
 from .linalg import SparseMatrix
 # unused here, but perfbench/tracing.py patches complexes.partial_derivative by name
@@ -91,44 +96,99 @@ def _twist(S: PoissonStructure, coeff: str) -> "tuple[Terms, ...]":
 
 
 class ChainBasis:
-    """Ordered basis of one graded cell.
+    """Ordered basis of one graded cell, held as a sorted tuple of int keys.
 
-    Elements are (exponent tuple, multi-index) pairs sorted by monomial then
-    multi-index, so matrix layouts are reproducible run to run.  A basis
-    keeps no index of its elements: ``_assemble`` builds one for its
-    target cell, the one place that looks an element up.
+    The key of m (.) dx_I, m = x^e, is e packed big-endian in
+    ``_DIGIT``-bit digits and shifted left by ell bits, plus the rank of I,
+    the ell-bit int whose bits are those of the variables outside I
+    (``_layout``).  Among the multi-indices of one size the rank rises
+    with lex order, and a cell's multi-indices share one size, so the keys
+    sort by monomial, then multi-index, and matrix layouts are
+    reproducible run to run.  ``elements`` decodes the keys into
+    (exponent tuple, multi-index) pairs.  A basis keeps no index of its
+    keys: ``_assemble`` builds one for its target cell, the one place that
+    looks a key up.
     """
 
-    __slots__ = ("elements",)
+    __slots__ = ("keys", "_exponents", "_ell")
 
-    def __init__(self, elements: "tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]"):
-        self.elements = elements
+    def __init__(self, keys: "tuple[int, ...]", exponents: "dict[int, tuple[int, ...]]",
+                 ell: int):
+        self.keys = keys
+        self._exponents = exponents
+        self._ell = ell
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.keys)
+
+    @property
+    def elements(self) -> "tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]":
+        """The (exponent tuple, multi-index) pairs of the keys, in order."""
+        mask = (1 << self._ell) - 1
+        bits = _layout(self._ell)[1]
+        return tuple((self._exponents[key & ~mask], _index(key & mask, bits))
+                     for key in self.keys)
+
+
+_DIGIT = 32
+
+
+@lru_cache(maxsize=None)
+def _layout(ell: int) -> "tuple[tuple[int, ...], tuple[int, ...]]":
+    """Per variable x_i: the shift _DIGIT * (ell - 1 - i) + ell of its
+    exponent's digit in a key, and its bit 2^(ell - 1 - i) in the rank of a
+    multi-index.  A monomial's code, sum(map(lshift, e, shifts)), is its
+    key less the rank; a negative entry of e borrows from the digit above
+    it.  Of two multi-indices I <lex J of one size, I holds the first index
+    where they differ and J does not, so J's rank, the bits of the
+    variables outside J, is the larger."""
+    return (tuple(range(_DIGIT * (ell - 1) + ell, ell - 1, -_DIGIT)),
+            tuple(map((1).__lshift__, range(ell - 1, -1, -1))))
+
+
+def _index(rank: int, bits: "tuple[int, ...]") -> "tuple[int, ...]":
+    """The multi-index of a rank: the variables whose bit it lacks."""
+    return tuple(i for i, bit in enumerate(bits) if not rank & bit)
 
 
 def _basis(S: PoissonStructure, n: int, w: int, sign: int) -> ChainBasis:
     """Basis of the cell (n, w) whose elements m (.) dx_I have deg(m) =
     w + sign * (the weights of I); sign is -1 for chains, +1 for cochains.
-    Built once per structure and kept in ``TermTables.bases``; the
-    monomials of each degree are enumerated once per structure, for every
-    cell, and kept in ``TermTables.monomials``."""
+    Built once per structure and kept in ``TermTables.bases``.  The
+    monomials of each degree 0 <= deg < 2^31 are enumerated and packed once
+    per structure, for every cell: ``TermTables.monomials`` holds each
+    degree's codes, the packed exponents shifted left by ell bits, and
+    ``TermTables.exponents`` maps every code to its exponents.  A key is a
+    code plus the rank of its multi-index, read off ``_layout`` alongside
+    the weights.  No exponent then reaches 2^31, so a key's digits never
+    carry; a higher degree raises ValueError."""
     tables = S.term_tables()
-    bases, monomials = tables.bases, tables.monomials
-    key = (sign, n, w)
-    if key not in bases:
+    basis = tables.bases.get((sign, n, w))
+    if basis is None:
         vt = S.vars
-        elements = []
-        if 0 <= n <= len(vt):
-            for index in combinations(range(len(vt)), n):
-                deg = w + sign * sum(vt.weights[i] for i in index)
+        ell = len(vt)
+        mask = (1 << ell) - 1
+        shifts, bits = _layout(ell)
+        monomials = tables.monomials
+        keys: "list[int]" = []
+        if 0 <= n <= ell:
+            for weights, index_bits in zip(combinations(vt.weights, n),
+                                           combinations(bits, n)):
+                deg = w + sign * sum(weights)
+                if deg < 0:
+                    continue
                 if deg not in monomials:
-                    monomials[deg] = monomials_of_weight(vt, deg)
-                elements.extend((exps, index) for exps in monomials[deg])
-        elements.sort()
-        bases[key] = ChainBasis(tuple(elements))
-    return bases[key]
+                    if deg >> _DIGIT - 1:
+                        raise ValueError(f"the cell ({n}, {w}) holds monomials of degree "
+                                         f"{deg}, and degrees stop below 2^31")
+                    codes = {sum(map(lshift, exps, shifts)): exps
+                             for exps in monomials_of_weight(vt, deg)}
+                    tables.exponents.update(codes)
+                    monomials[deg] = tuple(codes)
+                keys.extend(map((mask - sum(index_bits)).__add__, monomials[deg]))
+        keys.sort()
+        basis = tables.bases[sign, n, w] = ChainBasis(tuple(keys), tables.exponents, ell)
+    return basis
 
 
 @lru_cache(maxsize=1 << 16)
@@ -199,7 +259,9 @@ class GradedComplexCell:
 # table when the traces vanish, since they are the omega twist.  Only the
 # boundary plans are built from the term tables.  Both complexes come from
 # one resolution of the algebra, so the coboundary's plans are the
-# zero-twist boundary's read backwards.
+# zero-twist boundary's read backwards.  ``_assemble`` reads a plan through
+# its steps' int offsets, code(t) * 2^ell + rank(J), built per multi-index
+# when a column first needs them, so a key plus an offset is a target key.
 
 Plan = "tuple[tuple[tuple[int, ...], tuple[int, ...], int, tuple[tuple[int, int], ...]], ...]"
 
@@ -272,29 +334,52 @@ def _plans(S: PoissonStructure, twist: "tuple[Terms, ...]",
 
 
 def _assemble(S: PoissonStructure, basis: "Callable[..., ChainBasis]", n: int, w: int,
-              step: int, plans: "dict[tuple[int, ...], Plan]") -> GradedComplexCell:
-    """The matrix from the cell (n, w) of ``basis`` to (n + step, w + d - 2):
-    each column's plan evaluated on its monomial into int rows over the
-    structure denominator.  The row of a target element is read off an
-    index of the target basis built here, the one place that reads it."""
+              step: int, twist: "tuple[Terms, ...]", backwards: bool) -> GradedComplexCell:
+    """The matrix from the cell (n, w) of ``basis`` to (n + step, w + d - 2)
+    of the differential ``_plans(S, twist, backwards)``: each column's plan
+    evaluated on its monomial into int rows over the structure denominator.
+
+    A column's key less the rank of its multi-index I is its monomial's
+    code, and the step to (J, t) adds the offset code(t) * 2^ell + rank(J)
+    to it, which is the target's key whenever the entry is nonzero: a step
+    with a negative t_a has t_a = -1 and a form in e_a alone, which
+    vanishes at e_a = 0.  The steps of I with their offsets are built when
+    a column at I first needs them and kept in ``TermTables.offsets``,
+    keyed like the plans, then by rank(I).  The row of a target key is
+    read off an index of the target basis built here."""
+    tables = S.term_tables()
     src = basis(S, n, w)
     tgt = basis(S, n + step, w + S.weight_shift())
-    position = {el: k for k, el in enumerate(tgt.elements)}
+    ell = len(S.vars)
+    mask = (1 << ell) - 1
+    plans = _plans(S, twist, backwards)
+    offsets = tables.offsets.setdefault((twist, backwards), {})
+    exponents = tables.exponents
+    position = dict(zip(tgt.keys, range(len(tgt))))
     rows: dict[int, dict[int, int]] = {}
-    for col, (exps, index) in enumerate(src.elements):
-        for J, t, c0, linear in plans[index]:
+    for col, key in enumerate(src.keys):
+        r = key & mask
+        key -= r
+        exps = exponents[key]
+        steps = offsets.get(r)
+        if steps is None:
+            shifts, bits = _layout(ell)
+            steps = offsets[r] = tuple(  # mask less J's bits is rank(J)
+                (sum(map(lshift, t, shifts)) + mask - sum(map(bits.__getitem__, J)),
+                 c0, linear) for J, t, c0, linear in plans[_index(r, bits)])
+        for offset, c0, linear in steps:
             v = c0
             for a, c in linear:
                 v += c * exps[a]
             if v:
-                r = position[(tuple(map(add, exps, t)), J)]
-                row = rows.get(r)
+                i = position[key + offset]
+                row = rows.get(i)
                 if row is None:
-                    rows[r] = {col: v}
+                    rows[i] = {col: v}
                 else:
                     row[col] = v
     return GradedComplexCell(src, tgt, SparseMatrix(
-        len(tgt), len(src), rows, S.term_tables().denominator))
+        len(tgt), len(src), rows, tables.denominator))
 
 
 def boundary_matrix(S: PoissonStructure, n: int, w: int,
@@ -303,7 +388,7 @@ def boundary_matrix(S: PoissonStructure, n: int, w: int,
 
     The target cell sits at (n - 1, w + d - 2); graded structures only.
     """
-    return _assemble(S, chain_basis, n, w, -1, _plans(S, _twist(S, coeff)))
+    return _assemble(S, chain_basis, n, w, -1, _twist(S, coeff), False)
 
 
 def coboundary_matrix(S: PoissonStructure, n: int, w: int) -> GradedComplexCell:
@@ -311,8 +396,7 @@ def coboundary_matrix(S: PoissonStructure, n: int, w: int) -> GradedComplexCell:
 
     The target cell sits at (n + 1, w + d - 2); graded structures only.
     """
-    return _assemble(S, cochain_basis, n, w, 1,
-                     _plans(S, _twist(S, "canonical"), backwards=True))
+    return _assemble(S, cochain_basis, n, w, 1, _twist(S, "canonical"), True)
 
 
 def _cell_dims(S: PoissonStructure, coeff: str) -> "Callable[[int, int], int]":

@@ -219,11 +219,17 @@ class TermTables:
       boundary and ``traces`` for the omega one, so a unimodular structure
       has one table for both, and the coboundary is the zero twist read
       backwards;
+    * ``offsets`` keeps, keyed like ``plans`` and then by the rank of a
+      multi-index, that index's plan steps with each target (J, t) read as
+      one int offset, built the first time a column at the index is
+      assembled; nothing else reads the plan tables' steps this way, so a
+      table altered after assembly needs its offsets dropped too;
     * ``bases`` likewise keeps each cell basis ``complexes`` enumerates,
-      keyed by (sign -1 for chains or +1 for cochains, n, w), and
-      ``monomials`` the exponent tuples of each degree those bases are
-      built from, keyed by the degree, so neighbouring cells share one
-      enumeration;
+      held as sorted int keys, keyed by (sign -1 for chains or +1 for
+      cochains, n, w); ``monomials`` holds, per degree 0 or more those
+      bases are built from, the packed code of each of its monomials, so
+      neighbouring cells share one enumeration, and ``exponents`` maps
+      every such code to its exponent tuple;
     * ``ranks`` keeps the rank of each boundary ``complexes`` has taken,
       keyed by its twist table, then by the cell (n, w) it leaves, and
       ``pivots`` the pivot columns that rank left, keyed the same way.
@@ -242,6 +248,8 @@ class TermTables:
     plans: dict = field(default_factory=dict, compare=False)
     bases: dict = field(default_factory=dict, compare=False)
     monomials: dict = field(default_factory=dict, compare=False)
+    exponents: dict = field(default_factory=dict, compare=False)
+    offsets: dict = field(default_factory=dict, compare=False)
     ranks: dict = field(default_factory=dict, compare=False)
     pivots: dict = field(default_factory=dict, compare=False)
 

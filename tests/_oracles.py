@@ -419,12 +419,12 @@ def eager_duality(S: PoissonStructure, max_weight: int) -> "tuple[int, ...]":
 
 def scale_traces(S: PoissonStructure, scale: int) -> None:
     """Multiply the int trace terms of S's tables by ``scale`` in place, and
-    drop every plan, basis and rank built from them: a twist fault the
-    duality certificate must see."""
+    drop every plan, offset, basis and rank built from them: a twist fault
+    the duality certificate must see."""
     tables = S.term_tables()
     traces = tuple(tuple((t, scale * c) for t, c in terms) for terms in tables.traces)
-    S._tables = replace(tables, traces=traces, plans={}, bases={}, ranks={},
-                        pivots={})
+    S._tables = replace(tables, traces=traces, plans={}, offsets={}, bases={},
+                        ranks={}, pivots={})
 
 
 def plans_square_to_zero(S: PoissonStructure, plans) -> bool:
@@ -505,6 +505,41 @@ def closure_plans(S: PoissonStructure, twist, backwards: bool = False) -> dict:
                 plan.append((J, t, c0, linear))
         plans[I] = tuple(plan)
     return plans
+
+
+def tuple_basis(S: PoissonStructure, n: int, w: int,
+                sign: int) -> "tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]":
+    """The cell (n, w) as (exponent tuple, multi-index) pairs sorted by
+    monomial, then multi-index, where deg(m) = w + sign * (the weights of
+    I): the elements a basis held before it held int keys, enumerated per
+    call and not kept."""
+    vt = S.vars
+    elements = []
+    if 0 <= n <= len(vt):
+        for index in combinations(range(len(vt)), n):
+            deg = w + sign * sum(vt.weights[i] for i in index)
+            elements.extend((exps, index) for exps in monomials_of_weight(vt, deg))
+    elements.sort()
+    return tuple(elements)
+
+
+def tuple_assembled(S: PoissonStructure, n: int, w: int, step: int, sign: int,
+                    plans) -> SparseMatrix:
+    """The matrix of a plan table from the cell (n, w) of ``tuple_basis``
+    to (n + step, w + d - 2), assembled on tuple keys: the step to (J, t)
+    from the column (e, I) writes its entry at the row of (e + t, J) in an
+    index of the target's pairs.  Rows and each row's columns come in the
+    order ``complexes._assemble`` writes them, column by column."""
+    src = tuple_basis(S, n, w, sign)
+    tgt = tuple_basis(S, n + step, w + S.weight_shift(), sign)
+    position = {el: k for k, el in enumerate(tgt)}
+    rows: dict = {}
+    for col, (exps, index) in enumerate(src):
+        for J, t, c0, linear in plans[index]:
+            v = c0 + sum(c * exps[a] for a, c in linear)
+            if v:
+                rows.setdefault(position[(tuple(map(add, exps, t)), J)], {})[col] = v
+    return SparseMatrix(len(tgt), len(src), rows, S.term_tables().denominator)
 
 
 def dense_rows(matrix: SparseMatrix) -> "list[list[Fraction]]":

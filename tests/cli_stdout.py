@@ -3,7 +3,9 @@
 
 Each table case runs ``homology`` (canonical and ``--coeff omega``),
 ``cohomology``, ``duality`` and ``duality --tsv`` at ``--max-weight 6`` on
-every catalog entry and every shipped document under ``docs/``.  Each
+every catalog entry and every shipped document under ``docs/``; one more
+runs ``homology --max-weight 30`` on catalog so3, a large window whose
+exponents reach 30.  Each
 ``pbw`` case runs ``pbw --samples 60`` on the same documents, with and
 without ``--nu``.  Each info case runs ``check`` and ``trace`` on the same
 documents.  ``cli_stdout_digests.json``,
@@ -59,7 +61,8 @@ SOURCES = (
 )
 
 CASES = tuple((name, document, command)
-              for name, document in SOURCES for command in COMMANDS)
+              for name, document in SOURCES for command in COMMANDS) + (
+    ("catalog:so3", "catalog:so3", ("homology", "--max-weight", "30")),)
 
 
 PBW_CASES = tuple((name, document, command)

@@ -14,7 +14,7 @@ INFO_RECORDED = json.loads(INFO_DIGESTS.read_text())
 
 
 def test_every_case_is_recorded():
-    assert len(CASES) == 65
+    assert len(CASES) == 66
     assert sorted(RECORDED) == sorted(key(name, command)
                                       for name, _, command in CASES)
 

@@ -54,6 +54,8 @@ from _oracles import (
     random_polynomial,
     scale_traces,
     swept_cohomology,
+    tuple_assembled,
+    tuple_basis,
     weighted_rational,
 )
 
@@ -136,6 +138,34 @@ def test_bases_match_an_enumeration_per_cell(S):
             assert cochain_basis(S, n, w).elements == _enumerated_basis(S, n, w, 1), (n, w)
 
 
+@pytest.mark.parametrize("S", BASIS_INPUTS,
+                         ids=[e.id for e in CATALOG] + ["weighted-rational", "weighted-line"])
+def test_keys_strictly_increase(S):
+    # sorted and distinct, so each key has one row and one column
+    ell, total = len(S.vars), sum(S.vars.weights)
+    for w in range(-total - 2, 9):
+        for n in range(-1, ell + 2):
+            for basis in (chain_basis(S, n, w), cochain_basis(S, n, w)):
+                keys = basis.keys
+                assert all(a < b for a, b in zip(keys, keys[1:])), (n, w)
+
+
+def test_a_degree_of_2_to_the_31_is_refused():
+    # a key holds each exponent in a 32-bit digit, and a step may add to
+    # it, so degrees stop below 2^31 rather than alias another monomial
+    S = _fresh("trivial-1")
+    for basis in (chain_basis, cochain_basis):
+        with pytest.raises(ValueError, match=r"the cell \(0, 2147483648\) .* 2147483648"):
+            basis(S, 0, 2 ** 31)
+    # the highest degree kept: dx_0 has rank 0 and the empty index rank 1
+    top = chain_basis(S, 1, 2 ** 31)
+    assert top.elements == (((2 ** 31 - 1,), (0,)),)
+    assert top.keys == ((2 ** 31 - 1) * 2,)
+    top = chain_basis(S, 0, 2 ** 31 - 1)
+    assert top.elements == (((2 ** 31 - 1,), ()),)
+    assert top.keys == ((2 ** 31 - 1) * 2 + 1,)
+
+
 def test_each_weight_is_enumerated_once_per_structure(monkeypatch):
     calls = Counter()
 
@@ -146,6 +176,9 @@ def test_each_weight_is_enumerated_once_per_structure(monkeypatch):
     monkeypatch.setattr(complexes, "monomials_of_weight", counted)
     homology_dims(_fresh("so3"), "canonical", 10)
     assert calls and max(calls.values()) == 1, calls
+    # the cells (n, w) with w < n ask for negative degrees, which hold no
+    # monomial and are not enumerated
+    assert min(calls) == 0, calls
     # the table is kept on the structure, so a second one enumerates afresh
     calls.clear()
     homology_dims(_fresh("so3"), "canonical", 10)
@@ -324,6 +357,82 @@ def test_plans_match_the_closure_oracle(S):
     _assert_plans_match_the_oracle(S)
 
 
+# -- int-key assembly against the tuple-keyed oracle ---------------------------
+
+
+def _stored_order(matrix):
+    # the rows in stored order, each with its columns in stored order: the
+    # order elimination reads them in
+    return ((matrix.nrows, matrix.ncols, matrix.denominator),
+            [(r, list(row.items())) for r, row in matrix.rows.items()])
+
+
+def _assert_assembly_matches_the_tuple_oracle(S, max_weight):
+    ell, total = len(S.vars), sum(S.vars.weights)
+    for name, twist, backwards in _differentials(S):
+        plans = complexes._plans(S, twist, backwards)
+        step, sign, low = (1, 1, -total) if backwards else (-1, -1, 0)
+        for n in range(ell + 1):
+            for w in range(low, max_weight + 1):
+                cell = (coboundary_matrix(S, n, w) if backwards
+                        else boundary_matrix(S, n, w, name))
+                slow = tuple_assembled(S, n, w, step, sign, plans)
+                assert cell.source.elements == tuple_basis(S, n, w, sign), (name, n, w)
+                assert _stored_order(cell.matrix) == _stored_order(slow), (name, n, w)
+                assert cell.matrix.rank() == slow.rank(), (name, n, w)
+                assert cell.matrix.pivots == slow.pivots, (name, n, w)
+
+
+@pytest.mark.parametrize("S", ORACLE_PLAN_INPUTS, ids=ORACLE_PLAN_IDS)
+def test_assembly_matches_the_tuple_oracle(S):
+    _assert_assembly_matches_the_tuple_oracle(S, 5)
+
+
+def test_swapped_ranks_in_the_packing_fail_the_tuple_oracle(monkeypatch):
+    # x_0 and x_1 trade bits, so dx_0 and dx_1 trade ranks, consistently:
+    # every key still decodes, and only the order of the cells' keys, and
+    # so of rows and columns, moves
+    def swapped(ell, real=complexes._layout):
+        shifts, (first, second, *rest) = real(ell)
+        return shifts, (second, first, *rest)
+
+    monkeypatch.setattr(complexes, "_layout", swapped)
+    with pytest.raises(AssertionError):
+        _assert_assembly_matches_the_tuple_oracle(_fresh("so3"), 3)
+
+
+def _steps_never_borrow(S):
+    # a step whose t has a negative entry has one, t_a = -1, and a form
+    # c_a * e_a alone, so its entry vanishes unless e_a >= 1: no target
+    # e + t of a nonzero entry has a negative exponent, and a packed key
+    # plus the step's offset never borrows from a neighbouring digit.
+    # The number of steps with a negative entry is returned
+    borrowing = 0
+    for coeff in ("canonical", "omega"):
+        for backwards in (False, True):
+            plans = complexes._plans(S, complexes._twist(S, coeff), backwards)
+            for I, plan in plans.items():
+                for J, t, c0, linear in plan:
+                    negative = [a for a, e in enumerate(t) if e < 0]
+                    if negative:
+                        borrowing += 1
+                        assert len(negative) == 1, (coeff, backwards, I, J, t)
+                        [a] = negative
+                        assert t[a] == -1 and c0 == 0, (coeff, backwards, I, J, t)
+                        assert [b for b, _ in linear] == [a], (coeff, backwards, I, J, t)
+    return borrowing
+
+
+@pytest.mark.parametrize("S", ORACLE_PLAN_INPUTS, ids=ORACLE_PLAN_IDS)
+def test_steps_never_borrow(S):
+    _steps_never_borrow(S)
+
+
+def test_steps_with_a_negative_entry_are_common():
+    # the rule above is not vacuous: steps on so3 lower a variable
+    assert _steps_never_borrow(_fresh("so3")) > 0
+
+
 def _flip_face_sign(faces, S):
     # the face dx_1 of dx_{01}
     (i, rest, sign), *others = faces[(0, 1)][0]
@@ -405,7 +514,7 @@ def _drop_first_anchor_terms(S):
     tables = S.term_tables()
     S._tables = dataclasses.replace(
         tables, anchor=tuple(row[1:] for row in tables.anchor),
-        plans={}, bases={}, ranks={}, pivots={})
+        plans={}, offsets={}, bases={}, ranks={}, pivots={})
 
 
 @pytest.mark.parametrize("entry_id", ["so3", "log-canonical-3", "log-canonical-3u"])
@@ -1003,6 +1112,18 @@ def weighted_structures(draw, max_ell=4):
 @settings(max_examples=30, deadline=None)
 def test_plans_match_the_closure_oracle_on_random_structures(S):
     _assert_plans_match_the_oracle(S)
+
+
+@given(weighted_structures(max_ell=5))
+@settings(max_examples=30, deadline=None)
+def test_steps_never_borrow_on_random_structures(S):
+    _steps_never_borrow(S)
+
+
+@given(weighted_structures(), st.integers(0, 3))
+@settings(max_examples=30, deadline=None)
+def test_assembly_matches_the_tuple_oracle_on_random_structures(S, max_weight):
+    _assert_assembly_matches_the_tuple_oracle(S, max_weight)
 
 
 @given(weighted_structures(), st.integers(0, 3))
