@@ -15,25 +15,36 @@ confluence is checked empirically by reducing random words under two
 different strategies.
 
 Public words spell polynomial atoms as ("p", Polynomial).  Reduction runs
-in integer arithmetic instead: on entry each atom becomes a tuple of
-(exponents, int) terms by ``structure.int_terms``, scaled by the lcm of
-its denominators, and the part coefficients are brought over one common
-denominator E.  The rules read the integer tables of
-``PoissonStructure.term_tables()`` through the term kernel of
-``structure``: two atoms merge by ``polycore._times``, h(i) * f takes
-{x_i, f} = -{f, x_i} from ``anchor_action`` with the sign flipped, and
-h(j) * h(i) takes the negated partials d{x_i, x_j}/dx_k (i < j), all
-multiplied by one structure denominator D (D = 1 on an integral
-structure).  No rule calls ``S.bracket`` or builds a Polynomial.  Every
-term a rule takes from the bracket (in h(i) * f and in h(j) * h(i))
-removes exactly one derivation symbol, and the swaps and the merge of two
+in integer arithmetic on packed monomials instead.  The code of x^e packs
+e big-endian in 32-bit digits, sum_i e_i * 2^(32 * (ell - 1 - i)), and
+a normal-form key adds the symbol counts h^b in the ell digits above, so
+it packs the 2 * ell exponents b + e.  On entry each atom becomes a tuple
+of (code, int) terms of L * f, L the lcm of its denominators, and the
+part coefficients are brought over one common denominator E.  The rules
+are the integer tables of ``PoissonStructure.term_tables()``, packed once
+per public call by ``structure._rules`` and not kept, so a table edited in
+place is read afresh.  The packed kernel lives in ``structure`` beside
+``anchor_action``: two atoms merge by adding codes (``_product``), h(i) * f
+takes {x_i, f} = -{f, x_i} from ``_moved``, which reads e_a off each code
+and adds the packed terms of D * {x_a, x_i} / x_a, and h(j) * h(i) takes
+the negated partials d{x_i, x_j}/dx_k (i < j), all multiplied by one
+structure denominator D (D = 1 on an integral structure).  No rule calls
+``S.bracket`` or builds a Polynomial or an exponent tuple.  Every term a
+rule takes from the bracket (in h(i) * f and in h(j) * h(i)) removes
+exactly one derivation symbol, and the swaps and the merge of two
 polynomial atoms remove none, so a normal-form term with q symbols reached
 from inputs with at most Q symbols carries exactly D^(Q - q).  Each input
 part with q0 symbols is therefore scaled by D^(Q - q0) on entry, the fold
 adds only ints, and each output term is one Fraction(v, E * D^(Q - q)).
-The checks of ``poishom pbw`` stay in ints: the sampler stores a
-coefficient p/q (q = 1 or 2) as 2p/q, the twist check reduces the twist
-images of the relations as int words, and Fractions are built only at the
+No digit carries: ``reduce_combination`` and ``right_module_residue``
+refuse an input whose degree bound reaches 2^31 (``_enter`` proves the
+bound).  Keys become exponent tuples again only in ``_element``, in the
+residue's output and in the failure reports.  The checks of
+``poishom pbw`` stay in packed ints: the sampler draws codes directly
+with the random calls of the exponent-tuple sampler it replaced, and
+stores a coefficient p/q (q = 1 or 2) as 2p/q; the twist check reduces
+the twist images of the relations as packed words, and takes the residues
+of its module samples on packed codes; Fractions are built only at the
 public API and to report a failure.
 
 The module also reduces elements against right ideals generated by
@@ -51,12 +62,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import lshift
 from typing import Iterable, Sequence
 
-from .polycore import (Polynomial, VarTable, _plus, _times, monomials_of_weight,
+from .polycore import (Polynomial, VarTable, _total_degree, monomials_of_weight,
                        partial_derivative)
-from .structure import (PoissonStructure, Terms, _check_index, _derivative,
-                        _polynomial, _terms, anchor_action, int_terms)
+from .structure import (_DIGIT, _MASK, PoissonStructure, Terms, _check_index, _moved,
+                        _packed, _polynomial, _product, _reduce, _rules, _shifts,
+                        _terms, _unpacked, int_terms)
 
 __all__ = [
     "Word",
@@ -143,23 +156,54 @@ class EnvelopeElement:
 _STRATEGIES = ("leftmost", "rightmost")
 
 
-def _enter(vt: VarTable, coeff, word: "Sequence[tuple]"):
-    """One input part as (numerator, denominator, symbol count, integer word).
+def _reach(tables, *polys: Polynomial) -> int:
+    """The most degree one symbol adds in a reduction: the largest total
+    degree of a bracket entry or of ``polys``, and at least 1."""
+    return max([1, *(sum(e) for terms in tables.entries.values() for e, _ in terms),
+                *(_total_degree(f.terms) for f in polys)])
 
-    In the integer word a derivation symbol h(i) is the int i and a
-    polynomial atom f is the tuple of terms of L * f, with L the lcm of the
-    denominators of f, so L joins the denominator of the coefficient.
-    Returns None for a part that is zero.
+
+def _check_bound(bound: int, low: int) -> None:
+    """Refuse exponents that packed digits cannot hold: a lowest exponent
+    below 0 would borrow, a degree bound of 2^31 or more could carry."""
+    if low < 0:
+        raise ValueError(f"exponent {low}: packed exponents start at 0")
+    if bound >> _DIGIT - 1:
+        raise ValueError(f"degree bound {bound}: packed exponents stop below 2^31")
+
+
+def _enter(vt: VarTable, shifts, reach: int, coeff, word: "Sequence[tuple]"):
+    """One input part as (numerator, denominator, symbol count, packed word).
+
+    In the packed word a derivation symbol h(i) is the int i and a
+    polynomial atom f is the tuple of packed terms of L * f, with L the lcm
+    of the denominators of f, so L joins the denominator of the
+    coefficient.  Returns None for a part that is zero.
+
+    Refuses with ``ValueError`` a negative exponent, which would borrow,
+    and a word whose degree bound, the total degrees of its polynomial
+    atoms plus ``reach`` per symbol, reaches 2^31; ``reach`` is ``_reach``
+    of the brackets, at least the largest total degree of a bracket entry.
+    Call the sum of the total degrees of a word's polynomial atoms its
+    degree.  A merge adds two atoms'
+    degrees; h(a) * f trades a symbol for {x_a, f}, of degree at most
+    deg f + reach - 1; h(j) * h(i) trades a symbol for a partial of degree
+    at most reach - 1; a swap changes nothing.  So degree plus reach per
+    symbol never rises along a reduction, every exponent of every term
+    reached stays below 2^31, and no packed digit carries.  Since reach is
+    at least 1, the bound also holds the symbol digits of a normal-form
+    key below 2^31.
     """
     c = Fraction(coeff)
     num, den = c.numerator, c.denominator
     atoms: list = []
-    symbols = 0
+    symbols = bound = low = 0
     for atom in word:
         if atom[0] == "h":
             _check_index(vt, atom[1])
             atoms.append(atom[1])
             symbols += 1
+            bound += reach
             continue
         if atom[0] != "p":
             raise ValueError(f"unknown atom kind {atom[0]!r}")
@@ -170,87 +214,49 @@ def _enter(vt: VarTable, coeff, word: "Sequence[tuple]"):
             num = 0
         scale, terms = int_terms(f)
         den *= scale
-        atoms.append(terms)
+        bound += _total_degree(f.terms)
+        low = min([low, *(min(e, default=0) for e in f.terms)])
+        atoms.append(_packed(terms, shifts))
+    _check_bound(bound, low)
     if not num:
         return None
     g = gcd(num, den)
     return num // g, den // g, symbols, tuple(atoms)
 
 
-def _find_redex(word: tuple, rightmost: bool) -> "int | None":
-    """Position of the first redex from the chosen end of an integer word."""
-    positions = range(len(word) - 1)
-    if rightmost:
-        positions = reversed(positions)
-    for k in positions:
-        a, b = word[k], word[k + 1]
-        if type(b) is tuple or (type(a) is int and a > b):
-            return k
-    return None
-
-
-def _reduce(tables, n: int, agenda: list, rightmost: bool) -> dict:
-    """Normal form {(x exponents, h exponents): nonzero int} of an agenda of
-    (int, integer word) parts, which it consumes; a term with q symbols
-    reached from a part with q0 gains D^(q0 - q)."""
-    anchor, partials = tables.anchor, tables.partials
-    unit = (((0,) * n, 1),)
-    terms: dict = {}
-    while agenda:
-        coeff, word = agenda.pop()
-        k = _find_redex(word, rightmost)
-        if k is None:
-            if word and type(word[0]) is tuple:
-                poly, symbols = word[0], word[1:]
-            else:
-                poly, symbols = unit, word
-            hexp = [0] * n
-            for i in symbols:
-                hexp[i] += 1
-            key_h = tuple(hexp)
-            for exps, c in poly:
-                key = (exps, key_h)
-                terms[key] = terms.get(key, 0) + coeff * c
-            continue
-        head, a, b, tail = word[:k], word[k], word[k + 1], word[k + 2:]
-        if type(a) is tuple:  # two polynomial atoms merge
-            merged = tuple(_times(a, b).items())
-            agenda.append((coeff, head + (merged,) + tail))
-            continue
-        agenda.append((coeff, head + (b, a) + tail))
-        if type(b) is tuple:  # h(a) * f: D * {x_a, f} = -D * {f, x_a}
-            moved = anchor_action(anchor[a], b)
-            if moved:
-                agenda.append((-coeff, head + (moved,) + tail))
-        else:  # h(a) * h(b) with a > b: D * d{x_a, x_b}/dx_k = -partials
-            for k2, partial in partials.get((b, a), ()):
-                agenda.append((-coeff, head + (partial, k2) + tail))
-    return {key: v for key, v in terms.items() if v}
-
-
 def reduce_combination(S: PoissonStructure,
                        parts: "Iterable[tuple[Fraction, Word]]",
                        strategy: str = "leftmost") -> EnvelopeElement:
-    """Reduce a rational combination of words to its normal form."""
+    """Reduce a rational combination of words to its normal form.
+
+    Refuses with ``ValueError`` a part whose degree bound reaches 2^31
+    (``_enter``)."""
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     vt = S.vars
     tables = S.term_tables()
     d = tables.denominator
-    entered = [p for p in (_enter(vt, c, w) for c, w in parts) if p is not None]
+    shifts = _shifts(len(vt))
+    reach = _reach(tables)
+    entered = [p for p in (_enter(vt, shifts, reach, c, w) for c, w in parts)
+               if p is not None]
     common = lcm(*(den for _, den, _, _ in entered))
     top = max((q for _, _, q, _ in entered), default=0)
     agenda = [(num * (common // den) * d ** (top - q), w)
               for num, den, q, w in entered]
-    terms = _reduce(tables, len(vt), agenda, strategy == "rightmost")
+    terms = _reduce(_rules(tables, shifts), agenda, strategy == "rightmost")
     return _element(vt, terms, common, d, top)
 
 
 def _element(vt: VarTable, terms: dict, scale: int, d: int,
              top: int) -> EnvelopeElement:
-    """The normal form whose int terms carry scale * D^(top - q) at q symbols."""
-    return EnvelopeElement(vt, {key: Fraction(v, scale * d ** (top - sum(key[1])))
-                                for key, v in terms.items()})
+    """The normal form whose packed terms carry scale * D^(top - q) at q
+    symbols; a key packs the 2n exponents h + x."""
+    n = len(vt)
+    out = {}
+    for digits, v in _unpacked(terms.items(), _shifts(2 * n)):
+        out[digits[n:], digits[:n]] = Fraction(v, scale * d ** (top - sum(digits[:n])))
+    return EnvelopeElement(vt, out)
 
 
 def reduce_word(S: PoissonStructure, word: "Sequence[tuple]",
@@ -272,28 +278,29 @@ class ConfluenceFailure(AssertionError):
         self.right = right
 
 
-def _sample_poly(rng: random.Random, n: int, max_degree: int = 2,
+def _sample_poly(rng: random.Random, units: "tuple[int, ...]", max_degree: int = 2,
                  max_terms: int = 2) -> tuple:
-    """Int terms of 2 * f for a random polynomial f, () if f = 0."""
+    """Packed int terms of 2 * f for a random polynomial f, () if f = 0;
+    ``units`` holds the code of each variable."""
+    n = len(units)
     out: dict = {}
     for _ in range(rng.randint(1, max_terms)):
-        exps = [0] * n
+        code = 0
         for _ in range(rng.randint(0, max_degree)):
-            exps[rng.randrange(n)] += 1
-        key = tuple(exps)
+            code += units[rng.randrange(n)]
         p = rng.choice((1, -1, 2, -2, 1, 3))
-        out[key] = out.get(key, 0) + p * (2 // rng.choice((1, 1, 2)))
+        out[code] = out.get(code, 0) + p * (2 // rng.choice((1, 1, 2)))
     return tuple((e, c) for e, c in out.items() if c)
 
 
-def _sample_word(rng: random.Random, n: int) -> tuple:
-    """An integer word of 2 to 5 atoms, each h(i) or 2 * f."""
+def _sample_word(rng: random.Random, units: "tuple[int, ...]") -> tuple:
+    """A packed word of 2 to 5 atoms, each h(i) or 2 * f."""
     atoms: list = []
     for _ in range(rng.randint(2, 5)):
         if rng.random() < 0.55:
-            atoms.append(rng.randrange(n))
+            atoms.append(rng.randrange(len(units)))
         else:
-            atoms.append(_sample_poly(rng, n))
+            atoms.append(_sample_poly(rng, units))
     return tuple(atoms)
 
 
@@ -309,14 +316,15 @@ def confluence_check(S: PoissonStructure, samples: int = 200,
     Both int normal forms of a word carry the same scale key by key."""
     _at_least("samples", samples, 0)
     rng = random.Random(seed)
-    tables = S.term_tables()
-    n = len(S.vars)
+    shifts = _shifts(len(S.vars))
+    rules = _rules(S.term_tables(), shifts)
+    units = tuple(map((1).__lshift__, shifts))
     for _ in range(samples):
-        word = _sample_word(rng, n)
-        if (_reduce(tables, n, [(1, word)], False)
-                != _reduce(tables, n, [(1, word)], True)):
+        word = _sample_word(rng, units)
+        if _reduce(rules, [(1, word)], False) != _reduce(rules, [(1, word)], True):
             public = tuple(ham(a) if type(a) is int  # halve each atom back
-                           else poly_atom(_polynomial(S.vars, a, 2)) for a in word)
+                           else poly_atom(_polynomial(S.vars, _unpacked(a, shifts), 2))
+                           for a in word)
             raise ConfluenceFailure(
                 public, reduce_combination(S, [(_ONE, public)], "leftmost"),
                 reduce_combination(S, [(_ONE, public)], "rightmost"))
@@ -354,28 +362,34 @@ def gr_dimension_check(S: PoissonStructure, max_filtration: int = 3,
 
 
 def _peel(f, row, trace, m: int):
-    """m * D * (f * t_j - {x_j, f}) from anchor[j] and the terms of m * D * t_j."""
-    out = _times(f, trace)
-    for e, c in anchor_action(row, f):  # D * {f, x_j} = -D * {x_j, f}
+    """m * D * (f * t_j - {x_j, f}) from the packed anchor row of x_j and
+    the packed terms of m * D * t_j."""
+    out = _product(f, trace)
+    for e, c in _moved(row, f).items():  # D * {f, x_j} = -D * {x_j, f}
         out[e] = out.get(e, 0) + m * c
     return tuple((e, c) for e, c in out.items() if c)
 
 
-def _residue(anchor, m: int, traces, terms: dict) -> dict:
-    """{x exponents: int} residue of an int normal form modulo (h(j) - t_j).
+def _residue(anchor, m: int, traces, terms: dict, shifts) -> dict:
+    """{code: int} residue of a packed normal form modulo (h(j) - t_j).
 
     f h(j) rest leaves (f t_j - {x_j, f}) rest, so each term is peeled by
     ``_peel`` one symbol at a time in ascending order, each step times
     m * D: a key with q of at most Q symbols must carry (m * D)^(Q - q).
     """
+    top = _DIGIT * len(shifts)
     out: dict = {}
-    for (xexp, hexp), c in terms.items():
-        f = ((xexp, c),)
-        for j, e in enumerate(hexp):
-            for _ in range(e):
+    for key, c in terms.items():
+        h = key >> top
+        if not h:
+            out[key] = out.get(key, 0) + c
+            continue
+        f = ((key - (h << top), c),)
+        for j, s in enumerate(shifts):
+            for _ in range(h >> s & _MASK):
                 f = _peel(f, anchor[j], traces[j], m)
-        for exps, c2 in f:
-            out[exps] = out.get(exps, 0) + c2
+        for code, c2 in f:
+            out[code] = out.get(code, 0) + c2
     return {e: c for e, c in out.items() if c}
 
 
@@ -384,6 +398,11 @@ def right_module_residue(S: PoissonStructure, element: EnvelopeElement,
     """Residue of a normal form in the right quotient by (h(i) - t_i).
 
     ``traces`` needs one polynomial per variable; m clears their denominators.
+    The residue runs on packed codes, so a term x^a h^b with a negative
+    exponent, or whose degree bound |a| + |b| * r reaches 2^31, is refused
+    with ``ValueError``; r is
+    ``_reach`` of the brackets and the traces.  A peel trades a symbol for
+    f * t_j or {x_j, f}, of degree at most deg f + r, so no digit carries.
     """
     if element.vars != S.vars:
         raise ValueError("element over a different variable table")
@@ -394,17 +413,22 @@ def right_module_residue(S: PoissonStructure, element: EnvelopeElement,
     if any(t.vars != vt for t in traces):
         raise ValueError("trace over a different variable table")
     tables = S.term_tables()
+    shifts, wide = _shifts(len(vt)), _shifts(2 * len(vt))
     cleared = [int_terms(t) for t in traces]
     m = lcm(*(scale for scale, _ in cleared))
     step = m * tables.denominator
-    ints = tuple(tuple((e, c * (step // scale)) for e, c in terms)
+    ints = tuple(_packed(((e, c * (step // scale)) for e, c in terms), shifts)
                  for scale, terms in cleared)
     common = lcm(*(c.denominator for c in element.terms.values()))
     top = max((sum(h) for _, h in element.terms), default=0)
-    scaled = {key: c.numerator * (common // c.denominator) * step ** (top - sum(key[1]))
-              for key, c in element.terms.items()}
-    out = _residue(tables.anchor, m, ints, scaled)
-    return _polynomial(vt, out.items(), common * step ** top)
+    reach = _reach(tables, *traces)
+    scaled = {}
+    for (x, h), c in element.terms.items():
+        _check_bound(sum(x) + sum(h) * reach, min(x + h, default=0))
+        scaled[sum(map(lshift, h + x, wide))] = \
+            c.numerator * (common // c.denominator) * step ** (top - sum(h))
+    out = _residue(_rules(tables, shifts)[0], m, ints, scaled, shifts)
+    return _polynomial(vt, _unpacked(out.items(), shifts), common * step ** top)
 
 
 def j_quotient_action(S: PoissonStructure, a: Polynomial, i: int) -> Polynomial:
@@ -451,17 +475,18 @@ class NuReport:
     module_samples: int
 
 
-def _twisted_residue(tables, a, i: int, twist: Terms) -> dict:
+def _twisted_residue(rules: tuple, a, i: int, twist, shifts) -> dict:
     """2D times the plain residue of f * h(i) + f * X_i, the twisted image
-    of f * h(i), for ``a`` the terms of 2 * f and ``twist`` those of D * X_i."""
-    n = len(tables.anchor)
-    agenda = [(1, (a, i)), (1, (a, twist))]
-    return _residue(tables.anchor, 1, ((),) * n, _reduce(tables, n, agenda, False))
+    of f * h(i), for ``a`` the packed terms of 2 * f and ``twist`` those of
+    D * X_i."""
+    terms = _reduce(rules, [(1, (a, i)), (1, (a, twist))], False)
+    return _residue(rules[0], 1, ((),) * len(shifts), terms, shifts)
 
 
-def _relation_forms(S: PoissonStructure, twist: "Sequence[Terms]"):
+def _relation_forms(S: PoissonStructure, twist: "Sequence[Terms]", rules: tuple):
     """(description, symbols, left, right) for each defining relation: the
-    int normal forms of the twist images of its two sides.
+    packed normal forms, under ``rules``, of the twist images of its two
+    sides.
 
     h(i) goes to h(i) + X_i, with ``twist[i]`` the terms of D * X_i, as in
     the twist tables of ``complexes``; both sides agree on every relation
@@ -475,10 +500,10 @@ def _relation_forms(S: PoissonStructure, twist: "Sequence[Terms]"):
     """
     vt = S.vars
     n = len(vt)
-    tables = S.term_tables()
-    d = tables.denominator
-    gens = [((tuple(int(k == i) for k in range(n)), 1),) for i in range(n)]
-    images = [((1, (i,)),) + (((1, (t,)),) if t else ())
+    shifts = _shifts(n)
+    d = S.term_tables().denominator
+    gens = [((1 << s, 1),) for s in shifts]
+    images = [((1, (i,)),) + (((1, (_packed(t, shifts),)),) if t else ())
               for i, t in enumerate(twist)]
 
     def normal_form(words: "list[tuple]") -> dict:
@@ -489,19 +514,20 @@ def _relation_forms(S: PoissonStructure, twist: "Sequence[Terms]"):
                 options = images[atom] if type(atom) is int else ((1, (atom,)),)
                 stack = [(c * oc, w + ow) for c, w in stack for oc, ow in options]
             agenda.extend(stack)
-        return _reduce(tables, n, agenda, False)
+        return _reduce(rules, agenda, False)
 
     for i in range(n):
         for k in range(n):
             if i != k:
                 pair = S.entry(i, k)
-                rhs = [(gens[k], i)] + ([(_terms(pair, d),)] if pair else [])
+                rhs = [(gens[k], i)] + ([(_packed(_terms(pair, d), shifts),)]
+                                        if pair else [])
                 yield (f"h({vt.names[i]}) * {vt.names[k]}", 1,
                        normal_form([(i, gens[k])]), normal_form(rhs))
     for j in range(n):
         for i in range(j):
             pair = S.entry(j, i)
-            rhs = [(i, j)] + [(_terms(c, d), k) for k in range(n)
+            rhs = [(i, j)] + [(_packed(_terms(c, d), shifts), k) for k in range(n)
                               for c in (partial_derivative(pair, k),) if c]
             yield (f"h({vt.names[j]}) * h({vt.names[i]})", 2,
                    normal_form([(j, i)]), normal_form(rhs))
@@ -526,27 +552,37 @@ def nu_check(S: PoissonStructure, samples: int = 20, seed: int = 0) -> NuReport:
     n = len(vt)
     tables = S.term_tables()
     d = tables.denominator
+    shifts = _shifts(n)
+    rules = _rules(tables, shifts)
     twist = [_terms(sum((partial_derivative(S.entry(i, k), k)
                          for k in range(n) if k != i), vt.zero()), d)
              for i in range(n)]
     relations = 0
-    for description, top, left, right in _relation_forms(S, twist):
+    for description, top, left, right in _relation_forms(S, twist, rules):
         if left != right:
             raise RelationViolation(description, _element(vt, left, 1, d, top),
                                     _element(vt, right, 1, d, top))
         relations += 1
 
-    pairs = [[_terms(S.entry(i, k), d) for k in range(n)] for i in range(n)]
+    pairs = [[_packed(_terms(S.entry(i, k), d), shifts) for k in range(n)]
+             for i in range(n)]
+    traces = [_packed(t, shifts) for t in tables.traces]
+    packed = [_packed(t, shifts) for t in twist]
+    units = tuple(map((1).__lshift__, shifts))
     rng = random.Random(seed)
     for _ in range(samples):
-        a = _sample_poly(rng, n, max_degree=3, max_terms=3)
+        a = _sample_poly(rng, units, max_degree=3, max_terms=3)
         i = rng.randrange(n)
-        got = _twisted_residue(tables, a, i, twist[i])
-        want = _times(a, tables.traces[i])
-        for k in range(n):
-            _plus(want, _times(_derivative(a, k), pairs[i][k]), -1)
+        got = _twisted_residue(rules, a, i, packed[i], shifts)
+        want = _product(a, traces[i])
+        for s, unit, pair in zip(shifts, units, pairs[i]):  # - df/dx_k {x_i, x_k}
+            derivative = [(e - unit, c * ek) for e, c in a
+                          for ek in (e >> s & _MASK,) if ek]
+            for e, c in _product(derivative, pair).items():
+                want[e] = want.get(e, 0) - c
+        want = {e: c for e, c in want.items() if c}
         if got != want:
-            sample = _polynomial(vt, a, 2)
-            raise ModuleMismatch(sample, i, _polynomial(vt, got.items(), 2 * d),
-                                 _polynomial(vt, want.items(), 2 * d))
+            raise ModuleMismatch(_polynomial(vt, _unpacked(a, shifts), 2), i,
+                                 _polynomial(vt, _unpacked(got.items(), shifts), 2 * d),
+                                 _polynomial(vt, _unpacked(want.items(), shifts), 2 * d))
     return NuReport(relations, samples)

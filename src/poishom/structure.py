@@ -32,9 +32,15 @@ dict, and ``anchor_action`` gives D * {f, x_j} off one anchor row.  ``bracket`` 
 ``omega_h_action`` and ``lr_bracket`` go through it.  The Jacobi check
 sums D^2 times the jacobiator of each generator triple with
 ``anchor_action`` on the entry terms and builds a Polynomial only to
-report a violation.  The PBW rules in ``envelope`` use the same kernel,
-and ``complexes`` builds its assembly plans from the terms and keeps them
-in the same store.
+report a violation.  ``complexes`` builds its assembly plans from the
+terms and keeps them in the same store.
+
+The PBW rules of ``envelope`` read the same tables on packed monomials,
+through the packed twin of that kernel kept beside ``anchor_action``:
+``_shifts`` and ``_packed`` pack exponents into 32-bit digits of one int,
+``_rules`` packs the anchor rows and partials once per public call,
+``_product`` multiplies packed terms by adding codes, ``_moved`` is the
+packed ``anchor_action``, and ``_reduce`` is the rewriting loop.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from operator import add
+from operator import add, lshift
 from typing import Mapping
 
 from .polycore import (
@@ -188,6 +194,109 @@ def anchor_action(row: "tuple[tuple[int, Terms], ...]", f: Terms) -> Terms:
                 key = tuple(map(add, e, t))
                 out[key] = out.get(key, 0) + scale * tc
     return tuple((e, c) for e, c in out.items() if c)
+
+
+# -- the packed rewriting kernel of ``envelope`` ------------------------------
+
+
+_DIGIT = 32
+_MASK = (1 << _DIGIT) - 1
+
+
+def _shifts(n: int) -> "tuple[int, ...]":
+    """The shift of x_i's digit in a packed code, x_0 the most significant."""
+    return tuple(range(_DIGIT * (n - 1), -1, -_DIGIT))
+
+
+def _packed(terms, shifts) -> tuple:
+    """Int terms with each exponent tuple packed into its code; a -1 entry
+    borrows from the digit above it."""
+    return tuple((sum(map(lshift, e, shifts)), c) for e, c in terms)
+
+
+def _unpacked(terms, shifts) -> tuple:
+    """Packed int terms with each code decoded back to its exponent tuple."""
+    return tuple((tuple(e >> s & _MASK for s in shifts), c) for e, c in terms)
+
+
+def _rules(tables, shifts) -> tuple:
+    """The rules of ``tables`` on packed codes, built once per public call:
+    per anchor row, the (shift of x_a's digit, packed D * {x_a, x_i} / x_a)
+    pairs; the packed partials; and per symbol h(i) its digit 2^(32 * ell)
+    times x_i's, which a normal-form key adds above the x digits."""
+    top = _DIGIT * len(shifts)
+    return (tuple(tuple((shifts[a], _packed(t, shifts)) for a, t in row)
+                  for row in tables.anchor),
+            {key: tuple((k, _packed(t, shifts)) for k, t in derivs)
+             for key, derivs in tables.partials.items()},
+            tuple(1 << s + top for s in shifts))
+
+
+def _product(f, g) -> dict:
+    """{code: int} product of two iterables of packed terms; a sum that
+    cancels stays as a 0."""
+    out: dict = {}
+    for e1, c1 in f:
+        for e2, c2 in g:
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return out
+
+
+def _moved(row, f) -> dict:
+    """{code: int} D * {f, x_j} for packed terms f off the packed anchor row
+    of x_j, the packed twin of ``anchor_action``: each code adds the packed
+    terms of D * {x_a, x_j} / x_a, e_a times, whose one -1 digit borrows
+    exactly, since e_a >= 1 is read off the code first."""
+    out: dict = {}
+    for code, c in f:
+        for shift, lowered in row:
+            ea = code >> shift & _MASK
+            if ea:
+                for t, tc in lowered:
+                    out[code + t] = out.get(code + t, 0) + c * ea * tc
+    return out
+
+
+def _reduce(rules: tuple, agenda: list, rightmost: bool) -> dict:
+    """Normal form {packed key: nonzero int} of an agenda of (int, packed
+    word) parts, which it consumes; a term with q symbols reached from a
+    part with q0 gains D^(q0 - q).
+
+    The redex is the first pair, from the chosen end, of a polynomial atom
+    after any atom or of h(a) before h(b) with a > b.  An atom a rule builds
+    keeps the terms whose sum cancelled, as 0s: they add nothing, and only
+    the normal form drops its zeros."""
+    anchor, partials, symbol_digits = rules
+    unit = ((0, 1),)
+    terms: dict = {}
+    while agenda:
+        coeff, word = agenda.pop()
+        for k in (range(len(word) - 2, -1, -1) if rightmost else range(len(word) - 1)):
+            a, b = word[k], word[k + 1]
+            if type(b) is tuple or (type(a) is int and a > b):
+                break
+        else:  # a normal form: its one polynomial atom, if any, comes first
+            poly = unit
+            if word and type(word[0]) is tuple:
+                poly, word = word[0], word[1:]
+            h = sum(map(symbol_digits.__getitem__, word))
+            for code, c in poly:
+                terms[code + h] = terms.get(code + h, 0) + coeff * c
+            continue
+        head, tail = word[:k], word[k + 2:]
+        if type(a) is tuple:  # two polynomial atoms merge
+            agenda.append((coeff, head + (tuple(_product(a, b).items()),) + tail))
+            continue
+        agenda.append((coeff, head + (b, a) + tail))
+        if type(b) is int:  # h(a) * h(b) with a > b: D * d{x_a, x_b}/dx_k = -partials
+            for k2, partial in partials.get((b, a), ()):
+                agenda.append((-coeff, head + (partial, k2) + tail))
+            continue
+        # h(a) * f: D * {x_a, f} = -D * {f, x_a}
+        moved = tuple(_moved(anchor[a], b).items())
+        if moved:
+            agenda.append((-coeff, head + (moved,) + tail))
+    return {key: v for key, v in terms.items() if v}
 
 
 def _pair(entries: "dict[tuple[int, int], Terms]", i: int, j: int) -> Terms:

@@ -33,6 +33,7 @@ from poishom.polycore import (
     _monomial_bound,
     _Parser,
     _shown,
+    _times,
     _tokenize,
     _total_degree,
     format_poly,
@@ -892,6 +893,100 @@ def _fold_normal(vt: VarTable, coeff: Fraction, word, terms: dict) -> None:
             terms[key] = s
         else:
             terms.pop(key, None)
+
+
+def _find_redex(word: tuple, rightmost: bool) -> "int | None":
+    """Position of the first redex from the chosen end of an integer word."""
+    positions = range(len(word) - 1)
+    if rightmost:
+        positions = reversed(positions)
+    for k in positions:
+        a, b = word[k], word[k + 1]
+        if type(b) is tuple or (type(a) is int and a > b):
+            return k
+    return None
+
+
+def tuple_reduce(tables: TermTables, n: int, agenda: list, rightmost: bool) -> dict:
+    """Normal form {(x exponents, h exponents): nonzero int} of an agenda of
+    (int, integer word) parts, which it consumes: the rewriting engine on
+    exponent tuples that ``envelope`` ran before it packed its monomials.
+    A symbol h(i) is the int i and a polynomial atom a tuple of (exponent
+    tuple, int) terms; a term with q symbols reached from a part with q0
+    gains D^(q0 - q)."""
+    anchor, partials = tables.anchor, tables.partials
+    unit = (((0,) * n, 1),)
+    terms: dict = {}
+    while agenda:
+        coeff, word = agenda.pop()
+        k = _find_redex(word, rightmost)
+        if k is None:
+            if word and type(word[0]) is tuple:
+                poly, symbols = word[0], word[1:]
+            else:
+                poly, symbols = unit, word
+            hexp = [0] * n
+            for i in symbols:
+                hexp[i] += 1
+            key_h = tuple(hexp)
+            for exps, c in poly:
+                key = (exps, key_h)
+                terms[key] = terms.get(key, 0) + coeff * c
+            continue
+        head, a, b, tail = word[:k], word[k], word[k + 1], word[k + 2:]
+        if type(a) is tuple:  # two polynomial atoms merge
+            merged = tuple(_times(a, b).items())
+            agenda.append((coeff, head + (merged,) + tail))
+            continue
+        agenda.append((coeff, head + (b, a) + tail))
+        if type(b) is tuple:  # h(a) * f: D * {x_a, f} = -D * {f, x_a}
+            moved = anchor_action(anchor[a], b)
+            if moved:
+                agenda.append((-coeff, head + (moved,) + tail))
+        else:  # h(a) * h(b) with a > b: D * d{x_a, x_b}/dx_k = -partials
+            for k2, partial in partials.get((b, a), ()):
+                agenda.append((-coeff, head + (partial, k2) + tail))
+    return {key: v for key, v in terms.items() if v}
+
+
+def tuple_sample_poly(rng: random.Random, n: int, max_degree: int = 2,
+                      max_terms: int = 2) -> tuple:
+    """The exponent-tuple twin of ``envelope._sample_poly``: int terms of
+    2 * f for a random polynomial f, () if f = 0."""
+    out: dict = {}
+    for _ in range(rng.randint(1, max_terms)):
+        exps = [0] * n
+        for _ in range(rng.randint(0, max_degree)):
+            exps[rng.randrange(n)] += 1
+        key = tuple(exps)
+        p = rng.choice((1, -1, 2, -2, 1, 3))
+        out[key] = out.get(key, 0) + p * (2 // rng.choice((1, 1, 2)))
+    return tuple((e, c) for e, c in out.items() if c)
+
+
+def tuple_sample_word(rng: random.Random, n: int) -> tuple:
+    """The exponent-tuple twin of ``envelope._sample_word``: an integer word
+    of 2 to 5 atoms, each h(i) or 2 * f."""
+    atoms: list = []
+    for _ in range(rng.randint(2, 5)):
+        if rng.random() < 0.55:
+            atoms.append(rng.randrange(n))
+        else:
+            atoms.append(tuple_sample_poly(rng, n))
+    return tuple(atoms)
+
+
+def ambiguities(vt: VarTable) -> "list[tuple]":
+    """Bergman's overlap ambiguities of the rewriting rules, as public
+    words: h(k) h(j) h(i) for k > j > i, h(j) h(i) x_m for j > i, and
+    h(i) x_m x_n, each x a polynomial atom.  The diamond lemma reduces
+    confluence to these words resolving alike under both strategies."""
+    n = len(vt)
+    gens = [poly_atom(x) for x in vt.gens()]
+    words = [(ham(k), ham(j), ham(i)) for i, j, k in combinations(range(n), 3)]
+    words += [(ham(j), ham(i), x) for i, j in combinations(range(n), 2) for x in gens]
+    words += [(ham(i), x, y) for i in range(n) for x in gens for y in gens]
+    return words
 
 
 def doubled_counts(vt: VarTable, max_filtration: int,

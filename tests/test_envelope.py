@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,9 +29,11 @@ from poishom.envelope import (
 )
 from poishom.polycore import Polynomial, VarTable
 from poishom.specfile import SpecDocument
-from poishom.structure import PoissonStructure, int_terms
+from poishom.structure import (PoissonStructure, _packed, _reduce, _rules, _shifts,
+                               _unpacked, int_terms)
 
 from _oracles import (
+    ambiguities,
     doubled_counts,
     filtration_degree,
     fraction_nu_relations,
@@ -46,11 +49,29 @@ from _oracles import (
     rational_log_canonical,
     sample_poly,
     sample_word,
+    tuple_reduce,
+    tuple_sample_poly,
+    tuple_sample_word,
+    weighted_rational,
 )
+from test_complexes import weighted_structures
 
 
 def elem(S, *word):
     return reduce_word(S, word)
+
+
+def _decoded(terms, n):
+    """{(x exponents, h exponents): v} of packed normal-form terms in n
+    variables, whose keys hold the symbol digits above the x digits."""
+    def digits(key, low):
+        return tuple(key >> (32 * (low + n - 1 - i)) & 0xFFFFFFFF for i in range(n))
+    return {(digits(key, 0), digits(key, n)): v for key, v in terms.items()}
+
+
+def _packed_rules(S):
+    """The packed rewriting rules of S's term tables as they stand."""
+    return _rules(S.term_tables(), _shifts(len(S.vars)))
 
 
 # -- normal form goldens -------------------------------------------------------
@@ -510,7 +531,7 @@ def test_nu_combinations_match_polynomial_atoms(build):
     got = [(description, envelope._element(S.vars, left, 1, d, top),
             envelope._element(S.vars, right, 1, d, top))
            for description, top, left, right
-           in envelope._relation_forms(S, tables.traces)]
+           in envelope._relation_forms(S, tables.traces, _packed_rules(S))]
     assert got == fraction_nu_relations(S)
     assert got == fraction_nu_relations(S, polynomial_atom_reduce)
     assert all(left == right for _, left, right in got)
@@ -586,7 +607,7 @@ def test_nu_module_half_sees_anchor_table_mutations(entry, monkeypatch):
     # the module half takes {x_i, f} from the brackets, not from the anchor
     # rows the rules read; with the relation half stubbed out, every anchor
     # row doubled is the module half's fault to find
-    monkeypatch.setattr(envelope, "_relation_forms", lambda S, twist: iter(()))
+    monkeypatch.setattr(envelope, "_relation_forms", lambda S, twist, rules: iter(()))
     S = get_entry(entry).document.to_structure()
     assert nu_check(S, samples=20).relations_checked == 0
     tables = S.term_tables()
@@ -625,7 +646,7 @@ def test_relation_check_is_the_poisson_vector_field_check():
         S = get_entry(entry).document.to_structure()
         for name, twist in _vector_fields(S).items():
             kept = all(left == right for _, _, left, right
-                       in envelope._relation_forms(S, twist))
+                       in envelope._relation_forms(S, twist, _packed_rules(S)))
             assert kept == plans_square_to_zero(S, complexes._plans(S, twist)), \
                 (entry, name)
             verdicts[entry, name] = kept
@@ -642,17 +663,20 @@ def test_integer_words_are_the_oracle_words(build):
     vt, n = S.vars, len(S.vars)
     tables = S.term_tables()
     d = tables.denominator
+    shifts = _shifts(n)
+    units = tuple(1 << s for s in shifts)
     for seed in range(6):
         rng, oracle = random.Random(seed), random.Random(seed)
         for _ in range(12):
-            word = envelope._sample_word(rng, n)
+            word = envelope._sample_word(rng, units)
             public = sample_word(oracle, vt, 5)
             assert rng.getstate() == oracle.getstate()
             assert len(word) == len(public)
-            entered = envelope._enter(vt, 1, public)
+            entered = envelope._enter(vt, shifts, 1, 1, public)
             if entered is None:  # a polynomial atom summed to zero
                 assert () in word
-                atoms = [a[1] if a[0] == "h" else int_terms(a[1])[1] for a in public]
+                atoms = [a[1] if a[0] == "h" else _packed(int_terms(a[1])[1], shifts)
+                         for a in public]
             else:
                 atoms = entered[3]
             for atom, entered_atom, public_atom in zip(word, atoms, public):
@@ -665,17 +689,18 @@ def test_integer_words_are_the_oracle_words(build):
             polys = sum(a[0] == "p" for a in public)
             symbols = len(public) - polys
             for strategy in ("leftmost", "rightmost"):
-                got = envelope._reduce(tables, n, [(1, word)], strategy == "rightmost")
+                got = _decoded(_reduce(_packed_rules(S), [(1, word)],
+                                       strategy == "rightmost"), n)
                 want = polynomial_atom_reduce(S, [(1, public)], strategy)
                 assert got == {key: c * 2 ** polys * d ** (symbols - sum(key[1]))
                                for key, c in want.terms.items()}
         # the module samples of the twist check
         for _ in range(6):
-            a = envelope._sample_poly(rng, n, max_degree=3, max_terms=3)
+            a = envelope._sample_poly(rng, units, max_degree=3, max_terms=3)
             i = rng.randrange(n)
             public = sample_poly(oracle, vt, max_degree=3, max_terms=3)
             assert oracle.randrange(n) == i
-            assert dict(a) == {e: 2 * c for e, c in public.terms.items()}
+            assert dict(_unpacked(a, shifts)) == {e: 2 * c for e, c in public.terms.items()}
             assert rng.getstate() == oracle.getstate()
 
 
@@ -715,13 +740,18 @@ def test_integer_module_samples_match_the_fraction_residue(build):
     d = tables.denominator
     traces = S.modular_data().traces
     zero_traces = [vt.zero()] * n
+    shifts = _shifts(n)
+    units = tuple(1 << s for s in shifts)
+    rules = _packed_rules(S)
     for seed in range(6):
         rng = random.Random(seed)
         for _ in range(5):
-            a = envelope._sample_poly(rng, n, max_degree=3, max_terms=3)
+            a = envelope._sample_poly(rng, units, max_degree=3, max_terms=3)
             i = rng.randrange(n)
-            f = Polynomial(vt, {e: Fraction(c, 2) for e, c in a})
-            got = envelope._twisted_residue(tables, a, i, tables.traces[i])
+            f = Polynomial(vt, {e: Fraction(c, 2) for e, c in _unpacked(a, shifts)})
+            got = envelope._twisted_residue(rules, a, i, _packed(tables.traces[i], shifts),
+                                            shifts)
+            got = dict(_unpacked(got.items(), shifts))
             twisted = polynomial_atom_reduce(S, [
                 (1, (poly_atom(f), ham(i))),
                 (1, (poly_atom(f), poly_atom(traces[i]))),
@@ -729,3 +759,183 @@ def test_integer_module_samples_match_the_fraction_residue(build):
             residue = right_module_residue(S, twisted, zero_traces)
             assert got == {e: 2 * d * c for e, c in residue.terms.items()}
             assert residue == S.omega_h_action(f, i)
+
+
+# -- the packed engine against the exponent-tuple oracle ---------------------------
+
+
+DOCS = sorted((Path(__file__).resolve().parent.parent / "docs").glob("*.json"))
+ORACLE_STRUCTURES = [
+    *TABLE_STRUCTURES,
+    *(lambda path=path: SpecDocument.load(path).to_structure() for path in DOCS),
+    weighted_rational,
+]
+ORACLE_IDS = TABLE_IDS + [f"docs/{path.name}" for path in DOCS] + ["weighted-rational"]
+
+
+def _tuple_word(word, shifts):
+    return tuple(a if type(a) is int else _unpacked(a, shifts) for a in word)
+
+
+def _assert_packed_matches_the_oracle(S, seed, count):
+    # sampled words, pairs of them with mixed coefficients, and the ambiguities,
+    # under both strategies, decoded key for key
+    n = len(S.vars)
+    tables = S.term_tables()
+    shifts = _shifts(n)
+    units = tuple(1 << s for s in shifts)
+    rules = _packed_rules(S)
+    rng = random.Random(seed)
+    agendas = [[(1, envelope._sample_word(rng, units))] for _ in range(count)]
+    agendas += [[(rng.randint(-3, 3), envelope._sample_word(rng, units))
+                 for _ in range(2)] for _ in range(count // 4)]
+    agendas += [[(1, envelope._enter(S.vars, shifts, 1, 1, word)[3])]
+                for word in ambiguities(S.vars)]
+    for agenda in agendas:
+        for rightmost in (False, True):
+            got = _decoded(_reduce(rules, list(agenda), rightmost), n)
+            want = tuple_reduce(tables, n, [(c, _tuple_word(w, shifts)) for c, w in agenda],
+                                rightmost)
+            assert got == want
+
+
+@pytest.mark.parametrize("build", ORACLE_STRUCTURES, ids=ORACLE_IDS)
+def test_packed_normal_forms_match_the_tuple_oracle(build):
+    _assert_packed_matches_the_oracle(build(), 0, 80)
+
+
+@given(weighted_structures(), st.integers(0, 2 ** 31))
+@settings(max_examples=25, deadline=None)
+def test_packed_normal_forms_match_the_tuple_oracle_on_random_structures(S, seed):
+    _assert_packed_matches_the_oracle(S, seed, 20)
+
+
+def test_the_oracle_structures_reach_four_variables_and_a_denominator():
+    structures = [build() for build in ORACLE_STRUCTURES]
+    assert max(len(S.vars) for S in structures) == 4
+    assert sum(S.term_tables().denominator > 1 for S in structures) >= 8
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_packed_sampler_draws_the_tuple_words(n):
+    shifts = _shifts(n)
+    units = tuple(1 << s for s in shifts)
+    for seed in range(50):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        for _ in range(8):
+            word = envelope._sample_word(rng, units)
+            assert _tuple_word(word, shifts) == tuple_sample_word(oracle, n)
+            assert rng.getstate() == oracle.getstate()
+        for _ in range(8):  # the module samples of nu_check
+            a = envelope._sample_poly(rng, units, max_degree=3, max_terms=3)
+            assert _unpacked(a, shifts) == tuple_sample_poly(oracle, n, max_degree=3,
+                                                             max_terms=3)
+            assert rng.randrange(n) == oracle.randrange(n)
+
+
+# -- the finite ambiguity set --------------------------------------------------------
+
+
+def _unresolved(S):
+    return [word for word in ambiguities(S.vars)
+            if reduce_word(S, word, "leftmost") != reduce_word(S, word, "rightmost")]
+
+
+def test_ambiguity_set_of_three_variables_has_37_words(so3):
+    assert len(ambiguities(so3.vars)) == 37
+    assert len(set(ambiguities(so3.vars))) == 37
+
+
+@pytest.mark.parametrize("build", ORACLE_STRUCTURES, ids=ORACLE_IDS)
+def test_every_ambiguity_resolves(build):
+    assert _unresolved(build()) == []
+
+
+@given(weighted_structures())
+@settings(max_examples=20, deadline=None)
+def test_every_ambiguity_resolves_on_random_structures(S):
+    assert _unresolved(S) == []
+
+
+def test_ambiguities_catch_a_doubled_symbol_rule():
+    # the mutation of test_confluence_catches_a_corrupted_symbol_rule
+    S = get_entry("so3").document.to_structure()
+    partials = S.term_tables().partials
+    (k, terms), = partials[(0, 1)]
+    partials[(0, 1)] = ((k, tuple((e, 2 * c) for e, c in terms)),)
+    assert len(_unresolved(S)) == 2
+
+
+def test_ambiguities_catch_a_doubled_anchor_row():
+    S = get_entry("potential-x2z").document.to_structure()
+    _double_anchor_row(S.term_tables())
+    assert len(_unresolved(S)) == 1
+
+
+# -- the degree bound of packed digits -------------------------------------------------
+
+
+def test_reduction_refuses_a_degree_bound_of_2_to_the_31(so3, symplectic):
+    x, y, z = so3.vars.gens()
+    big = Polynomial(so3.vars, {(2 ** 31, 0, 0): 1})
+    for word in [(poly_atom(big),), (ham(1), poly_atom(big)),
+                 (poly_atom(x), poly_atom(Polynomial(so3.vars, {(2 ** 31 - 1, 0, 0): 1}))),
+                 # {x_i, x_j} has degree 1 on so3, so a symbol counts 1
+                 (ham(1), poly_atom(Polynomial(so3.vars, {(2 ** 31 - 1, 0, 0): 1})))]:
+        for strategy in ("leftmost", "rightmost"):
+            with pytest.raises(ValueError, match="stop below 2\\^31"):
+                reduce_word(so3, word, strategy)
+    with pytest.raises(ValueError, match="stop below 2\\^31"):
+        j_quotient_action(so3, big, 0)
+    with pytest.raises(ValueError, match="stop below 2\\^31"):
+        reduce_combination(so3, [(1, (ham(0),)), (0, (poly_atom(big),))])
+    # constant brackets: a symbol still counts 1, which bounds the symbol digits
+    p = symplectic.vars.gen(0)
+    top = Polynomial(symplectic.vars, {(2 ** 31 - 4, 0): 1})
+    word = (ham(1),) * 3 + (poly_atom(top),)
+    assert reduce_word(symplectic, word) == polynomial_atom_reduce(symplectic, [(1, word)])
+    for word in [(ham(1),) + word, (poly_atom(p ** 4), poly_atom(top))]:
+        with pytest.raises(ValueError, match="stop below 2\\^31"):
+            reduce_word(symplectic, word)
+
+
+def test_residue_refuses_a_degree_bound_of_2_to_the_31(so3):
+    traces = so3.modular_data().traces
+    big = EnvelopeElement(so3.vars, {((2 ** 31, 0, 0), (0, 0, 0)): 1})
+    with pytest.raises(ValueError, match="stop below 2\\^31"):
+        right_module_residue(so3, big, traces)
+    # one symbol adds at most 1 on so3, the degree of its brackets
+    edge = EnvelopeElement(so3.vars, {((2 ** 31 - 2, 0, 0), (0, 1, 0)): 1})
+    assert right_module_residue(so3, edge, traces) == \
+        polynomial_module_residue(so3, edge, traces)
+    with pytest.raises(ValueError, match="stop below 2\\^31"):
+        right_module_residue(so3, EnvelopeElement(
+            so3.vars, {((2 ** 31 - 1, 0, 0), (0, 1, 0)): 1}), traces)
+    square = [t * t + so3.vars.gen(0) ** 3 for t in traces]  # traces of degree 3
+    with pytest.raises(ValueError, match="stop below 2\\^31"):
+        right_module_residue(so3, edge, square)
+
+
+def test_reduction_just_below_the_bound_keeps_its_exponents(so3):
+    # h(y) x^e = x^e h(y) + {y, x^e}, with {y, x} = -z and e = 2^31 - 2
+    e = 2 ** 31 - 2
+    f = Polynomial(so3.vars, {(e, 0, 0): 1})
+    want = EnvelopeElement(so3.vars, {((e, 0, 0), (0, 1, 0)): 1,
+                                      ((e - 1, 0, 1), (0, 0, 0)): -e})
+    for strategy in ("leftmost", "rightmost"):
+        assert reduce_word(so3, (ham(1), poly_atom(f)), strategy) == want
+    top = Polynomial(so3.vars, {(2 ** 31 - 1, 0, 0): 1})
+    assert reduce_word(so3, (poly_atom(top),)) == EnvelopeElement(
+        so3.vars, {((2 ** 31 - 1, 0, 0), (0, 0, 0)): 1})
+
+
+def test_negative_exponents_are_refused_before_packing(so3):
+    # a -1 digit would borrow from the digit above it
+    laurent = Polynomial(so3.vars, {(-1, 1, 0): 1})
+    for word in [(poly_atom(laurent),), (ham(2), poly_atom(laurent))]:
+        with pytest.raises(ValueError, match="packed exponents start at 0"):
+            reduce_word(so3, word)
+    traces = so3.modular_data().traces
+    for key in [((-1, 0, 0), (0, 0, 0)), ((1, 0, 0), (0, -1, 0))]:
+        with pytest.raises(ValueError, match="packed exponents start at 0"):
+            right_module_residue(so3, EnvelopeElement(so3.vars, {key: 1}), traces)
