@@ -37,8 +37,8 @@ terms and keeps them in the same store.
 
 The PBW rules of ``envelope`` read the same tables on packed monomials,
 through the packed twin of that kernel kept beside ``anchor_action``:
-``_shifts`` and ``_packed`` pack exponents into 32-bit digits of one int,
-``_rules`` packs the anchor rows and partials once per public call,
+``_shifts`` and ``_packed`` pack exponents into 32-bit digits of one int
+and ``_unpacked`` reads them back, ``_rules`` packs the anchor rows and partials once per public call,
 ``_product`` multiplies packed terms by adding codes, ``_moved`` is the
 packed ``anchor_action``, and ``_reduce`` is the rewriting loop.
 """

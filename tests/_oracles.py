@@ -909,11 +909,11 @@ def _find_redex(word: tuple, rightmost: bool) -> "int | None":
 
 def tuple_reduce(tables: TermTables, n: int, agenda: list, rightmost: bool) -> dict:
     """Normal form {(x exponents, h exponents): nonzero int} of an agenda of
-    (int, integer word) parts, which it consumes: the rewriting engine on
-    exponent tuples that ``envelope`` ran before it packed its monomials.
-    A symbol h(i) is the int i and a polynomial atom a tuple of (exponent
-    tuple, int) terms; a term with q symbols reached from a part with q0
-    gains D^(q0 - q)."""
+    (int, integer word) parts, which it consumes: the rewriting engine of
+    ``envelope`` on exponent tuples instead of packed codes, with the same
+    LIFO agenda and strategies.  A symbol h(i) is the int i and a
+    polynomial atom a tuple of (exponent tuple, int) terms; a term with q
+    symbols reached from a part with q0 gains D^(q0 - q)."""
     anchor, partials = tables.anchor, tables.partials
     unit = (((0,) * n, 1),)
     terms: dict = {}
