@@ -36,17 +36,18 @@ polynomial atoms remove none, so a normal-form term with q symbols reached
 from inputs with at most Q symbols carries exactly D^(Q - q).  Each input
 part with q0 symbols is therefore scaled by D^(Q - q0) on entry, the fold
 adds only ints, and each output term is one Fraction(v, E * D^(Q - q)).
-No digit borrows or carries: ``reduce_combination`` and
+Every digit of every term reached stays in 0 .. 2^31 - 1, so no term's
+digits spill into a neighbour: ``reduce_combination`` and
 ``right_module_residue`` refuse a negative exponent and an input whose
 degree bound reaches 2^31 (``_enter`` proves the bound).  Keys become
 exponent tuples again only in ``_element``, in the residue's output and
 in the failure reports.  The checks of ``poishom pbw`` stay in packed
 ints: the sampler draws codes directly, with the random calls of its
 exponent-tuple twin in ``tests/_oracles.py``, and stores a coefficient
-p/q (q = 1 or 2) as 2p/q; the twist check reduces
-the twist images of the relations as packed words, and takes the residues
-of its module samples on packed codes; Fractions are built only at the
-public API and to report a failure.
+p/q (q = 1 or 2) as 2p/q; the twist check reduces the twist images of
+the relations as packed words, and takes the residues of its module
+samples on packed codes; Fractions are built only at the public API and
+to report a failure.
 
 The module also reduces elements against right ideals generated by
 h(i) - t_i for prescribed polynomials t_i, which realizes both the plain
