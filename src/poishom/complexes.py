@@ -67,7 +67,7 @@ from operator import lshift
 from .linalg import SparseMatrix
 # unused here, but perfbench/tracing.py patches complexes.partial_derivative by name
 from .polycore import monomials_of_weight, partial_derivative  # noqa: F401
-from .structure import PoissonStructure, Terms
+from .structure import _DIGIT, PoissonStructure, Terms
 
 __all__ = [
     "ChainBasis",
@@ -128,9 +128,6 @@ class ChainBasis:
         bits = _layout(self._ell)[1]
         return tuple((self._exponents[key & ~mask], _index(key & mask, bits))
                      for key in self.keys)
-
-
-_DIGIT = 32
 
 
 @lru_cache(maxsize=None)

@@ -46,7 +46,8 @@ ints: the sampler draws codes directly, with the random calls of its
 exponent-tuple twin in ``tests/_oracles.py``, and stores a coefficient
 p/q (q = 1 or 2) as 2p/q; the twist check reduces the twist images of
 the relations as packed words, and takes the residues of its module
-samples on packed codes; Fractions are built only at the public API and
+samples on packed codes (``structure._residue``, which also serves
+``right_module_residue``); Fractions are built only at the public API and
 to report a failure.
 
 The module also reduces elements against right ideals generated by
@@ -69,8 +70,8 @@ from typing import Iterable, Sequence
 
 from .polycore import (Polynomial, VarTable, _total_degree, monomials_of_weight,
                        partial_derivative)
-from .structure import (_DIGIT, _MASK, PoissonStructure, Terms, _check_index, _moved,
-                        _packed, _polynomial, _product, _reduce, _rules, _shifts,
+from .structure import (_DIGIT, _MASK, PoissonStructure, Terms, _check_index, _packed,
+                        _polynomial, _product, _reduce, _residue, _rules, _shifts,
                         _terms, _unpacked, int_terms)
 
 __all__ = [
@@ -363,59 +364,28 @@ def gr_dimension_check(S: PoissonStructure, max_filtration: int = 3,
 # -- right-quotient reductions ------------------------------------------------
 
 
-def _peel(f, row, trace, m: int):
-    """m * D * (f * t_j - {x_j, f}) from the packed anchor row of x_j and
-    the packed terms of m * D * t_j."""
-    out = _product(f, trace)
-    for e, c in _moved(row, f).items():  # D * {f, x_j} = -D * {x_j, f}
-        out[e] = out.get(e, 0) + m * c
-    return tuple((e, c) for e, c in out.items() if c)
-
-
-def _residue(anchor, m: int, traces, terms: dict, shifts) -> dict:
-    """{code: int} residue of a packed normal form modulo (h(j) - t_j).
-
-    f h(j) rest leaves (f t_j - {x_j, f}) rest, so each term is peeled by
-    ``_peel`` one symbol at a time in ascending order, each step times
-    m * D: a key with q of at most Q symbols must carry (m * D)^(Q - q).
-    """
-    top = _DIGIT * len(shifts)
-    out: dict = {}
-    for key, c in terms.items():
-        h = key >> top
-        if not h:
-            out[key] = out.get(key, 0) + c
-            continue
-        f = ((key - (h << top), c),)
-        for j, s in enumerate(shifts):
-            for _ in range(h >> s & _MASK):
-                f = _peel(f, anchor[j], traces[j], m)
-        for code, c2 in f:
-            out[code] = out.get(code, 0) + c2
-    return {e: c for e, c in out.items() if c}
-
-
 def right_module_residue(S: PoissonStructure, element: EnvelopeElement,
                          traces: "Sequence[Polynomial]") -> Polynomial:
     """Residue of a normal form in the right quotient by (h(i) - t_i).
 
-    ``traces`` needs one polynomial per variable; m clears their denominators.
-    The residue runs on packed codes, so a term x^a h^b with a negative
-    exponent, or whose degree bound |a| + |b| * r reaches 2^31, is refused
-    with ``ValueError``; r is
+    ``traces`` needs one polynomial per variable, and each term of
+    ``element`` one x and one h exponent per variable; m clears the
+    denominators of the traces.  The residue runs on packed codes, so a
+    term x^a h^b with a negative exponent, or whose degree bound
+    |a| + |b| * r reaches 2^31, is refused with ``ValueError``; r is
     ``_reach`` of the brackets and the traces.  A peel trades a symbol for
     f * t_j or {x_j, f}, of degree at most deg f + r, so no digit carries.
     """
     if element.vars != S.vars:
         raise ValueError("element over a different variable table")
     vt = S.vars
-    if len(traces) != len(vt):
-        raise ValueError(f"need one trace per variable ({len(vt)}), "
-                         f"got {len(traces)}")
+    n = len(vt)
+    if len(traces) != n:
+        raise ValueError(f"need one trace per variable ({n}), got {len(traces)}")
     if any(t.vars != vt for t in traces):
         raise ValueError("trace over a different variable table")
     tables = S.term_tables()
-    shifts, wide = _shifts(len(vt)), _shifts(2 * len(vt))
+    shifts, wide = _shifts(n), _shifts(2 * n)
     cleared = [int_terms(t) for t in traces]
     m = lcm(*(scale for scale, _ in cleared))
     step = m * tables.denominator
@@ -426,6 +396,8 @@ def right_module_residue(S: PoissonStructure, element: EnvelopeElement,
     reach = _reach(tables, *traces)
     scaled = {}
     for (x, h), c in element.terms.items():
+        if {len(x), len(h)} != {n}:
+            raise ValueError(f"need one exponent per variable ({n}) in term {(x, h)!r}")
         _check_bound(sum(x) + sum(h) * reach, min(x + h, default=0))
         scaled[sum(map(lshift, h + x, wide))] = \
             c.numerator * (common // c.denominator) * step ** (top - sum(h))

@@ -38,9 +38,11 @@ terms and keeps them in the same store.
 The PBW rules of ``envelope`` read the same tables on packed monomials,
 through the packed twin of that kernel kept beside ``anchor_action``:
 ``_shifts`` and ``_packed`` pack exponents into 32-bit digits of one int
-and ``_unpacked`` reads them back, ``_rules`` packs the anchor rows and partials once per public call,
-``_product`` multiplies packed terms by adding codes, ``_moved`` is the
-packed ``anchor_action``, and ``_reduce`` is the rewriting loop.
+and ``_unpacked`` reads them back, ``_rules`` packs the anchor rows and
+partials once per public call, ``_product`` multiplies packed terms by
+adding codes, ``_moved`` is the packed ``anchor_action``, ``_reduce`` is
+the rewriting loop, and ``_residue`` reduces a packed normal form modulo
+the right ideal (h(j) - t_j).
 """
 
 from __future__ import annotations
@@ -199,7 +201,7 @@ def anchor_action(row: "tuple[tuple[int, Terms], ...]", f: Terms) -> Terms:
 # -- the packed rewriting kernel of ``envelope`` ------------------------------
 
 
-_DIGIT = 32
+_DIGIT = 32  # bits per exponent in every packed code, and in the cell keys of complexes
 _MASK = (1 << _DIGIT) - 1
 
 
@@ -297,6 +299,38 @@ def _reduce(rules: tuple, agenda: list, rightmost: bool) -> dict:
         if moved:
             agenda.append((-coeff, head + (moved,) + tail))
     return {key: v for key, v in terms.items() if v}
+
+
+def _peel(f, row, trace, m: int):
+    """m * D * (f * t_j - {x_j, f}) from the packed anchor row of x_j and
+    the packed terms of m * D * t_j."""
+    out = _product(f, trace)
+    for e, c in _moved(row, f).items():  # D * {f, x_j} = -D * {x_j, f}
+        out[e] = out.get(e, 0) + m * c
+    return tuple((e, c) for e, c in out.items() if c)
+
+
+def _residue(anchor, m: int, traces, terms: dict, shifts) -> dict:
+    """{code: int} residue of a packed normal form modulo (h(j) - t_j).
+
+    f h(j) rest leaves (f t_j - {x_j, f}) rest, so each term is peeled by
+    ``_peel`` one symbol at a time in ascending order, each step times
+    m * D: a key with q of at most Q symbols must carry (m * D)^(Q - q).
+    """
+    top = _DIGIT * len(shifts)
+    out: dict = {}
+    for key, c in terms.items():
+        h = key >> top
+        if not h:
+            out[key] = out.get(key, 0) + c
+            continue
+        f = ((key - (h << top), c),)
+        for j, s in enumerate(shifts):
+            for _ in range(h >> s & _MASK):
+                f = _peel(f, anchor[j], traces[j], m)
+        for code, c2 in f:
+            out[code] = out.get(code, 0) + c2
+    return {e: c for e, c in out.items() if c}
 
 
 def _pair(entries: "dict[tuple[int, int], Terms]", i: int, j: int) -> Terms:
