@@ -108,12 +108,19 @@ def poly_atom(f: Polynomial) -> tuple:
 
 
 class EnvelopeElement:
-    """Normal-form element: a map (x exponents, h exponents) -> Fraction."""
+    """Normal-form element: a map (x exponents, h exponents) -> Fraction.
+
+    Refuses with ``ValueError`` a term whose x or h exponents are not one
+    per variable."""
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, vars: VarTable,
                  terms: "dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]"):
+        n = len(vars)
+        for x, h in terms:
+            if {len(x), len(h)} != {n}:
+                raise ValueError(f"need one exponent per variable ({n}) in term {(x, h)!r}")
         self.vars = vars
         self.terms = {k: v for k, v in terms.items() if v}
 
@@ -368,9 +375,8 @@ def right_module_residue(S: PoissonStructure, element: EnvelopeElement,
                          traces: "Sequence[Polynomial]") -> Polynomial:
     """Residue of a normal form in the right quotient by (h(i) - t_i).
 
-    ``traces`` needs one polynomial per variable, and each term of
-    ``element`` one x and one h exponent per variable; m clears the
-    denominators of the traces.  The residue runs on packed codes, so a
+    ``traces`` needs one polynomial per variable; m clears their
+    denominators.  The residue runs on packed codes, so a
     term x^a h^b with a negative exponent, or whose degree bound
     |a| + |b| * r reaches 2^31, is refused with ``ValueError``; r is
     ``_reach`` of the brackets and the traces.  A peel trades a symbol for
@@ -396,8 +402,6 @@ def right_module_residue(S: PoissonStructure, element: EnvelopeElement,
     reach = _reach(tables, *traces)
     scaled = {}
     for (x, h), c in element.terms.items():
-        if {len(x), len(h)} != {n}:
-            raise ValueError(f"need one exponent per variable ({n}) in term {(x, h)!r}")
         _check_bound(sum(x) + sum(h) * reach, min(x + h, default=0))
         scaled[sum(map(lshift, h + x, wide))] = \
             c.numerator * (common // c.denominator) * step ** (top - sum(h))

@@ -361,13 +361,14 @@ def test_residue_refuses_an_element_over_another_table(so3, log2):
         right_module_residue(so3, e, so3.modular_data().traces)
 
 
-def test_residue_refuses_exponent_tuples_of_the_wrong_length(so3):
-    # packed, a short or long tuple would lose or shift digits and read as x
-    traces = so3.modular_data().traces
+def test_elements_refuse_exponent_tuples_of_the_wrong_length(so3):
+    # printed, or packed for the residue, a short or long tuple would lose
+    # or shift digits and read as x
     for key in [((1, 0), (0, 0, 0)), ((1, 0, 0, 5), (0, 0, 0)),
                 ((1, 0, 0), (0, 0)), ((0, 0, 1), (0, 1, 0, 0))]:
-        with pytest.raises(ValueError, match=r"need one exponent per variable \(3\)"):
-            right_module_residue(so3, EnvelopeElement(so3.vars, {key: 1}), traces)
+        for c in (1, 0):
+            with pytest.raises(ValueError, match=r"need one exponent per variable \(3\)"):
+                EnvelopeElement(so3.vars, {key: c})
 
 
 def test_residue_refuses_traces_over_another_table(so3):
