@@ -259,6 +259,8 @@ class GradedComplexCell:
 # zero-twist boundary's read backwards.  ``_assemble`` reads a plan through
 # its steps' int offsets, code(t) * 2^ell + rank(J), built per multi-index
 # when a column first needs them, so a key plus an offset is a target key.
+# Most steps carry a form of one term, c0 + c_a * e_a, and those are kept
+# flat, so the column loop evaluates them without a loop over the form.
 
 Plan = "tuple[tuple[tuple[int, ...], tuple[int, ...], int, tuple[tuple[int, int], ...]], ...]"
 
@@ -342,8 +344,11 @@ def _assemble(S: PoissonStructure, basis: "Callable[..., ChainBasis]", n: int, w
     with a negative t_a has t_a = -1 and a form in e_a alone, which
     vanishes at e_a = 0.  The steps of I with their offsets are built when
     a column at I first needs them and kept in ``TermTables.offsets``,
-    keyed like the plans, then by rank(I).  The row of a target key is
-    read off an index of the target basis built here."""
+    keyed like the plans, then by rank(I), in plan order: a step whose
+    form has one term as (offset, c0, a, c_a), evaluated as c0 + c_a * e_a,
+    and any other as (offset, c0, form, 0), its form summed term by term.
+    The row of a target key is read off an index of the target basis built
+    here."""
     tables = S.term_tables()
     src = basis(S, n, w)
     tgt = basis(S, n + step, w + S.weight_shift())
@@ -363,11 +368,15 @@ def _assemble(S: PoissonStructure, basis: "Callable[..., ChainBasis]", n: int, w
             shifts, bits = _layout(ell)
             steps = offsets[r] = tuple(  # mask less J's bits is rank(J)
                 (sum(map(lshift, t, shifts)) + mask - sum(map(bits.__getitem__, J)),
-                 c0, linear) for J, t, c0, linear in plans[_index(r, bits)])
-        for offset, c0, linear in steps:
-            v = c0
-            for a, c in linear:
-                v += c * exps[a]
+                 c0, *(linear[0] if len(linear) == 1 else (linear, 0)))
+                for J, t, c0, linear in plans[_index(r, bits)])
+        for offset, c0, a, c in steps:
+            if c:
+                v = c0 + c * exps[a]
+            else:  # a holds the linear form
+                v = c0
+                for a, c in a:
+                    v += c * exps[a]
             if v:
                 i = position[key + offset]
                 row = rows.get(i)

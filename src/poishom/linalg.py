@@ -6,11 +6,14 @@ rows / denominator.  The complexes hand over their int rows with the
 structure denominator D, and the constructor takes them as they are.
 Readers see rational values: ints over denominator 1, and
 ``Fraction(value, denominator)`` otherwise.  Rank is computed by
-fraction-free Gaussian elimination on copies of the stored rows, since
-scaling by the denominator does not change it, and the elimination leaves
-its pivot columns on the matrix.  Only nonzero entries are
-ever touched, so the cost follows the fill-in of the matrix rather than
-its dense area, and no ``Fraction`` is built while eliminating.
+fraction-free Gaussian elimination on the stored rows, since scaling by
+the denominator does not change it: a row is copied only when it meets a
+pivot, and a pivot row is divided by its content only when it first
+eliminates another row, into a new dict.  The elimination leaves its pivot
+columns on the matrix and never changes a stored row.  Only nonzero
+entries are ever touched, so the cost follows the fill-in of the matrix
+rather than its dense area, and no ``Fraction`` is built while
+eliminating.
 """
 
 from __future__ import annotations
@@ -91,37 +94,46 @@ class SparseMatrix:
         """Rank over Q by fraction-free sparse row elimination.
 
         Scaling by the denominator does not change the rank, so the stored
-        int rows are read as they are, and everything is int arithmetic on
-        copies of them.
+        int rows are read as they are, and everything is int arithmetic;
+        no stored row is ever changed.
         Rows are reduced one at a time, in stored order, against the pivot
         rows found so far, always on their lowest column: with a the
         pivot's leading entry, b the row's and g = gcd(a, b), the row
-        becomes row * (a/g) - pivot * (b/g).  A row that survives becomes
-        the pivot row of that column, divided by the gcd of its entries.
-        Exact over Q; there is no modular step and no sampling.
+        becomes row * (a/g) - pivot * (b/g), on a copy.  A row that
+        survives, or that meets no pivot and so is not copied, becomes the
+        pivot row of that column.  The first time it eliminates a row, it
+        is replaced by a new dict of it divided by the gcd of its entries,
+        so a pivot that is never used costs no gcd.  Scaling a row does
+        not change the rank, so the content only bounds coefficient
+        growth.  Exact over Q; there is no modular step and no sampling.
 
         The pivot columns are kept in ``pivots``, in the order found: their
         columns form a basis of the column space, since the pivot rows
         restricted to them are triangular with a nonzero diagonal.
         """
         pivots: dict[int, dict[int, int]] = {}
+        reduced: set[int] = set()  # the columns whose pivot row has lost its content
         for row in self.rows.values():
-            row = dict(row)
+            stored = row
             while row:
                 col = min(row)
                 pivot = pivots.get(col)
                 if pivot is None:
-                    content = gcd(*row.values())
-                    if content != 1:
-                        row = {c: v // content for c, v in row.items()}
                     pivots[col] = row
                     break
+                if col not in reduced:
+                    reduced.add(col)
+                    content = gcd(*pivot.values())
+                    if content != 1:
+                        pivot = pivots[col] = {c: v // content for c, v in pivot.items()}
                 a, b = pivot[col], row[col]
                 g = gcd(a, b)
                 if g != 1:
                     a, b = a // g, b // g
                 if a != 1:
                     row = {c: v * a for c, v in row.items()}
+                elif row is stored:
+                    row = dict(row)
                 for c, v in pivot.items():
                     left = row.get(c, 0) - b * v
                     if left:

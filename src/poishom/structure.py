@@ -365,8 +365,10 @@ class TermTables:
     * ``offsets`` keeps, keyed like ``plans`` and then by the rank of a
       multi-index, that index's plan steps with each target (J, t) read as
       one int offset, built the first time a column at the index is
-      assembled; nothing else reads the plan tables' steps this way, so a
-      table altered after assembly needs its offsets dropped too;
+      assembled: (offset, c0, a, c_a) for a form of one term c_a * e_a,
+      kept flat, and (offset, c0, form, 0) for any other; nothing else
+      reads the plan tables' steps this way, so a table altered after
+      assembly needs its offsets dropped too;
     * ``bases`` likewise keeps each cell basis ``complexes`` enumerates,
       held as sorted int keys, keyed by (sign -1 for chains or +1 for
       cochains, n, w); ``monomials`` holds, per degree 0 or more those

@@ -89,6 +89,31 @@ def naive_rank(rows: "list[list[Fraction]]") -> int:
     return rank
 
 
+def naive_pivots(rows: "list[list[Fraction]]") -> "tuple[int, ...]":
+    """The pivot columns of row elimination in the given row order, as
+    found: each row in turn, reduced over Fraction by the rows before it,
+    adds its leading column when it survives.  Dense, in plain loops."""
+    echelon: dict = {}  # leading column -> row with a leading 1 there
+    for row in rows:
+        row = list(map(Fraction, row))
+        for col in range(len(row)):
+            if not row[col]:
+                continue
+            pivot = echelon.get(col)
+            if pivot is None:
+                echelon[col] = [v / row[col] for v in row]
+                break
+            row = [a - row[col] * b for a, b in zip(row, pivot)]
+    return tuple(echelon)
+
+
+def stored_rows(matrix: SparseMatrix) -> "list[list[Fraction]]":
+    """The dense rows of a SparseMatrix in its stored order, the order its
+    ``rank`` reads them in."""
+    dense = dense_rows(matrix)
+    return [dense[r] for r in matrix.rows]
+
+
 def fraction_rank(matrix: SparseMatrix) -> int:
     """Rank over Q by sparse row elimination in Fraction arithmetic.
 

@@ -401,6 +401,79 @@ def test_swapped_ranks_in_the_packing_fail_the_tuple_oracle(monkeypatch):
         _assert_assembly_matches_the_tuple_oracle(_fresh("so3"), 3)
 
 
+def _form_lengths(S):
+    """Per distinct boundary table of S: how many of its steps have a
+    linear form of 0, 1, and 2 or more terms."""
+    tables = []
+    for coeff in ("canonical", "omega"):
+        plans = complexes._plans(S, complexes._twist(S, coeff))
+        if all(plans is not seen for seen in tables):
+            tables.append(plans)
+    return [tuple(Counter(min(len(linear), 2) for plan in plans.values()
+                          for *_, linear in plan)[k] for k in range(3))
+            for plans in tables]
+
+
+def test_plan_tables_hold_forms_of_every_length():
+    # _assemble keeps a one-term form flat and sums any other term by term,
+    # so the tuple oracle test above must meet forms of 0, 1 and 2+ terms
+    inputs = ([(entry.id, _fresh(entry.id)) for entry in CATALOG]
+              + [(path.name, SpecDocument.load(path).to_structure()) for path in DOCS])
+    lengths = {name: _form_lengths(S) for name, S in inputs}
+    assert lengths["so3"] == [(3, 24, 0)]
+    assert lengths["potential-x2z"] == [(1, 8, 4)]
+    assert lengths["log-canonical-3"] == [(0, 0, 12), (0, 0, 12)]
+    assert lengths["jacobian-casimirs-4.json"] == [(20, 112, 32)]
+    assert all(sum(c[k] for tables in lengths.values() for c in tables) for k in range(3))
+    # and the steps _assemble builds are flat exactly for one-term forms
+    for name, S in inputs:
+        for n in range(len(S.vars) + 1):
+            boundary_matrix(S, n, 3, "omega")
+        for (twist, backwards), steps in S.term_tables().offsets.items():
+            plans = complexes._plans(S, twist, backwards)
+            bits = complexes._layout(len(S.vars))[1]
+            for r, built in steps.items():
+                plan = plans[complexes._index(r, bits)]
+                assert [(a, c) if c else a for _, _, a, c in built] == [
+                    linear[0] if len(linear) == 1 else linear for *_, linear in plan], name
+
+
+def _ranked_matrices(S, max_weight):
+    """Every matrix that the duality and homology sweeps of S hand to
+    ``SparseMatrix.rank``, as (nrows, ncols, rows) copied when handed."""
+    handed = []
+    real = SparseMatrix.rank
+
+    def rank(matrix):
+        handed.append((matrix.nrows, matrix.ncols,
+                       {r: dict(row) for r, row in matrix.rows.items()}))
+        return real(matrix)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SparseMatrix, "rank", rank)
+        duality_report(S, max_weight)
+        homology_dims(S, "canonical", max_weight)
+    return handed
+
+
+def _assert_rank_gets_int_rows(S, max_weight):
+    # rank takes the constructor's contract on trust: a zero value could
+    # lead a pivot, and a pivot's content is divided out exactly, so each
+    # row must be nonempty, hold nonzero ints only and lie inside the shape
+    handed = _ranked_matrices(S, max_weight)
+    for nrows, ncols, rows in handed:
+        for r, row in rows.items():
+            assert row and 0 <= r < nrows
+            assert all(type(v) is int and v and 0 <= c < ncols for c, v in row.items())
+    return len(handed)
+
+
+def test_rank_gets_int_rows_on_the_catalog_and_the_documents():
+    structures = ([_fresh(entry.id) for entry in CATALOG]
+                  + [SpecDocument.load(path).to_structure() for path in DOCS])
+    assert sum(_assert_rank_gets_int_rows(S, 8) for S in structures) > 200
+
+
 def _steps_never_borrow(S):
     # a step whose t has a negative entry has one, t_a = -1, and a form
     # c_a * e_a alone, so its entry vanishes unless e_a >= 1: no target
@@ -1124,6 +1197,12 @@ def test_steps_never_borrow_on_random_structures(S):
 @settings(max_examples=30, deadline=None)
 def test_assembly_matches_the_tuple_oracle_on_random_structures(S, max_weight):
     _assert_assembly_matches_the_tuple_oracle(S, max_weight)
+
+
+@given(weighted_structures(), st.integers(0, 4))
+@settings(max_examples=30, deadline=None)
+def test_rank_gets_int_rows_on_random_structures(S, max_weight):
+    _assert_rank_gets_int_rows(S, max_weight)
 
 
 @given(weighted_structures(), st.integers(0, 3))

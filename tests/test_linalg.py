@@ -17,8 +17,10 @@ from _oracles import (
     fraction_rank,
     matrix_from_rows,
     mixed_denominator_log_canonical,
+    naive_pivots,
     naive_rank,
     sparse_matrix,
+    stored_rows,
     weighted_rational,
 )
 
@@ -187,20 +189,65 @@ def test_rank_of_rational_structure_cells_matches_naive_elimination(make):
         assert rank == fraction_rank(cell.matrix), cell.source
 
 
+def _content_six():
+    # the first row has content 6 and opens the pivot at column 0, and
+    # three later rows meet it there, so it is divided by 6 when it first
+    # eliminates; row 4, stored second, opens a pivot no row meets
+    return SparseMatrix(5, 4, {0: {0: 6, 1: 12, 3: -18}, 4: {3: 10},
+                               1: {0: 4, 2: 2}, 2: {0: 3, 1: 6, 3: -9},
+                               3: {0: 9, 1: 1, 2: 5}}, 5)
+
+
+def test_a_pivot_with_content_matches_naive_elimination():
+    m = _content_six()
+    rows = stored_rows(m)
+    assert m.rank() == naive_rank(rows) == 4
+    assert m.pivots == naive_pivots(rows) == (0, 3, 1, 2)
+
+
 def test_rank_leaves_the_matrix_as_it_was():
     # each second row has the first's leading entry 1 (or a multiple of it),
-    # so eliminating on the stored rows would rewrite them
+    # so eliminating on the stored rows would rewrite them; a pivot row is
+    # divided by its content into a new dict, so every stored row is still
+    # the very dict it was, holding what it held
     S = mixed_denominator_log_canonical()
     so3 = next(e for e in CATALOG if e.id == "so3").document.to_structure()
     matrices = [cell.matrix for T in (S, so3) for cell in _cells(T)]
     matrices += [SparseMatrix(2, 2, {0: {0: 1, 1: 1}, 1: {0: 1, 1: 2}}, 6),
                  SparseMatrix(2, 2, {0: {0: 1, 1: 1}, 1: {0: 2, 1: 3}}),
-                 dense([[Fraction(1, 2), 1], [1, 3]])]
+                 SparseMatrix(2, 2, {0: {0: 2, 1: 4}, 1: {0: 3, 1: 1}}),
+                 dense([[Fraction(1, 2), 1], [1, 3]]), _content_six()]
     for m in matrices:
         before = m.entries
+        stored = dict(m.rows)
+        copies = {r: dict(row) for r, row in m.rows.items()}
         rank = m.rank()
         assert m.entries == before
+        assert m.rows == copies
+        assert all(m.rows[r] is row for r, row in stored.items())
         assert m.rank() == rank
+
+
+def test_an_empty_row_counts_nothing():
+    # outside the constructor's contract, but an empty row still ranks 0
+    m = SparseMatrix(4, 3, {0: {}, 1: {1: 4, 2: 2}, 2: {}, 3: {1: 2, 2: 1}})
+    assert m.rank() == 1 and m.pivots == (1,)
+    assert SparseMatrix(1, 1, {0: {}}).rank() == 0
+
+
+@given(sparse_matrices(), st.lists(st.integers(1, 12), min_size=8, max_size=8))
+@settings(max_examples=150)
+def test_scaled_rows_keep_the_rank_and_the_pivots(case, factors):
+    # scaling a row scales its content, so however much of it a pivot row
+    # still carries when it eliminates, the pivots are those of the
+    # unscaled rows
+    matrix, _ = case
+    scaled = SparseMatrix(matrix.nrows, matrix.ncols, {
+        r: {c: v * factors[r] for c, v in row.items()}
+        for r, row in matrix.rows.items()}, matrix.denominator)
+    rank = matrix.rank()
+    assert scaled.rank() == rank == naive_rank(stored_rows(matrix))
+    assert scaled.pivots == matrix.pivots == naive_pivots(stored_rows(matrix))
 
 
 def test_rank_leaves_its_pivot_columns():
